@@ -3,7 +3,6 @@ or chaotic drive: Bloch dynamics, emission spectra, photon correlations
 and time-tag Monte Carlo."""
 
 from . import bloch, core, emission, lamp, photonstat, trajectory
-from ._accel import HAVE_NUMBA, USE_NUMBA
 from .core import (
     BUILTIN_SETS,
     PAPER_QD,
@@ -21,10 +20,13 @@ from .core import (
 
 __version__ = "0.1.0"
 
+# Every kernel has a single numpy implementation; run records report
+# this flag so that they state which kernel path produced them.
+USE_NUMBA = False
+
 __all__ = [
     "BUILTIN_SETS",
     "DrivePulse",
-    "HAVE_NUMBA",
     "InstrumentResponse",
     "PAPER_QD",
     "ParameterSet",

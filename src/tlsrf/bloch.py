@@ -22,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate as _scipy_integrate
 
-from . import _accel
-from ._accel import njit
-from .core import DrivePulse, NumericalGuardError, QuadratureError, TlsParams
+from .core import DrivePulse, NumericalGuardError, QuadratureError, TlsParams, write_csv
 from .photonstat import sample_chaotic_intensity
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -88,15 +86,12 @@ class BlochTrace:
         return BlochState(float(self.rho11[i]), float(self.rho01_re[i]), float(self.rho01_im[i]))
 
     def to_csv(self, path):
-        cols = [self.rho11, self.rho01_re, self.rho01_im]
+        cols = [self.times, self.rho11, self.rho01_re, self.rho01_im]
         header = "t_ns,rho11,rho01_re,rho01_im"
         if self.stderr is not None:
             cols.append(self.stderr)
             header += ",stderr"
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for i, t in enumerate(self.times):
-                fh.write(",".join(repr(float(v)) for v in (t, *[c[i] for c in cols])) + "\n")
+        return write_csv(path, header, cols)
 
 
 def bloch_derivative(state: BlochState, params: TlsParams, omega_t: float, detuning: float = 0.0) -> np.ndarray:
@@ -252,6 +247,8 @@ def chaotic_steady_state_quadrature(
 
 
 def _rk4_trace_loop(n_steps, dt, om_steps, det, t1, t2, r0, u0, v0, out):
+    """Scalar RK4 of a single trajectory, written out step by step so
+    that it stays an independent check on the vectorized kernels."""
     r, u, v = r0, u0, v0
     out[0, 0] = r
     out[0, 1] = u
@@ -291,58 +288,7 @@ def _rk4_trace_loop(n_steps, dt, om_steps, det, t1, t2, r0, u0, v0, out):
     return out
 
 
-_rk4_trace_numba = njit()(_rk4_trace_loop)
-
-
-def _rk4_ensemble_loop(n_steps, dt, amp_steps, omegas, det, t1, t2, mean, meansq, coh_re, coh_im):
-    """Serial per-sample RK4, accumulating ensemble sums in sample order."""
-    n = omegas.shape[0]
-    it1 = 1.0 / t1
-    it2 = 1.0 / t2
-    for i in range(n):
-        base = omegas[i]
-        r = 0.0
-        u = 0.0
-        v = 0.0
-        mean[0] += r
-        meansq[0] += r * r
-        for j in range(n_steps):
-            om = base * amp_steps[j]
-            kr1 = om * v - r * it1
-            ku1 = det * v - u * it2
-            kv1 = -det * u - v * it2 - 0.5 * om * (2.0 * r - 1.0)
-            r2 = r + 0.5 * dt * kr1
-            u2 = u + 0.5 * dt * ku1
-            v2 = v + 0.5 * dt * kv1
-            kr2 = om * v2 - r2 * it1
-            ku2 = det * v2 - u2 * it2
-            kv2 = -det * u2 - v2 * it2 - 0.5 * om * (2.0 * r2 - 1.0)
-            r3 = r + 0.5 * dt * kr2
-            u3 = u + 0.5 * dt * ku2
-            v3 = v + 0.5 * dt * kv2
-            kr3 = om * v3 - r3 * it1
-            ku3 = det * v3 - u3 * it2
-            kv3 = -det * u3 - v3 * it2 - 0.5 * om * (2.0 * r3 - 1.0)
-            r4 = r + dt * kr3
-            u4 = u + dt * ku3
-            v4 = v + dt * kv3
-            kr4 = om * v4 - r4 * it1
-            ku4 = det * v4 - u4 * it2
-            kv4 = -det * u4 - v4 * it2 - 0.5 * om * (2.0 * r4 - 1.0)
-            sixth = dt / 6.0
-            r += sixth * (kr1 + 2.0 * kr2 + 2.0 * kr3 + kr4)
-            u += sixth * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4)
-            v += sixth * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
-            mean[j + 1] += r
-            meansq[j + 1] += r * r
-            coh_re[j + 1] += u
-            coh_im[j + 1] += v
-
-
-_rk4_ensemble_numba = njit()(_rk4_ensemble_loop)
-
-
-def _rk4_ensemble_numpy(n_steps, dt, amp_steps, omegas, det, t1, t2, mean, meansq, coh_re, coh_im):
+def _rk4_ensemble(n_steps, dt, amp_steps, omegas, det, t1, t2, mean, meansq, coh_re, coh_im):
     """Lock-step vectorized RK4 over all ensemble members at once."""
     it1 = 1.0 / t1
     it2 = 1.0 / t2
@@ -419,9 +365,8 @@ def integrate(
     state0 = initial or BlochState.ground()
     amps = _amplitudes_per_step(pulse, n_steps, dt) * pulse.rabi
     out = np.empty((n_steps + 1, 3))
-    kernel = _rk4_trace_numba if _accel.USE_NUMBA else _rk4_trace_loop
-    kernel(n_steps, dt, amps, pulse.detuning, params.t1, params.t2,
-           state0.rho11, state0.rho01_re, state0.rho01_im, out)
+    _rk4_trace_loop(n_steps, dt, amps, pulse.detuning, params.t1, params.t2,
+                    state0.rho11, state0.rho01_re, state0.rho01_im, out)
     return BlochTrace(0.0, dt, out[:, 0].copy(), out[:, 1].copy(), out[:, 2].copy())
 
 
@@ -466,9 +411,8 @@ def chaotic_transient(
     meansq = np.zeros(n_steps + 1)
     coh_re = np.zeros(n_steps + 1)
     coh_im = np.zeros(n_steps + 1)
-    kernel = _rk4_ensemble_numba if _accel.USE_NUMBA else _rk4_ensemble_numpy
-    kernel(n_steps, dt, amps, omegas, pulse.detuning, params.t1, params.t2,
-           mean, meansq, coh_re, coh_im)
+    _rk4_ensemble(n_steps, dt, amps, omegas, pulse.detuning, params.t1, params.t2,
+                  mean, meansq, coh_re, coh_im)
     mean /= n_samples
     meansq /= n_samples
     coh_re /= n_samples

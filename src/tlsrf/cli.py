@@ -32,6 +32,7 @@ from .core import (
     parameter_set_from_dict,
     power_linewidth,
     stream,
+    write_csv,
 )
 
 _COMMON_KEYS = {"params", "params_file", "seed", "out", "samples", "preset"}
@@ -106,7 +107,13 @@ _DEFAULTS: dict[str, dict] = {
         "mc": True,
         "chaotic": True,
     },
-    "lamp": {"tau_corr_ns": 901.8, "dt_ns": None, "n": 1 << 21, "max_lag_ns": None, "field_rows": 4000},
+    "lamp": {
+        "tau_corr_ns": bloch.LAMP_TAU_CORR,
+        "dt_ns": None,
+        "n": 1 << 21,
+        "max_lag_ns": None,
+        "field_rows": 4000,
+    },
     "linewidth": {"s_min": 1e-3, "s_max": 1e2, "s_points": 61},
     "tags": {
         "omega": 1.7,
@@ -115,14 +122,10 @@ _DEFAULTS: dict[str, dict] = {
         "efficiency": 1.0,
         "blinking_beta": None,
         "blinking_tau_ns": None,
-        "tau_corr_ns": 901.8,
+        "tau_corr_ns": bloch.LAMP_TAU_CORR,
     },
     "validate": {},
 }
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -190,16 +193,6 @@ def _resolve_params(cfg: dict) -> ParameterSet:
     raise ConfigError("params must be a set name or an inline object")
 
 
-def _write_csv(path_or_none, header: str, rows) -> str | None:
-    lines = [header] + [",".join(row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if path_or_none is None:
-        sys.stdout.write(text)
-        return None
-    Path(path_or_none).write_text(text)
-    return str(path_or_none)
-
-
 def _write_sidecar(out, command: str, cfg: dict, pset: ParameterSet, outputs: list[str]):
     if out is None:
         return
@@ -230,22 +223,18 @@ def _s_grid(cfg) -> np.ndarray:
 
 
 def cmd_saturation(cfg: dict, pset: ParameterSet) -> list[str]:
-    rows = []
-    for s in _s_grid(cfg):
-        coh = bloch.steady_state_from_saturation(float(s))
-        cha = bloch.chaotic_steady_state(pset.tls, omega_from_saturation(float(s), pset.tls))
-        rows.append((_fmt(s), _fmt(coh), _fmt(cha)))
-    out = _write_csv(cfg["out"], "s,coherent,chaotic", rows)
+    s_grid = _s_grid(cfg)
+    coh = [bloch.steady_state_from_saturation(float(s)) for s in s_grid]
+    cha = [bloch.chaotic_steady_state(pset.tls, omega_from_saturation(float(s), pset.tls)) for s in s_grid]
+    out = write_csv(cfg["out"], "s,coherent,chaotic", [s_grid, coh, cha])
     return [out] if out else []
 
 
 def cmd_linewidth(cfg: dict, pset: ParameterSet) -> list[str]:
-    rows = []
-    for s in _s_grid(cfg):
-        om = omega_from_saturation(float(s), pset.tls)
-        fw = power_linewidth(om, pset.tls)
-        rows.append((_fmt(s), _fmt(fw), _fmt(angular_to_ordinary(fw))))
-    out = _write_csv(cfg["out"], "s,fwhm_rad_per_ns,fwhm_ghz", rows)
+    s_grid = _s_grid(cfg)
+    fw = [power_linewidth(omega_from_saturation(float(s), pset.tls), pset.tls) for s in s_grid]
+    fw_ghz = [angular_to_ordinary(x) for x in fw]
+    out = write_csv(cfg["out"], "s,fwhm_rad_per_ns,fwhm_ghz", [s_grid, fw, fw_ghz])
     return [out] if out else []
 
 
@@ -255,7 +244,7 @@ def cmd_rabi(cfg: dict, pset: ParameterSet) -> list[str]:
     omegas = [float(x) for x in cfg["omegas"]]
     pulse_ns = float(cfg["pulse_ns"])
     t_end = float(cfg["t_end_ns"])
-    rows = []
+    blocks = []
     rng = stream(int(cfg["seed"]))
     streams = rng.spawn(len(omegas))
     for om, sub in zip(omegas, streams):
@@ -263,17 +252,10 @@ def cmd_rabi(cfg: dict, pset: ParameterSet) -> list[str]:
         pulse = DrivePulse.square(om, 0.0, pulse_ns)
         coh = bloch.integrate(params, pulse, t_end, dt)
         cha = bloch.chaotic_transient(params, pulse, t_end, dt, n_samples, sub)
-        for i, t in enumerate(coh.times):
-            rows.append(
-                (
-                    _fmt(om),
-                    _fmt(t),
-                    _fmt(coh.rho11[i]),
-                    _fmt(cha.rho11[i]),
-                    _fmt(cha.stderr[i]),
-                )
-            )
-    out = _write_csv(cfg["out"], "omega,t_ns,coherent,chaotic_mean,chaotic_se", rows)
+        n = len(coh.times)
+        blocks.append([np.full(n, om), coh.times, coh.rho11, cha.rho11[:n], cha.stderr[:n]])
+    columns = [np.concatenate(c) for c in zip(*blocks)]
+    out = write_csv(cfg["out"], "omega,t_ns,coherent,chaotic_mean,chaotic_se", columns)
     return [out] if out else []
 
 
@@ -283,27 +265,19 @@ def cmd_mollow(cfg: dict, pset: ParameterSet) -> list[str]:
     freqs = np.linspace(-span, span, int(cfg["grid_points"]))
     fpi = pset.instrument.fpi_fwhm_ghz
     order = int(cfg["quad_order"])
-    rows = []
+    blocks = []
     for om in [float(x) for x in cfg["omegas"]]:
         coh = emission.qrt_spectrum(params, om, 0.0, freqs)
         coh_irf = emission.convolve_lorentzian(coh, fpi)
         cha = emission.chaotic_spectrum(params, om, freqs, order=order)
         cha_irf = emission.convolve_lorentzian(cha, fpi)
-        for i, nu in enumerate(freqs):
-            rows.append(
-                (
-                    _fmt(om),
-                    _fmt(nu),
-                    _fmt(coh.incoherent[i]),
-                    _fmt(coh_irf.incoherent[i]),
-                    _fmt(cha.incoherent[i]),
-                    _fmt(cha_irf.incoherent[i]),
-                )
-            )
-    out = _write_csv(
+        spectra = [coh, coh_irf, cha, cha_irf]
+        blocks.append([np.full(len(freqs), om), freqs] + [sp.incoherent for sp in spectra])
+    columns = [np.concatenate(c) for c in zip(*blocks)]
+    out = write_csv(
         cfg["out"],
         "omega,freq_ghz,coherent_inc,coherent_total_irf,chaotic_inc,chaotic_total_irf",
-        rows,
+        columns,
     )
     return [out] if out else []
 
@@ -342,12 +316,8 @@ def cmd_g2(cfg: dict, pset: ParameterSet) -> list[str]:
         header += ",g2_chaotic,g2_chaotic_irf"
     if blink:
         curves = [emission.blinking_envelope(c, *blink) for c in curves]
-    rows = [
-        tuple([_fmt(curves[0].lags[i])] + [_fmt(c.values[i]) for c in curves])
-        for i in range(len(curves[0].lags))
-    ]
     outputs = []
-    out = _write_csv(cfg["out"], header, rows)
+    out = write_csv(cfg["out"], header, [curves[0].lags] + [c.values for c in curves])
     if out:
         outputs.append(out)
     if cfg.get("mc", True):
@@ -364,16 +334,9 @@ def cmd_g2(cfg: dict, pset: ParameterSet) -> list[str]:
         )
         tags = trajectory.apply_detector(tags, det_fwhm / math.sqrt(2.0), det_rng)
         hist = trajectory.correlate(tags, float(cfg["bin_ns"]), lag_max)
-        mc_rows = [
-            (_fmt(hist.lags[i]), str(int(hist.counts[i])), _fmt(hist.c_norm[i]))
-            for i in range(len(hist.lags))
-        ]
-        if cfg["out"]:
-            mc_path = str(cfg["out"]) + ".mc.csv"
-            _write_csv(mc_path, "lag_ns,counts,c_norm", mc_rows)
-            outputs.append(mc_path)
-        else:
-            _write_csv(None, "lag_ns,counts,c_norm", mc_rows)
+        mc_out = hist.to_csv(str(cfg["out"]) + ".mc.csv" if cfg["out"] else None)
+        if mc_out:
+            outputs.append(mc_out)
     return outputs
 
 
@@ -408,8 +371,7 @@ def cmd_tags(cfg: dict, pset: ParameterSet) -> list[str]:
         blinking=blink,
         tau_corr=float(cfg["tau_corr_ns"]),
     )
-    rows = [(_fmt(t), str(int(c))) for t, c in zip(tags.times, tags.channels)]
-    out = _write_csv(cfg["out"], "time_ns,channel", rows)
+    out = tags.to_csv(cfg["out"])
     return [out] if out else []
 
 
@@ -422,24 +384,12 @@ def cmd_lamp(cfg: dict, pset: ParameterSet) -> list[str]:
     trace = lamp.synthesize_field(tau_corr, dt, n, rng)
     g2 = lamp.estimate_g2(trace, max_lag)
     fit = lamp.fit_gaussian_g2(g2)
-    rows = [(_fmt(lag), _fmt(v)) for lag, v in zip(g2.lags, g2.values)]
     outputs = []
-    out = _write_csv(cfg["out"], "lag_ns,value", rows)
+    out = g2.to_csv(cfg["out"])
     if out:
         outputs.append(out)
-        field_rows = int(cfg["field_rows"])
-        fpath = str(cfg["out"]) + ".field.csv"
-        frows = [
-            (
-                _fmt(i * trace.dt),
-                _fmt(trace.amplitudes[i].real),
-                _fmt(trace.amplitudes[i].imag),
-                _fmt(abs(trace.amplitudes[i]) ** 2),
-            )
-            for i in range(min(field_rows, len(trace.amplitudes)))
-        ]
-        _write_csv(fpath, "t_ns,re,im,intensity", frows)
-        outputs.append(fpath)
+        head = trace.amplitudes[: max(int(cfg["field_rows"]), 0)]
+        outputs.append(lamp._write_field_csv(str(cfg["out"]) + ".field.csv", trace.dt, head))
         fit_doc = {
             "amplitude": fit.amplitude,
             "amplitude_err": fit.amplitude_err,
@@ -487,7 +437,7 @@ def cmd_validate(cfg: dict, pset: ParameterSet) -> list[str]:
 
     # lamp Siegert relation
     rng = stream(20240 + int(cfg["seed"]))
-    tau_corr = 901.8
+    tau_corr = bloch.LAMP_TAU_CORR
     trace = lamp.synthesize_field(tau_corr, tau_corr / 20.0, 1 << 19, rng)
     g1 = lamp.estimate_g1(trace, 3.0 * tau_corr)
     g2 = lamp.estimate_g2(trace, 3.0 * tau_corr)

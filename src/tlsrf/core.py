@@ -1,4 +1,5 @@
-"""Domain types, unit conventions and parameter conversions.
+"""Domain types, unit conventions, parameter conversions and the CSV
+writer behind every tabular output.
 
 Units are global to the package: times in ns, angular frequencies in
 rad/ns.  Whenever an ordinary frequency is reported (suffix ``_ghz``)
@@ -7,9 +8,11 @@ it equals the angular value divided by 2*pi.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -219,3 +222,37 @@ def power_linewidth(omega: float, params: TlsParams) -> float:
 def angular_to_ordinary(value: float) -> float:
     """rad/ns -> GHz."""
     return value / TWO_PI
+
+
+_CSV_BLOCK_ROWS = 1 << 16
+
+
+def _csv_cells(column, start: int, stop: int) -> list[str]:
+    if column is None:
+        return [""] * (stop - start)
+    block = np.asarray(column)[start:stop]
+    if np.issubdtype(block.dtype, np.integer):
+        return [str(v) for v in block.tolist()]
+    return [repr(v) for v in block.astype(float).tolist()]
+
+
+def write_csv(path, header: str, columns) -> str | None:
+    """Write equal-length columns under a one-line comma-separated header.
+
+    Integer columns are written as str(int) and all others as
+    repr(float), the shortest text that reads back to the same double,
+    so reruns are byte-identical.  A None column leaves its field empty.
+    path=None writes to stdout.  Returns the path as a string, or None
+    for stdout.
+    """
+    lengths = {len(c) for c in columns if c is not None}
+    if len(lengths) != 1:
+        raise ValueError(f"CSV columns must have one common length, got {sorted(lengths)}")
+    n = lengths.pop()
+    with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            stop = min(start + _CSV_BLOCK_ROWS, n)
+            cells = [_csv_cells(c, start, stop) for c in columns]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+    return None if path is None else str(path)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import roots_laguerre
 
 from . import bloch
-from .core import NumericalGuardError, QuadratureError, TlsParams, TWO_PI
+from .core import NumericalGuardError, QuadratureError, TlsParams, TWO_PI, write_csv
 
 
 @dataclass
@@ -61,11 +61,8 @@ class Spectrum:
     def to_csv(self, path, after_irf: "Spectrum | None" = None):
         """Write `freq_ghz,incoherent,total_after_irf`; the last column
         is empty unless a convolved companion spectrum is given."""
-        with open(path, "w") as fh:
-            fh.write("freq_ghz,incoherent,total_after_irf\n")
-            for i, nu in enumerate(self.freqs):
-                tail = repr(float(after_irf.incoherent[i])) if after_irf is not None else ""
-                fh.write(f"{float(nu)!r},{float(self.incoherent[i])!r},{tail}\n")
+        total = after_irf.incoherent if after_irf is not None else None
+        return write_csv(path, "freq_ghz,incoherent,total_after_irf", [self.freqs, self.incoherent, total])
 
 
 @dataclass
@@ -82,10 +79,7 @@ class EmissionG2:
             raise ValueError("g2 values must be >= 0")
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("lag_ns,g2\n")
-            for lag, v in zip(self.lags, self.values):
-                fh.write(f"{float(lag)!r},{float(v)!r}\n")
+        return write_csv(path, "lag_ns,g2", [self.lags, self.values])
 
 
 def regression_generator(params: TlsParams, omega: float, detuning: float = 0.0):
@@ -324,7 +318,7 @@ def chaotic_g2(
     lags: np.ndarray,
     order: int = 96,
     check: bool = True,
-    tau_corr: float = 901.8,
+    tau_corr: float = bloch.LAMP_TAU_CORR,
 ) -> EmissionG2:
     """Intensity correlation under quasi-static chaotic drive.
 

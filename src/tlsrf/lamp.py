@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit
 
-from ._accel import njit, prange
-from .core import FitError, NumericalGuardError
+from .core import FitError, NumericalGuardError, write_csv
 
 
 @dataclass
@@ -38,14 +37,15 @@ class FieldTrace:
         return np.abs(self.amplitudes) ** 2
 
     def to_csv(self, path):
-        a = self.amplitudes
-        with open(path, "w") as fh:
-            fh.write("t_ns,re,im,intensity\n")
-            for i in range(len(a)):
-                t = i * self.dt
-                fh.write(
-                    f"{float(t)!r},{float(a[i].real)!r},{float(a[i].imag)!r},{float(abs(a[i])**2)!r}\n"
-                )
+        return _write_field_csv(path, self.dt, self.amplitudes)
+
+
+def _write_field_csv(path, dt: float, a: np.ndarray):
+    # |a|^2 is squared per sample with the scalar pow, the rounding these
+    # files have always carried; numpy's vectorized |a|**2 can differ
+    # from it in the last digit.
+    intensity = [h**2 for h in np.hypot(a.real, a.imag).tolist()]
+    return write_csv(path, "t_ns,re,im,intensity", [np.arange(len(a)) * dt, a.real, a.imag, intensity])
 
 
 @dataclass
@@ -62,10 +62,7 @@ class CorrelationCurve:
             raise ValueError("correlation values must be >= 0")
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("lag_ns,value\n")
-            for lag, v in zip(self.lags, self.values):
-                fh.write(f"{float(lag)!r},{float(v)!r}\n")
+        return write_csv(path, "lag_ns,value", [self.lags, self.values])
 
 
 def synthesize_field(tau_corr: float, dt: float, n: int, rng: np.random.Generator) -> FieldTrace:
@@ -92,7 +89,7 @@ def synthesize_field(tau_corr: float, dt: float, n: int, rng: np.random.Generato
     return FieldTrace(dt, shaped[discard:])
 
 
-def _autocorr_lags_numpy(z: np.ndarray, n_lags: int) -> np.ndarray:
+def _autocorr_lags(z: np.ndarray, n_lags: int) -> np.ndarray:
     n = len(z)
     out = np.empty(n_lags, dtype=complex)
     zc = np.conj(z)
@@ -101,40 +98,12 @@ def _autocorr_lags_numpy(z: np.ndarray, n_lags: int) -> np.ndarray:
     return out
 
 
-def _autocorr_lags_loop(re, im, n_lags, out_re, out_im):
-    n = re.shape[0]
-    for m in prange(n_lags):
-        acc_r = 0.0
-        acc_i = 0.0
-        for j in range(n - m):
-            # conj(z_j) * z_{j+m}
-            acc_r += re[j] * re[j + m] + im[j] * im[j + m]
-            acc_i += re[j] * im[j + m] - im[j] * re[j + m]
-        out_re[m] = acc_r / n
-        out_im[m] = acc_i / n
-
-
-_autocorr_lags_numba = njit(parallel=True)(_autocorr_lags_loop)
-
-
-def _intensity_corr_numpy(ii: np.ndarray, n_lags: int) -> np.ndarray:
+def _intensity_corr(ii: np.ndarray, n_lags: int) -> np.ndarray:
     n = len(ii)
     out = np.empty(n_lags)
     for m in range(n_lags):
         out[m] = np.dot(ii[: n - m], ii[m:]) / (n - m)
     return out
-
-
-def _intensity_corr_loop(ii, n_lags, out):
-    n = ii.shape[0]
-    for m in prange(n_lags):
-        acc = 0.0
-        for j in range(n - m):
-            acc += ii[j] * ii[j + m]
-        out[m] = acc / (n - m)
-
-
-_intensity_corr_numba = njit(parallel=True)(_intensity_corr_loop)
 
 
 def _lag_count(trace: FieldTrace, max_lag: float) -> int:
@@ -144,16 +113,10 @@ def _lag_count(trace: FieldTrace, max_lag: float) -> int:
     return n_lags
 
 
-# The lag correlators dispatch to the dot-product (BLAS) route on both
-# acceleration paths: it beats the compiled loop for this memory-bound
-# pattern (see benchmarks/bench_kernels.py).  The njit variants stay
-# importable for comparison.
-
-
 def estimate_g1(trace: FieldTrace, max_lag: float) -> CorrelationCurve:
     """|g1| by the biased autocorrelation estimator; |g1(0)| = 1 exactly."""
     n_lags = _lag_count(trace, max_lag)
-    corr = _autocorr_lags_numpy(trace.amplitudes, n_lags)
+    corr = _autocorr_lags(trace.amplitudes, n_lags)
     g1 = np.abs(corr) / np.abs(corr[0])
     g1[0] = 1.0
     return CorrelationCurve(np.arange(n_lags) * trace.dt, g1)
@@ -162,8 +125,8 @@ def estimate_g1(trace: FieldTrace, max_lag: float) -> CorrelationCurve:
 def estimate_g2(trace: FieldTrace, max_lag: float) -> CorrelationCurve:
     """Classical intensity correlation <I(0) I(tau)> / <I>^2."""
     n_lags = _lag_count(trace, max_lag)
-    ii = np.ascontiguousarray(trace.intensity)
-    out = _intensity_corr_numpy(ii, n_lags)
+    ii = trace.intensity
+    out = _intensity_corr(ii, n_lags)
     g2 = out / np.mean(ii) ** 2
     return CorrelationCurve(np.arange(n_lags) * trace.dt, g2)
 

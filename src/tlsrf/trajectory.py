@@ -12,7 +12,7 @@ Waiting times are sampled exactly by inverting the closed-form no-jump
 survival with bisection; there is no time-step discretization.  Given
 a jump, it is radiative with the constant probability t2/(2 t1), and
 the chain of (start state, waiting time) pairs within a segment of
-constant drive is therefore i.i.d., which the vectorized numpy path
+constant drive is therefore i.i.d., which the vectorized leg solver
 exploits.  Partially elapsed legs are carried across segment
 boundaries by evolving the unnormalized state and keeping the target
 uniform, so piecewise drives (pulse envelopes, quasi-static chaotic
@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel, bloch
-from ._accel import njit, prange
-from .core import DrivePulse, NumericalGuardError, Statistics, TlsParams
+from . import bloch
+from .core import DrivePulse, NumericalGuardError, Statistics, TlsParams, write_csv
 from .photonstat import sample_chaotic_intensity
 
 _BISECT_ITERS = 64
@@ -55,10 +54,7 @@ class TagStream:
         return self.times[self.channels == channel]
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("time_ns,channel\n")
-            for t, c in zip(self.times, self.channels):
-                fh.write(f"{float(t)!r},{int(c)}\n")
+        return write_csv(path, "time_ns,channel", [self.times, self.channels])
 
 
 @dataclass
@@ -73,10 +69,7 @@ class CoincidenceHistogram:
     stderr: np.ndarray
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("lag_ns,counts,c_norm\n")
-            for lag, c, cn in zip(self.lags, self.counts, self.c_norm):
-                fh.write(f"{float(lag)!r},{int(c)},{float(cn)!r}\n")
+        return write_csv(path, "lag_ns,counts,c_norm", [self.lags, self.counts, self.c_norm])
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +80,7 @@ class CoincidenceHistogram:
 # nothing overflows at any tau.
 
 
-def _prop_entries_np(om, det, it2, tau):
+def _prop_entries(om, det, it2, tau):
     tau = np.asarray(tau, dtype=float)
     m = 0.5 * (1j * det - it2) * tau
     q = np.sqrt(m * m - 0.25 * om * om * tau * tau + 0j)
@@ -103,25 +96,25 @@ def _prop_entries_np(om, det, it2, tau):
     return e00, eoff, e11
 
 
-def _survival_state_np(psi_g, psi_e, om, det, it2, tau):
+def _survival_state(psi_g, psi_e, om, det, it2, tau):
     """Squared norm of U(tau) psi for a general (unnormalized) state."""
-    e00, eoff, e11 = _prop_entries_np(om, det, it2, tau)
+    e00, eoff, e11 = _prop_entries(om, det, it2, tau)
     a = e00 * psi_g + eoff * psi_e
     b = eoff * psi_g + e11 * psi_e
     return np.abs(a) ** 2 + np.abs(b) ** 2
 
 
-def _evolve_state_np(psi_g, psi_e, om, det, it2, tau):
-    e00, eoff, e11 = _prop_entries_np(om, det, it2, tau)
+def _evolve_state(psi_g, psi_e, om, det, it2, tau):
+    e00, eoff, e11 = _prop_entries(om, det, it2, tau)
     return e00 * psi_g + eoff * psi_e, eoff * psi_g + e11 * psi_e
 
 
-def _solve_legs_numpy(u, starts, om, det, it2, bracket):
+def _solve_legs(u, starts, om, det, it2, bracket):
     """Waiting times from fresh ground (0) / excited (1) starts; inf when
     the leg survives past the bracket."""
     n = len(u)
     tau_b = np.full(n, float(bracket))
-    e00, eoff, e11 = _prop_entries_np(om, det, it2, tau_b)
+    e00, eoff, e11 = _prop_entries(om, det, it2, tau_b)
     s_end = np.where(
         starts == 1,
         np.abs(eoff) ** 2 + np.abs(e11) ** 2,
@@ -132,7 +125,7 @@ def _solve_legs_numpy(u, starts, om, det, it2, bracket):
     hi = tau_b.copy()
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        e00, eoff, e11 = _prop_entries_np(om, det, it2, mid)
+        e00, eoff, e11 = _prop_entries(om, det, it2, mid)
         s = np.where(
             starts == 1,
             np.abs(eoff) ** 2 + np.abs(e11) ** 2,
@@ -142,56 +135,6 @@ def _solve_legs_numpy(u, starts, om, det, it2, bracket):
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
     return np.where(has_root, 0.5 * (lo + hi), np.inf)
-
-
-def _surv_scalar(om, det, it2, tau, from_excited):
-    m = 0.5 * (1j * det - it2) * tau
-    q = np.sqrt(m * m - 0.25 * om * om * tau * tau + 0j)
-    g1 = np.exp(m + q)
-    g2 = np.exp(m - q)
-    cosht = 0.5 * (g1 + g2)
-    if abs(q) < 1e-8:
-        sinhc = np.exp(m) * (1.0 + q * q / 6.0)
-    else:
-        sinhc = 0.5 * (g1 - g2) / q
-    eoff = (-0.5j * om * tau) * sinhc
-    if from_excited:
-        e11 = cosht + m * sinhc
-        return abs(eoff) ** 2 + abs(e11) ** 2
-    e00 = cosht - m * sinhc
-    return abs(e00) ** 2 + abs(eoff) ** 2
-
-
-_surv_scalar_nb = njit()(_surv_scalar)
-
-
-def _solve_legs_loop(u, starts, om, det, it2, bracket, out):
-    n = u.shape[0]
-    for i in prange(n):
-        fe = starts[i] == 1
-        if _surv_scalar_nb(om, det, it2, bracket, fe) > u[i]:
-            out[i] = np.inf
-            continue
-        lo = 0.0
-        hi = bracket
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            if _surv_scalar_nb(om, det, it2, mid, fe) > u[i]:
-                lo = mid
-            else:
-                hi = mid
-        out[i] = 0.5 * (lo + hi)
-
-
-_solve_legs_numba = njit(parallel=True)(_solve_legs_loop)
-
-
-def _solve_legs(u, starts, om, det, it2, bracket):
-    if _accel.USE_NUMBA:
-        out = np.empty(len(u))
-        _solve_legs_numba(u, starts, om, det, it2, float(bracket), out)
-        return out
-    return _solve_legs_numpy(u, starts, om, det, it2, bracket)
 
 
 def _drive_segments(pulse: DrivePulse, duration: float, tau_corr: float, rng) -> list[tuple[float, float, float]]:
@@ -228,12 +171,12 @@ def _drive_segments(pulse: DrivePulse, duration: float, tau_corr: float, rng) ->
 def _bisect_state_leg(psi_g, psi_e, r, om, det, it2, bracket):
     """Jump time for a carried (unnormalized) state, or None if it
     survives the whole bracket."""
-    if _survival_state_np(psi_g, psi_e, om, det, it2, bracket) > r:
+    if _survival_state(psi_g, psi_e, om, det, it2, bracket) > r:
         return None
     lo, hi = 0.0, float(bracket)
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        if _survival_state_np(psi_g, psi_e, om, det, it2, mid) > r:
+        if _survival_state(psi_g, psi_e, om, det, it2, mid) > r:
             lo = mid
         else:
             hi = mid
@@ -277,7 +220,7 @@ def simulate_tags(
         if pending_r is not None:
             w = _bisect_state_leg(psi_g, psi_e, pending_r, om, det, it2, seg_end - t)
             if w is None:
-                psi_g, psi_e = _evolve_state_np(psi_g, psi_e, om, det, it2, seg_end - t)
+                psi_g, psi_e = _evolve_state(psi_g, psi_e, om, det, it2, seg_end - t)
                 continue
             t = t + w
             if rng.random() < p_rad:
@@ -308,7 +251,7 @@ def simulate_tags(
             if stop < n_est:
                 # leg `stop` is in progress at seg_end: carry it
                 psi0 = (1.0 + 0.0j, 0.0j) if starts[stop] == 0 else (0.0j, 1.0 + 0.0j)
-                psi_g, psi_e = _evolve_state_np(psi0[0], psi0[1], om, det, it2, seg_end - t)
+                psi_g, psi_e = _evolve_state(psi0[0], psi0[1], om, det, it2, seg_end - t)
                 pending_r = float(u[stop])
                 t = seg_end
 
@@ -368,27 +311,10 @@ def apply_detector(stream: TagStream, jitter_fwhm: float, rng: np.random.Generat
     return TagStream(t[keep], ch[keep], stream.duration)
 
 
-def _corr_window_loop(t1, t2, max_lag, bin_w, counts):
-    n1 = t1.shape[0]
-    n2 = t2.shape[0]
-    nb = counts.shape[0]
-    j_lo = 0
-    for i in range(n1):
-        x = t1[i]
-        while j_lo < n2 and t2[j_lo] < x - max_lag:
-            j_lo += 1
-        j = j_lo
-        while j < n2 and t2[j] < x + max_lag:
-            b = int((t2[j] - x + max_lag) / bin_w)
-            if b < nb:
-                counts[b] += 1
-            j += 1
-
-
-_corr_window_numba = njit()(_corr_window_loop)
-
-
-def _corr_window_numpy(t1, t2, max_lag, bin_w, counts, chunk=100_000):
+def _corr_window(t1, t2, max_lag, bin_w, counts, chunk=100_000):
+    """Add every lag d = t2[j] - t1[i] with -max_lag <= d < max_lag to
+    bin floor((d + max_lag) / bin_w) of counts; bins at or beyond
+    len(counts) are dropped.  Both inputs must be sorted."""
     nb = len(counts)
     for a in range(0, len(t1), chunk):
         t1c = t1[a : a + chunk]
@@ -425,10 +351,7 @@ def correlate(stream: TagStream, bin_w: float, max_lag: float) -> CoincidenceHis
     if nb < 2:
         raise ValueError("fewer than two lag bins")
     counts = np.zeros(nb, dtype=np.int64)
-    if _accel.USE_NUMBA:
-        _corr_window_numba(t1, t2, float(max_lag), float(bin_w), counts)
-    else:
-        _corr_window_numpy(t1, t2, float(max_lag), float(bin_w), counts)
+    _corr_window(t1, t2, float(max_lag), float(bin_w), counts)
     norm = stream.duration / (len(t1) * len(t2) * bin_w)
     lags = -max_lag + bin_w * (np.arange(nb) + 0.5)
     c_norm = counts * norm

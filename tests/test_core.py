@@ -142,3 +142,19 @@ def test_stream_is_reproducible():
     a = core.stream(99).random(5)
     b = core.stream(99).random(5)
     assert np.array_equal(a, b)
+
+
+class TestWriteCsv:
+    def test_formats_and_empty_column(self, tmp_path):
+        path = tmp_path / "out.csv"
+        ret = core.write_csv(path, "a,b,c", [np.array([0.1, 1e-20]), np.array([3, -4], dtype=np.int8), None])
+        assert ret == str(path)
+        assert path.read_text() == "a,b,c\n0.1,3,\n1e-20,-4,\n"
+
+    def test_stdout(self, capsys):
+        assert core.write_csv(None, "x", [[2.5]]) is None
+        assert capsys.readouterr().out == "x\n2.5\n"
+
+    def test_rejects_unequal_columns(self, tmp_path):
+        with pytest.raises(ValueError):
+            core.write_csv(tmp_path / "bad.csv", "a,b", [[1.0, 2.0], [1.0]])

@@ -222,6 +222,32 @@ class TestCorrelate:
         )
         assert popt[1] == pytest.approx(405.0, rel=0.10)
 
+    @pytest.mark.parametrize("max_lag", [10.0, 11.0])
+    def test_window_kernel_matches_brute_force(self, max_lag):
+        # integer times put lags exactly on +-max_lag and on bin edges;
+        # bin_w does not divide 2 max_lag, so the last bin either reaches
+        # past +max_lag (10 ns: +max_lag must stay out) or is a partial
+        # bin that is dropped (11 ns); chunk < N crosses chunk boundaries
+        rng = core.stream(5)
+        bin_w, chunk = 3.0, 7
+        nb = int(round(2.0 * max_lag / bin_w))
+        seen = []
+        for n1, n2 in ((40, 60), (1, 30), (25, 1)):
+            t1 = np.sort(rng.integers(0, 120, n1)).astype(float)
+            t2 = np.sort(rng.integers(0, 120, n2)).astype(float)
+            counts = np.zeros(nb, dtype=np.int64)
+            trajectory._corr_window(t1, t2, max_lag, bin_w, counts, chunk=chunk)
+            d = np.subtract.outer(t2, t1).ravel()
+            seen.append(d)
+            d = d[(d >= -max_lag) & (d < max_lag)]
+            bins = np.floor((d + max_lag) / bin_w).astype(np.int64)
+            expected = np.bincount(bins[bins < nb], minlength=nb)
+            assert np.array_equal(counts, expected)
+        seen = np.concatenate(seen)
+        assert np.any(seen == max_lag) and np.any(seen == -max_lag)
+        assert np.any(seen == -max_lag + bin_w)  # an interior bin edge
+        assert np.any((seen >= nb * bin_w - max_lag) & (seen < max_lag)) == (nb * bin_w < 2.0 * max_lag)
+
     def test_empty_channel_rejected(self):
         t = np.array([1.0, 2.0, 3.0])
         stream_in = trajectory.TagStream(t, np.array([1, 1, 1], dtype=np.int8), 100.0)
