@@ -333,6 +333,15 @@ def _step_guard(params: TlsParams, omega_max: float, dt: float):
         )
 
 
+def _n_steps(t_end: float, dt: float) -> int:
+    """Steps of size dt covering [0, t_end]: t_end/dt rounded when it is
+    an integer to within 1e-9, so float noise adds no extra step."""
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
+        n_steps = int(math.ceil(t_end / dt))
+    return n_steps
+
+
 def _amplitudes_per_step(pulse: DrivePulse, n_steps: int, dt: float, t0: float = 0.0) -> np.ndarray:
     # Evaluating at step midpoints snaps envelope edges to the grid.
     mid = t0 + dt * (np.arange(n_steps) + 0.5)
@@ -359,9 +368,7 @@ def integrate(
         raise ValueError("t_end must be positive")
     om_max = pulse.rabi * pulse.max_amplitude()
     _step_guard(params, om_max, dt)
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
-        n_steps = int(math.ceil(t_end / dt))
+    n_steps = _n_steps(t_end, dt)
     state0 = initial or BlochState.ground()
     amps = _amplitudes_per_step(pulse, n_steps, dt) * pulse.rabi
     out = np.empty((n_steps + 1, 3))
@@ -403,7 +410,7 @@ def chaotic_transient(
     # covers all but the exponential tail (whose members stay stable,
     # merely less accurate, and are statistically negligible)
     _step_guard(params, 2.0 * om_max, dt)
-    n_steps = int(math.ceil(t_end / dt))
+    n_steps = _n_steps(t_end, dt)
     w2 = sample_chaotic_intensity(rng, pulse.rabi**2, size=n_samples)
     omegas = np.sqrt(np.asarray(w2, dtype=float))
     amps = _amplitudes_per_step(pulse, n_steps, dt)

@@ -252,8 +252,7 @@ def cmd_rabi(cfg: dict, pset: ParameterSet) -> list[str]:
         pulse = DrivePulse.square(om, 0.0, pulse_ns)
         coh = bloch.integrate(params, pulse, t_end, dt)
         cha = bloch.chaotic_transient(params, pulse, t_end, dt, n_samples, sub)
-        n = len(coh.times)
-        blocks.append([np.full(n, om), coh.times, coh.rho11, cha.rho11[:n], cha.stderr[:n]])
+        blocks.append([np.full(len(coh.times), om), coh.times, coh.rho11, cha.rho11, cha.stderr])
     columns = [np.concatenate(c) for c in zip(*blocks)]
     out = write_csv(cfg["out"], "omega,t_ns,coherent,chaotic_mean,chaotic_se", columns)
     return [out] if out else []
@@ -388,8 +387,10 @@ def cmd_lamp(cfg: dict, pset: ParameterSet) -> list[str]:
     out = g2.to_csv(cfg["out"])
     if out:
         outputs.append(out)
-        head = trace.amplitudes[: max(int(cfg["field_rows"]), 0)]
-        outputs.append(lamp._write_field_csv(str(cfg["out"]) + ".field.csv", trace.dt, head))
+        rows = max(int(cfg["field_rows"]), 0)
+        outputs.append(lamp._write_field_csv(
+            str(cfg["out"]) + ".field.csv", trace.dt, trace.amplitudes[:rows], trace.intensity[:rows]
+        ))
         fit_doc = {
             "amplitude": fit.amplitude,
             "amplitude_err": fit.amplitude_err,

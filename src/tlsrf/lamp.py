@@ -37,14 +37,13 @@ class FieldTrace:
         return np.abs(self.amplitudes) ** 2
 
     def to_csv(self, path):
-        return _write_field_csv(path, self.dt, self.amplitudes)
+        return _write_field_csv(path, self.dt, self.amplitudes, self.intensity)
 
 
-def _write_field_csv(path, dt: float, a: np.ndarray):
-    # |a|^2 is squared per sample with the scalar pow, the rounding these
-    # files have always carried; numpy's vectorized |a|**2 can differ
-    # from it in the last digit.
-    intensity = [h**2 for h in np.hypot(a.real, a.imag).tolist()]
+def _write_field_csv(path, dt: float, a: np.ndarray, intensity: np.ndarray):
+    # the intensity column is the trace's own `intensity`, passed in
+    # rather than recomputed: a per-sample |a|^2 can differ from the
+    # vectorized one in the last digit
     return write_csv(path, "t_ns,re,im,intensity", [np.arange(len(a)) * dt, a.real, a.imag, intensity])
 
 

@@ -9,14 +9,19 @@ non-Hermitian Hamiltonian with total decay 2/t2 on the excited level
 and the ensemble average reproduces the Bloch equations exactly.
 
 Waiting times are sampled exactly by inverting the closed-form no-jump
-survival with bisection; there is no time-step discretization.  Given
-a jump, it is radiative with the constant probability t2/(2 t1), and
-the chain of (start state, waiting time) pairs within a segment of
-constant drive is therefore i.i.d., which the vectorized leg solver
-exploits.  Partially elapsed legs are carried across segment
-boundaries by evolving the unnormalized state and keeping the target
-uniform, so piecewise drives (pulse envelopes, quasi-static chaotic
-blocks) are handled without bias.
+survival; there is no time-step discretization.  Within a segment of
+constant drive every fresh leg starts from the ground or the excited
+state, so a table of those two survival curves brackets each root to
+one grid step, and Chandrupatla's bracketed iteration polishes it to
+1e-14 ns, or to the rounding of the survival where that is coarser.
+Given a jump, it is radiative with the constant probability
+t2/(2 t1), and the chain of (start state, waiting time) pairs within a
+segment of constant drive is therefore i.i.d., which the vectorized
+leg solver exploits.  Partially elapsed legs are carried across
+segment boundaries by evolving the unnormalized state and keeping the
+target uniform, so piecewise drives (pulse envelopes, quasi-static
+chaotic blocks) are handled without bias; a carried leg goes through
+the same iteration with the rest of its new segment as the bracket.
 """
 
 from __future__ import annotations
@@ -30,7 +35,12 @@ from . import bloch
 from .core import DrivePulse, NumericalGuardError, Statistics, TlsParams, write_csv
 from .photonstat import sample_chaotic_intensity
 
-_BISECT_ITERS = 64
+_TABLE_POINTS = 256  # survival-table points per doubling of its spacing
+_XTOL = 1e-14  # ns, absolute tolerance of a waiting time
+_MAX_ITERS = 200
+_CHUNK = 1 << 13  # legs per pass of the root iteration
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -59,8 +69,10 @@ class TagStream:
 
 @dataclass
 class CoincidenceHistogram:
-    """Cross-channel coincidences per lag bin with the rate-product
-    normalization c(tau) * T / (N1 * N2 * w)."""
+    """Cross-channel coincidences per lag bin, normalized by the
+    coincidences that uncorrelated streams of the same rates would give
+    in that bin, c(tau) * T^2 / (N1 * N2 * w * (T - |tau|)), with
+    T - |tau| the overlap of the two streams averaged over the bin."""
 
     bin_width: float
     lags: np.ndarray
@@ -75,24 +87,28 @@ class CoincidenceHistogram:
 # ---------------------------------------------------------------------------
 # No-jump propagator.  In the (ground, excited) basis the effective
 # Hamiltonian is [[0, om/2], [om/2, -det - i/t2]]; exp(-i H tau) is
-# evaluated from the 2x2 closed form with exponents exp(m +/- q) that
-# are individually bounded by one (the evolution is contractive), so
-# nothing overflows at any tau.
+# evaluated from the 2x2 closed form with exponents exp((m0 +/- q0) tau)
+# that are individually bounded by one (the evolution is contractive),
+# so nothing overflows at any tau.  m0 and q0 are per unit tau, so the
+# square root is taken once per call.
 
 
 def _prop_entries(om, det, it2, tau):
     tau = np.asarray(tau, dtype=float)
-    m = 0.5 * (1j * det - it2) * tau
-    q = np.sqrt(m * m - 0.25 * om * om * tau * tau + 0j)
-    g1 = np.exp(m + q)
-    g2 = np.exp(m - q)
+    m0 = 0.5 * (1j * det - it2)
+    q0 = np.sqrt(m0 * m0 - 0.25 * om * om + 0j)
+    g1 = np.exp((m0 + q0) * tau)
+    g2 = np.exp((m0 - q0) * tau)
     cosht = 0.5 * (g1 + g2)
-    small = np.abs(q) < 1e-8
-    qs = np.where(small, 1.0, q)
-    sinhc = np.where(small, np.exp(m) * (1.0 + q * q / 6.0), 0.5 * (g1 - g2) / qs)
-    e00 = cosht - m * sinhc
-    eoff = (-0.5j * om * tau) * sinhc
-    e11 = cosht + m * sinhc
+    # tau sinh(q0 tau) / (q0 tau) exp(m0 tau), from its series where
+    # q0 tau is too small for the difference g1 - g2
+    tsinhc = 0.5 * (g1 - g2) / (q0 if q0 else 1.0)
+    small = abs(q0) * tau < 1e-8
+    if small.any():
+        tsinhc = np.where(small, tau * np.exp(m0 * tau) * (1.0 + (q0 * tau) ** 2 / 6.0), tsinhc)
+    e00 = cosht - m0 * tsinhc
+    eoff = (-0.5j * om) * tsinhc
+    e11 = cosht + m0 * tsinhc
     return e00, eoff, e11
 
 
@@ -109,32 +125,151 @@ def _evolve_state(psi_g, psi_e, om, det, it2, tau):
     return e00 * psi_g + eoff * psi_e, eoff * psi_g + e11 * psi_e
 
 
+# ---------------------------------------------------------------------------
+# Waiting times.  A leg ends where its no-jump survival S(tau) = |U psi|^2
+# falls to its uniform target u.  Fresh legs start from ground or excited,
+# so within a segment S is one of two fixed curves: they are tabulated
+# once per batch, and searchsorted gives each leg a bracket one grid
+# step wide.
+# Chandrupatla's method (Adv. Eng. Softw. 28, 145 (1997)) then polishes
+# log S - log u inside the bracket; it interpolates where the curve is
+# smooth and bisects across the near-flat steps of a strongly driven
+# S, where psi_e passes through zero twice per Rabi cycle.
+
+
+def _survival_table(om, det, it2, u_min, bracket):
+    """Grid tau from 0 with the fresh-leg survivals S_g and S_e on it.
+
+    The spacing starts at 1/32 of the faster of the Rabi period and t2
+    and doubles every _TABLE_POINTS points, until both curves are
+    below u_min or the grid reaches the bracket, which is its last point."""
+    scale = 1.0 / it2
+    if om or det:
+        scale = min(scale, 2.0 * math.pi / math.hypot(om, det))
+    step = scale / 32.0
+    taus, s_g, s_e = [np.zeros(1)], [np.ones(1)], [np.ones(1)]
+    while taus[-1][-1] < bracket and max(s_g[-1][-1], s_e[-1][-1]) >= u_min:
+        tau = taus[-1][-1] + step * np.arange(1, _TABLE_POINTS + 1)
+        if tau[-1] >= bracket:
+            tau = np.append(tau[tau < bracket], bracket)
+        e00, eoff, e11 = _prop_entries(om, det, it2, tau)
+        off = np.abs(eoff) ** 2
+        taus.append(tau)
+        s_g.append(np.abs(e00) ** 2 + off)
+        s_e.append(off + np.abs(e11) ** 2)
+        step *= 2.0
+    # rounding can lift S by an ulp on a flat step; searchsorted needs
+    # the curves monotone
+    return (
+        np.concatenate(taus),
+        np.minimum.accumulate(np.concatenate(s_g)),
+        np.minimum.accumulate(np.concatenate(s_e)),
+    )
+
+
+def _log(s):
+    return np.log(np.maximum(s, _TINY))
+
+
+def _find_roots(surv, u, lo, hi, s_lo, s_hi):
+    """tau in [lo, hi] with surv(tau, i) = u[i] for every leg i, given
+    s_lo = surv(lo) > u >= surv(hi) = s_hi.
+
+    Chandrupatla's bracketed iteration on f = log S - log u, run only on
+    the legs not yet converged; a root is kept once its bracket is
+    narrower than _XTOL + 4 eps tau."""
+    log_u = _log(u)
+    roots = np.empty(len(u))
+    idx = np.arange(len(u))
+    # x1 is the newest point, x2 the end of the bracket across the root,
+    # x3 the point x1 or x2 displaced last
+    x1, f1 = lo, _log(s_lo) - log_u
+    x2, f2 = hi, _log(s_hi) - log_u
+    t = f1 / np.maximum(f1 - f2, _TINY)  # secant step into the bracket
+    # the smallest step, as a fraction of the bracket, that still
+    # resolves a new point; kept at most 0.5 once converged legs leave
+    tl = np.minimum((2.0 * _EPS * np.abs(x2) + 0.5 * _XTOL) / (x2 - x1), 0.5)
+    for _ in range(_MAX_ITERS):
+        t = np.clip(t, tl, 1.0 - tl)
+        x = x1 + t * (x2 - x1)
+        f = _log(surv(x, idx)) - log_u[idx]
+        same = (f > 0.0) == (f1 > 0.0)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, f
+        near = np.abs(f1) < np.abs(f2)
+        xm, fm = np.where(near, x1, x2), np.where(near, f1, f2)
+        tl = (2.0 * _EPS * np.abs(xm) + 0.5 * _XTOL) / np.abs(x2 - x1)
+        done = (tl > 0.5) | (fm == 0.0)
+        roots[idx[done]] = xm[done]
+        if done.all():
+            return roots
+        keep = ~done
+        idx, tl = idx[keep], tl[keep]
+        x1, x2, x3, f1, f2, f3 = x1[keep], x2[keep], x3[keep], f1[keep], f2[keep], f3[keep]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = np.where(
+                iqi,
+                f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
+                0.5,
+            )
+    roots[idx] = 0.5 * (x1 + x2)
+    return roots
+
+
 def _solve_legs(u, starts, om, det, it2, bracket):
     """Waiting times from fresh ground (0) / excited (1) starts; inf when
-    the leg survives past the bracket."""
-    n = len(u)
-    tau_b = np.full(n, float(bracket))
-    e00, eoff, e11 = _prop_entries(om, det, it2, tau_b)
-    s_end = np.where(
-        starts == 1,
-        np.abs(eoff) ** 2 + np.abs(e11) ** 2,
-        np.abs(e00) ** 2 + np.abs(eoff) ** 2,
-    )
-    has_root = s_end <= u
-    lo = np.zeros(n)
-    hi = tau_b.copy()
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        e00, eoff, e11 = _prop_entries(om, det, it2, mid)
-        s = np.where(
-            starts == 1,
-            np.abs(eoff) ** 2 + np.abs(e11) ** 2,
-            np.abs(e00) ** 2 + np.abs(eoff) ** 2,
+    the leg survives past the bracket.  The table is built per call,
+    down to the smallest target of the batch; a segment seldom needs
+    more than one batch."""
+    tau, s_g, s_e = _survival_table(om, det, it2, float(u.min()), bracket)
+    waits = np.empty(len(u))
+    # chunks keep the working arrays of a 2^17-leg batch to a few MB
+    for a in range(0, len(u), _CHUNK):
+        b = slice(a, a + _CHUNK)
+        waits[b] = _table_legs(u[b], starts[b], tau, s_g, s_e, om, det, it2)
+    return waits
+
+
+def _table_legs(u, starts, tau, s_g, s_e, om, det, it2):
+    """_solve_legs on one chunk, given the survival table."""
+    k = np.empty(len(u), dtype=np.int64)
+    s_lo, s_hi = np.empty(len(u)), np.empty(len(u))
+    for state, s_tab in ((0, s_g), (1, s_e)):
+        sel = starts == state
+        # first grid point with S <= u; the one before it has S > u
+        ks = np.searchsorted(-s_tab, -u[sel], side="left")
+        k[sel] = ks
+        s_lo[sel] = s_tab[ks - 1]
+        s_hi[sel] = s_tab[np.minimum(ks, len(tau) - 1)]
+    has_root = k < len(tau)
+    waits = np.full(len(u), np.inf)
+    if has_root.any():
+        k = k[has_root]
+        psi_e = starts[has_root].astype(float)
+        psi_g = 1.0 - psi_e
+        waits[has_root] = _find_roots(
+            lambda x, i: _survival_state(psi_g[i], psi_e[i], om, det, it2, x),
+            u[has_root], tau[k - 1], tau[k], s_lo[has_root], s_hi[has_root],
         )
-        above = s > u
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return np.where(has_root, 0.5 * (lo + hi), np.inf)
+    return waits
+
+
+def _state_leg(psi_g, psi_e, r, om, det, it2, bracket):
+    """Jump time for a carried (unnormalized) state, or None if it
+    survives the whole bracket."""
+    s_end = _survival_state(psi_g, psi_e, om, det, it2, bracket)
+    if s_end > r:
+        return None
+    s0 = abs(psi_g) ** 2 + abs(psi_e) ** 2
+    return float(_find_roots(
+        lambda x, i: _survival_state(psi_g, psi_e, om, det, it2, x),
+        np.array([r]), np.zeros(1), np.array([float(bracket)]), np.array([s0]), np.array([s_end]),
+    )[0])
 
 
 def _drive_segments(pulse: DrivePulse, duration: float, tau_corr: float, rng) -> list[tuple[float, float, float]]:
@@ -166,21 +301,6 @@ def _drive_segments(pulse: DrivePulse, duration: float, tau_corr: float, rng) ->
             om = float(draws[min(int(mid / tau_corr), len(draws) - 1)]) * amp
         segments.append((a, b, om))
     return segments
-
-
-def _bisect_state_leg(psi_g, psi_e, r, om, det, it2, bracket):
-    """Jump time for a carried (unnormalized) state, or None if it
-    survives the whole bracket."""
-    if _survival_state(psi_g, psi_e, om, det, it2, bracket) > r:
-        return None
-    lo, hi = 0.0, float(bracket)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if _survival_state(psi_g, psi_e, om, det, it2, mid) > r:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def simulate_tags(
@@ -218,7 +338,7 @@ def simulate_tags(
         t = seg_start
         # finish a leg carried over from the previous segment
         if pending_r is not None:
-            w = _bisect_state_leg(psi_g, psi_e, pending_r, om, det, it2, seg_end - t)
+            w = _state_leg(psi_g, psi_e, pending_r, om, det, it2, seg_end - t)
             if w is None:
                 psi_g, psi_e = _evolve_state(psi_g, psi_e, om, det, it2, seg_end - t)
                 continue
@@ -336,8 +456,9 @@ def correlate(stream: TagStream, bin_w: float, max_lag: float) -> CoincidenceHis
     """Cross-correlate channel 1 starts against channel 2 stops.
 
     Counts c(tau) over lag bins in [-max_lag, max_lag) are normalized
-    by the channel rate product, c * T / (N1 * N2 * w), which is one
-    for uncorrelated Poisson streams.
+    by the channel rate product and by the overlap T - |tau| over which
+    a lag tau can be seen, c * T^2 / (N1 * N2 * w * (T - |tau|)), so
+    that uncorrelated Poisson streams read one at every lag.
     """
     if bin_w <= 0:
         raise ValueError("bin_w must be positive")
@@ -352,7 +473,10 @@ def correlate(stream: TagStream, bin_w: float, max_lag: float) -> CoincidenceHis
         raise ValueError("fewer than two lag bins")
     counts = np.zeros(nb, dtype=np.int64)
     _corr_window(t1, t2, float(max_lag), float(bin_w), counts)
-    norm = stream.duration / (len(t1) * len(t2) * bin_w)
+    edges = -max_lag + bin_w * np.arange(nb + 1)
+    a, b = edges[:-1], edges[1:]
+    overlap = stream.duration - (b * np.abs(b) - a * np.abs(a)) / (2.0 * bin_w)
+    norm = stream.duration**2 / (len(t1) * len(t2) * bin_w * overlap)
     lags = -max_lag + bin_w * (np.arange(nb) + 0.5)
     c_norm = counts * norm
     stderr = np.sqrt(np.maximum(counts, 1)) * norm

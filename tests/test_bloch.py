@@ -183,6 +183,14 @@ class TestIntegrate:
 
 
 class TestChaoticTransient:
+    def test_sample_times_match_integrate(self, qd):
+        # 1.3 / 0.0065 lands a hair above 200 in floating point; both
+        # traces must still stop at 1.3 ns on the same grid
+        pulse = DrivePulse.square(5.2, 0.0, 1.0)
+        coh = bloch.integrate(qd, pulse, 1.3, 0.0065)
+        cha = bloch.chaotic_transient(qd, pulse, 1.3, 0.0065, 100, core.stream(2))
+        assert np.array_equal(cha.times, coh.times)
+
     def test_zero_drive_stays_dark(self, qd):
         pulse = DrivePulse.square(0.0, 0.0, 2.0, statistics=Statistics.CHAOTIC)
         trace = bloch.chaotic_transient(qd, pulse, 2.0, 0.005, 200, core.stream(1))

@@ -146,6 +146,9 @@ def test_field_csv_roundtrip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t_ns,re,im,intensity"
     assert len(lines) == len(trace.amplitudes) + 1
+    # the intensity column is the trace's own intensity, to the last digit
+    intensity = np.array([float(line.split(",")[3]) for line in lines[1:]])
+    assert np.array_equal(intensity, trace.intensity)
 
 
 def test_correlation_csv(tmp_path, g2_curve):

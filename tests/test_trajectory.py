@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 from scipy.stats import kstest
 
@@ -14,6 +16,37 @@ def poisson_stream(rate, duration, rng, channel):
     t = np.cumsum(gaps)
     t = t[t < duration]
     return t, np.full(len(t), channel, dtype=np.int8)
+
+
+def bisect_legs(u, starts, om, det, it2, bracket):
+    """Reference leg solver: 64 bisection steps on S(tau) > u over the
+    whole bracket, for fresh ground (0) / excited (1) starts."""
+    n = len(u)
+    lo, hi = np.zeros(n), np.full(n, float(bracket))
+    e00, eoff, e11 = trajectory._prop_entries(om, det, it2, hi)
+    s_end = np.where(starts == 1, np.abs(eoff) ** 2 + np.abs(e11) ** 2, np.abs(e00) ** 2 + np.abs(eoff) ** 2)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        e00, eoff, e11 = trajectory._prop_entries(om, det, it2, mid)
+        s = np.where(starts == 1, np.abs(eoff) ** 2 + np.abs(e11) ** 2, np.abs(e00) ** 2 + np.abs(eoff) ** 2)
+        above = s > u
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return np.where(s_end <= u, 0.5 * (lo + hi), np.inf)
+
+
+def bisect_state_leg(psi_g, psi_e, r, om, det, it2, bracket):
+    """Reference for a carried (unnormalized) state: None when it
+    survives the bracket, else 64 bisection steps."""
+    if trajectory._survival_state(psi_g, psi_e, om, det, it2, bracket) > r:
+        return None
+    lo, hi = 0.0, float(bracket)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if trajectory._survival_state(psi_g, psi_e, om, det, it2, mid) > r:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +154,77 @@ class TestSimulateTags:
         assert path.read_text().splitlines()[0] == "time_ns,channel"
 
 
+# S = omega^2 t1 t2 over [0.01, 100], t2/t1 over (0.05, 2], detuning over
+# [-5, 5] rad/ns; brackets from under one t2 to a chaotic block
+leg_cases = st.tuples(
+    st.floats(-2.0, 2.0),
+    st.floats(0.05, 2.0, exclude_min=True),
+    st.floats(-5.0, 5.0),
+    st.floats(0.1, 1000.0),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestLegSolver:
+    @settings(max_examples=60, deadline=None)
+    @given(leg_cases)
+    def test_fresh_legs_match_bisection(self, case):
+        log_s, ratio, det, bracket, seed = case
+        params = core.TlsParams(t1=0.641, t2=0.641 * ratio)
+        om = core.omega_from_saturation(10.0**log_s, params)
+        rng = np.random.default_rng(seed)
+        u = rng.random(400)
+        starts = (rng.random(400) < 0.5).astype(np.int8)
+        got = trajectory._solve_legs(u, starts, om, det, 1.0 / params.t2, bracket)
+        ref = bisect_legs(u, starts, om, det, 1.0 / params.t2, bracket)
+        assert np.array_equal(np.isinf(got), np.isinf(ref))
+        finite = np.isfinite(ref)
+        assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(leg_cases)
+    def test_carried_legs_match_bisection(self, case):
+        # a carried state has lost norm on its way to the edge, and its
+        # target lies below that norm
+        log_s, ratio, det, bracket, seed = case
+        params = core.TlsParams(t1=0.641, t2=0.641 * ratio)
+        om = core.omega_from_saturation(10.0**log_s, params)
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            psi_g, psi_e = rng.normal(size=2) + 1j * rng.normal(size=2)
+            scale = rng.random() / math.sqrt(abs(psi_g) ** 2 + abs(psi_e) ** 2)
+            psi_g, psi_e = psi_g * scale, psi_e * scale
+            r = rng.random() * (abs(psi_g) ** 2 + abs(psi_e) ** 2)
+            got = trajectory._state_leg(psi_g, psi_e, r, om, det, 1.0 / params.t2, bracket)
+            ref = bisect_state_leg(psi_g, psi_e, r, om, det, 1.0 / params.t2, bracket)
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                assert abs(got - ref) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "pulse, blinking",
+        [
+            (
+                DrivePulse.cw(core.omega_from_saturation(0.6, core.PAPER_QD.tls), statistics=Statistics.CHAOTIC),
+                None,
+            ),
+            (DrivePulse.cw(7.1), (0.5, 405.0)),
+        ],
+        ids=["chaotic", "blinking-high-s"],
+    )
+    def test_simulate_tags_matches_bisection(self, qd, monkeypatch, pulse, blinking):
+        # the same seed must give the same legs as the bisection solver;
+        # 2e4 ns keeps the drift small that a carried leg amplifies when
+        # its new segment decays much slower than the old one
+        new = trajectory.simulate_tags(qd, pulse, 2e4, 1.0, core.stream(2024), blinking=blinking)
+        monkeypatch.setattr(trajectory, "_solve_legs", bisect_legs)
+        monkeypatch.setattr(trajectory, "_state_leg", bisect_state_leg)
+        ref = trajectory.simulate_tags(qd, pulse, 2e4, 1.0, core.stream(2024), blinking=blinking)
+        assert len(new.times) == len(ref.times) > 1000
+        assert np.array_equal(new.channels, ref.channels)
+        assert np.max(np.abs(new.times - ref.times)) <= 1e-8
+
+
 class TestApplyDetector:
     def test_zero_jitter_identity(self, cw_tags):
         out = trajectory.apply_detector(cw_tags, 0.0, core.stream(1))
@@ -157,17 +261,32 @@ class TestApplyDetector:
         assert out.times[0] > 0 and out.times[-1] < out.duration
 
 
+def poisson_pair(rate, duration, rng):
+    t1, c1 = poisson_stream(rate, duration, rng, 1)
+    t2, c2 = poisson_stream(rate, duration, rng, 2)
+    t = np.concatenate([t1, t2])
+    ch = np.concatenate([c1, c2])
+    order = np.argsort(t, kind="stable")
+    return trajectory.TagStream(t[order], ch[order], duration)
+
+
 class TestCorrelate:
     def test_uncorrelated_poisson_normalizes_to_one(self):
         rng = core.stream(77)
-        t1, c1 = poisson_stream(0.1, 4e6, rng, 1)
-        t2, c2 = poisson_stream(0.1, 4e6, rng, 2)
-        t = np.concatenate([t1, t2])
-        ch = np.concatenate([c1, c2])
-        order = np.argsort(t, kind="stable")
-        stream_in = trajectory.TagStream(t[order], ch[order], 4e6)
-        hist = trajectory.correlate(stream_in, 1.0, 100.0)
+        hist = trajectory.correlate(poisson_pair(0.1, 4e6, rng), 1.0, 100.0)
         assert np.all(np.abs(hist.c_norm - 1.0) < 0.02)
+        # at the edge of the guard, |tau| = T/10, a lag is seen over only
+        # 0.9 T of the record; the outermost tenth of the window on each
+        # side must still read one, within 3 SE of the spread over
+        # independent streams
+        edge = []
+        for _ in range(20):
+            hist = trajectory.correlate(poisson_pair(0.1, 2e4, rng), 20.0, 2e3)
+            c_edge = hist.c_norm[np.abs(hist.lags) > 1.8e3]
+            edge.append([c_edge[: len(c_edge) // 2].mean(), c_edge[len(c_edge) // 2 :].mean()])
+        edge = np.array(edge)
+        se = edge.std(axis=0, ddof=1) / math.sqrt(len(edge))
+        assert np.all(np.abs(edge.mean(axis=0) - 1.0) < 3.0 * se)
 
     def test_matches_regression_correlation(self, qd):
         # ensemble consistency of the unraveling: the coincidence
