@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.optimize import curve_fit
 
 from .core import FitError, NumericalGuardError, write_csv
@@ -71,21 +72,22 @@ def synthesize_field(tau_corr: float, dt: float, n: int, rng: np.random.Generato
     the square root of the Gaussian power spectral density that is the
     Fourier pair of the target g1; the mean intensity is one by
     construction.  The synthesis is periodic, so the first 5 tau_corr
-    of samples are discarded to remove wrap-around correlation.
+    of samples are discarded to remove wrap-around correlation, and it
+    runs on the next FFT-friendly length, whose surplus tail is dropped.
     """
     if dt > tau_corr / 20.0:
         raise NumericalGuardError(f"dt={dt} must be <= tau_corr/20 ({tau_corr/20.0})")
     if n * dt < 50.0 * tau_corr:
         raise NumericalGuardError("trace must span at least 50 correlation times")
     discard = int(math.ceil(5.0 * tau_corr / dt))
-    total = n + discard
+    total = next_fast_len(n + discard)
     freqs = np.fft.fftfreq(total, d=dt)
     # PSD of g1(tau) = exp(-pi tau^2 / (2 tau_corr^2)):
     #   S(nu) = tau_corr sqrt(2) exp(-2 pi nu^2 tau_corr^2)
     psd = tau_corr * math.sqrt(2.0) * np.exp(-2.0 * math.pi * (freqs * tau_corr) ** 2)
     white = (rng.standard_normal(total) + 1j * rng.standard_normal(total)) / math.sqrt(2.0)
     shaped = np.fft.ifft(white * np.sqrt(psd * total / dt))
-    return FieldTrace(dt, shaped[discard:])
+    return FieldTrace(dt, shaped[discard : discard + n])
 
 
 def _autocorr_lags(z: np.ndarray, n_lags: int) -> np.ndarray:

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 from scipy.stats import kstest
@@ -152,6 +156,31 @@ class TestSimulateTags:
         path = tmp_path / "tags.csv"
         cw_tags.to_csv(path)
         assert path.read_text().splitlines()[0] == "time_ns,channel"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+    def test_repeated_calls_hold_no_memory(self):
+        # the same seed repeats the same work, so memory that a call
+        # keeps shows as a rising peak RSS over the later calls: keeping
+        # one tag array per call adds ~1.5 MB over calls 3-10, where the
+        # kernel's batched RSS counters alone move the peak by up to
+        # ~0.15 MB.  The calls run in a fresh interpreter and read its
+        # VmHWM: ru_maxrss would start from this process's peak, which
+        # a child inherits
+        script = (
+            "from tlsrf import core, trajectory\n"
+            "qd = core.PAPER_QD.tls\n"
+            "pulse = core.DrivePulse.cw(core.omega_from_saturation(0.6, qd), statistics=core.Statistics.CHAOTIC)\n"
+            "for _ in range(10):\n"
+            "    trajectory.simulate_tags(qd, pulse, 1e5, 1.0, core.stream(100))\n"
+            "    status = open('/proc/self/status').read()\n"
+            "    print(status.split('VmHWM:')[1].split()[0])\n"
+        )
+        src = os.path.dirname(os.path.dirname(trajectory.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        peak_kb = [int(line) for line in out.stdout.split()]
+        assert len(peak_kb) == 10
+        assert max(peak_kb[2:]) - peak_kb[2] <= 0.5 * 1024
 
 
 # S = omega^2 t1 t2 over [0.01, 100], t2/t1 over (0.05, 2], detuning over
@@ -366,6 +395,45 @@ class TestCorrelate:
         assert np.any(seen == max_lag) and np.any(seen == -max_lag)
         assert np.any(seen == -max_lag + bin_w)  # an interior bin edge
         assert np.any((seen >= nb * bin_w - max_lag) & (seen < max_lag)) == (nb * bin_w < 2.0 * max_lag)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 600),
+        st.floats(0.001, 0.45),
+        st.floats(0.001, 1.0),
+        st.integers(1, 400),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(300, 600, 0.45, 0.013, 37, 1)  # ~500 stops per start
+    def test_window_kernel_matches_reference_on_float_streams(self, n1, n2, lag_frac, bin_frac, chunk, seed):
+        # continuous times, from a single stop per window to hundreds;
+        # bin_w seldom divides 2 max_lag, and chunk < n1 in most draws
+        rng = np.random.default_rng(seed)
+        t1 = np.sort(rng.uniform(0.0, 1000.0, n1))
+        t2 = np.sort(rng.uniform(0.0, 1000.0, n2))
+        max_lag = 1000.0 * lag_frac
+        bin_w = max_lag * bin_frac
+        nb = int(round(2.0 * max_lag / bin_w))
+        counts = np.zeros(nb, dtype=np.int64)
+        trajectory._corr_window(t1, t2, max_lag, bin_w, counts, chunk=chunk)
+        d = np.subtract.outer(t2, t1).ravel()
+        d = d[(d >= -max_lag) & (d < max_lag)]
+        bins = np.floor((d + max_lag) / bin_w).astype(np.int64)
+        assert np.array_equal(counts, np.bincount(bins[bins < nb], minlength=nb))
+
+    def test_dense_window_memory_is_bounded(self):
+        # ~1.9e7 pairs: a kernel that held them as arrays would need
+        # hundreds of MB
+        tags = poisson_pair(0.05, 2e5, core.stream(8))
+        tracemalloc.start()
+        try:
+            hist = trajectory.correlate(tags, 10.0, 2e4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hist.counts.sum() > 1.5e7
+        assert peak < 16e6
 
     def test_empty_channel_rejected(self):
         t = np.array([1.0, 2.0, 3.0])
