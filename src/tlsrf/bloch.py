@@ -243,7 +243,9 @@ def chaotic_steady_state_quadrature(
 # ---------------------------------------------------------------------------
 # RK4 integration kernels.  The drive is piecewise constant per step
 # (envelope edges snap to the step grid), which keeps fixed-step RK4
-# exact in its schedule handling.
+# exact in its schedule handling.  `integrate` runs the four stages of
+# one trajectory as scalars; the chaotic ensemble applies the same RK4
+# step as an affine map per member, at one 3x3 matvec per member-step.
 
 
 def _rk4_trace_loop(n_steps, dt, om_steps, det, t1, t2, r0, u0, v0, out):
@@ -288,38 +290,55 @@ def _rk4_trace_loop(n_steps, dt, om_steps, det, t1, t2, r0, u0, v0, out):
     return out
 
 
+def _rk4_step_map(dt, om, det, it1, it2):
+    """One RK4 step of x' = A x + b for every member, as x <- P x + c.
+
+    With z = A dt and Q = I + z/2 (I + z/3 (I + z/4)), classical RK4
+    on a constant affine system is exactly P = I + z Q and c = dt Q b.
+    Returns P with shape (3, 3, n) and c with shape (3, n).
+    """
+    n = len(om)
+    z = np.zeros((3, 3, n))
+    z[0, 0] = -it1 * dt
+    z[0, 2] = om * dt
+    z[1, 1] = -it2 * dt
+    z[1, 2] = det * dt
+    z[2, 0] = -om * dt
+    z[2, 1] = -det * dt
+    z[2, 2] = -it2 * dt
+    eye = np.eye(3)[:, :, None]
+    q = eye + z / 4.0
+    q = eye + np.einsum("ijn,jkn->ikn", z / 3.0, q)
+    q = eye + np.einsum("ijn,jkn->ikn", z / 2.0, q)
+    p = eye + np.einsum("ijn,jkn->ikn", z, q)
+    # b = (0, 0, om/2), so Q b is the last column of Q scaled by om/2
+    return p, q[:, 2] * (0.5 * dt * om)
+
+
 def _rk4_ensemble(n_steps, dt, amp_steps, omegas, det, t1, t2, mean, meansq, coh_re, coh_im):
-    """Lock-step vectorized RK4 over all ensemble members at once."""
+    """Lock-step RK4 over all ensemble members at once.
+
+    Each run of equal envelope amplitude gets one step map per member
+    (`_rk4_step_map`); a step is then one 3x3 matvec per member.  Only
+    the current run's map is held, so memory is O(members).
+    """
     it1 = 1.0 / t1
     it2 = 1.0 / t2
-    r = np.zeros_like(omegas)
-    u = np.zeros_like(omegas)
-    v = np.zeros_like(omegas)
-    n = len(omegas)
-    mean[0] += float(r.sum())
-    meansq[0] += float((r * r).sum())
-
-    def deriv(om, r, u, v):
-        return (
-            om * v - r * it1,
-            det * v - u * it2,
-            -det * u - v * it2 - 0.5 * om * (2.0 * r - 1.0),
-        )
-
-    for j in range(n_steps):
-        om = omegas * amp_steps[j]
-        kr1, ku1, kv1 = deriv(om, r, u, v)
-        kr2, ku2, kv2 = deriv(om, r + 0.5 * dt * kr1, u + 0.5 * dt * ku1, v + 0.5 * dt * kv1)
-        kr3, ku3, kv3 = deriv(om, r + 0.5 * dt * kr2, u + 0.5 * dt * ku2, v + 0.5 * dt * kv2)
-        kr4, ku4, kv4 = deriv(om, r + dt * kr3, u + dt * ku3, v + dt * kv3)
-        sixth = dt / 6.0
-        r = r + sixth * (kr1 + 2.0 * kr2 + 2.0 * kr3 + kr4)
-        u = u + sixth * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4)
-        v = v + sixth * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
-        mean[j + 1] += float(r.sum())
-        meansq[j + 1] += float((r * r).sum())
-        coh_re[j + 1] += float(u.sum())
-        coh_im[j + 1] += float(v.sum())
+    x = np.zeros((3, len(omegas)))
+    nxt = np.empty_like(x)
+    # x starts in the ground state, so the t = 0 sums are zero
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(amp_steps)) + 1, [n_steps]))
+    for start, stop in zip(edges[:-1], edges[1:]):
+        p, c = _rk4_step_map(dt, omegas * amp_steps[start], det, it1, it2)
+        for j in range(start, stop):
+            np.einsum("ijn,jn->in", p, x, out=nxt)
+            nxt += c
+            x, nxt = nxt, x
+            sums = x.sum(axis=1)
+            mean[j + 1] += float(sums[0])
+            meansq[j + 1] += float((x[0] * x[0]).sum())
+            coh_re[j + 1] += float(sums[1])
+            coh_im[j + 1] += float(sums[2])
 
 
 def _step_guard(params: TlsParams, omega_max: float, dt: float):
@@ -391,8 +410,11 @@ def chaotic_transient(
     Each member draws a squared Rabi frequency from the exponential
     intensity law and is integrated with the shared envelope; the
     returned trace is the pointwise mean with the standard error of
-    rho11.  Valid while the pulse is much shorter than the source
-    correlation time (warned above tau_corr/10).
+    rho11.  Members are stepped with the RK4 step map of their drive
+    (the numbers of `integrate` to rounding), one 3x3 matvec per
+    member-step, rebuilt at each change of envelope amplitude; memory
+    is O(n_samples + steps).  Valid while the pulse is much shorter
+    than the source correlation time (warned above tau_corr/10).
     """
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")

@@ -142,12 +142,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(command: str, args: argparse.Namespace) -> dict:
+    """Effective options: defaults < preset < config file < flags.
+
+    The preset is named by --preset or else by the config's `preset`
+    key.
+    """
     cfg = dict(_DEFAULTS[command])
     cfg.setdefault("params", "paper-qd")
     cfg.setdefault("params_file", None)
     cfg.setdefault("seed", 12345)
     cfg.setdefault("out", None)
     allowed = _COMMAND_KEYS[command] | _COMMON_KEYS
+    doc = {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -161,10 +167,7 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
         unknown = set(doc) - allowed
         if unknown:
             raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
-        cfg.update(doc)
-    if args.preset is not None:
-        cfg["preset"] = args.preset
-    preset = cfg.get("preset")
+    preset = args.preset if args.preset is not None else doc.get("preset")
     if preset is not None:
         table = _PRESETS.get(command, {})
         if preset not in table:
@@ -172,6 +175,9 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
                 f"preset {preset!r} is not defined for {command} (available: {sorted(table)})"
             )
         cfg.update(table[preset])
+    cfg.update(doc)
+    if preset is not None:
+        cfg["preset"] = preset
     for key in ("seed", "out", "samples"):
         val = getattr(args, key)
         if val is not None:
@@ -435,6 +441,16 @@ def cmd_validate(cfg: dict, pset: ParameterSet) -> list[str]:
         q = bloch.chaotic_steady_state_quadrature(params, om)
         worst = max(worst, abs(cf - q) / q)
     record("chaotic average: closed form vs quadrature", worst < 1e-6, f"max rel {worst:.2e}")
+
+    # chaotic ensemble plateau vs closed form: after 10 t1 of drive the
+    # transient has decayed by e^-10, far below the ensemble's SE
+    om = omega_from_saturation(3.0, params)
+    dt = min(params.t2, math.pi / om) / 50.0
+    t_end = 10.0 * params.t1
+    pulse = DrivePulse.square(om, 0.0, t_end + 1.0, statistics=Statistics.CHAOTIC)
+    ens = bloch.chaotic_transient(params, pulse, t_end, dt, 4000, stream(30311 + int(cfg["seed"])))
+    dev = abs(ens.rho11[-1] - bloch.chaotic_steady_state(params, om)) / ens.stderr[-1]
+    record("chaotic ensemble: plateau vs closed form", dev < 3.0, f"{dev:.2f} SE")
 
     # lamp Siegert relation
     rng = stream(20240 + int(cfg["seed"]))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,18 +238,39 @@ class TestChaoticTransient:
     def test_ensemble_is_mean_of_member_integrations(self, qd):
         # the vectorized ensemble against one scalar RK4 run per member,
         # redrawn from the same seed; dt passes both step guards for
-        # every drawn Rabi frequency (all stay below 2 pi / t2)
+        # every drawn Rabi frequency (all stay below 2 pi / t2).  The
+        # detuned drive exercises the u-v coupling of the step map, and
+        # the two-level envelope a change between two nonzero amplitudes
         n, t_end, dt = 100, 1.5, 0.005
-        pulse = DrivePulse.square(5.0, 0.0, 1.0, statistics=Statistics.CHAOTIC)
-        ens = bloch.chaotic_transient(qd, pulse, t_end, dt, n, core.stream(11))
-        omegas = np.sqrt(photonstat.sample_chaotic_intensity(core.stream(11), 5.0**2, size=n))
-        members = [bloch.integrate(qd, DrivePulse.square(om, 0.0, 1.0), t_end, dt) for om in omegas]
-        for name in ("rho11", "rho01_re", "rho01_im"):
-            stack = np.array([getattr(m, name) for m in members])
-            assert np.abs(getattr(ens, name) - stack.mean(axis=0)).max() <= 1e-12
-        stack = np.array([m.rho11 for m in members])
-        stderr = stack.std(axis=0, ddof=1) / math.sqrt(n)
-        assert np.abs(ens.stderr - stderr).max() <= 1e-12
+        square = ((0.0, 1.0, 1.0),)
+        two_level = ((0.0, 0.5, 1.0), (0.5, 1.0, 0.4))
+        for det, envelope in ((0.0, square), (1.3, square), (0.0, two_level)):
+            pulse = DrivePulse(5.0, det, envelope, Statistics.CHAOTIC)
+            ens = bloch.chaotic_transient(qd, pulse, t_end, dt, n, core.stream(11))
+            omegas = np.sqrt(photonstat.sample_chaotic_intensity(core.stream(11), 5.0**2, size=n))
+            members = [bloch.integrate(qd, DrivePulse(om, det, envelope), t_end, dt) for om in omegas]
+            for name in ("rho11", "rho01_re", "rho01_im"):
+                stack = np.array([getattr(m, name) for m in members])
+                assert np.abs(getattr(ens, name) - stack.mean(axis=0)).max() <= 1e-12
+            stack = np.array([m.rho11 for m in members])
+            stderr = stack.std(axis=0, ddof=1) / math.sqrt(n)
+            assert np.abs(ens.stderr - stderr).max() <= 1e-12
+
+    def test_staircase_memory_is_bounded(self, qd):
+        # 64 amplitude levels over 10k members: the kernel holds one
+        # level's step map at a time, where caching every level's map
+        # would need ~60 MB
+        levels = np.linspace(1.0, 0.05, 64)
+        envelope = tuple((0.02 * k, 0.02 * (k + 1), float(a)) for k, a in enumerate(levels))
+        pulse = DrivePulse(5.0, 0.0, envelope, Statistics.CHAOTIC)
+        tracemalloc.start()
+        try:
+            trace = bloch.chaotic_transient(qd, pulse, 1.28, 0.005, 10_000, core.stream(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.rho11) == 257
+        assert peak < 16e6
 
     def test_stderr_column_in_csv(self, qd, tmp_path):
         pulse = DrivePulse.square(5.0, 0.0, 1.0, statistics=Statistics.CHAOTIC)

@@ -175,6 +175,28 @@ class TestG2Command:
         near = np.abs(lag - 20.0).argmin()
         assert coh[near] == pytest.approx(1.95, abs=0.1)
 
+    @pytest.mark.parametrize("preset_in_config", [False, True])
+    def test_config_overrides_preset(self, tmp_path, preset_in_config):
+        # defaults < preset < config file < flags: figS3 sets
+        # max_lag_ns 2000, the config file wins with 1000
+        out = tmp_path / "figS3.csv"
+        cfg = tmp_path / "c.json"
+        doc = {"max_lag_ns": 1000, "mc": False}
+        args = ["g2", "--config", str(cfg), "--seed", "9", "--out", str(out)]
+        if preset_in_config:
+            doc["preset"] = "figS3"
+        else:
+            args += ["--preset", "figS3"]
+        cfg.write_text(json.dumps(doc))
+        assert run(args) == 0
+        lag = np.array([float(r["lag_ns"]) for r in read_rows(out)])
+        assert lag[0] == -1000.0 and lag[-1] == 1000.0
+        sidecar = json.loads((tmp_path / "figS3.csv.json").read_text())
+        assert sidecar["preset"] == "figS3"
+        assert sidecar["options"]["max_lag_ns"] == 1000
+        assert sidecar["options"]["lag_step_ns"] == 2.0
+        assert sidecar["seed"] == 9
+
 
 class TestTagsCommand:
     def test_writes_sorted_tags_and_sidecar(self, tmp_path):
@@ -209,7 +231,7 @@ class TestValidateCommand:
         assert run(["validate", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 5
 
 
 def _rerun_bytes(tmp_path, name, args):
