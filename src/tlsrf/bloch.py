@@ -53,9 +53,6 @@ class BlochState:
     def ground(cls) -> "BlochState":
         return cls(0.0, 0.0, 0.0)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.rho11, self.rho01_re, self.rho01_im])
-
 
 @dataclass
 class BlochTrace:
@@ -241,11 +238,23 @@ def chaotic_steady_state_quadrature(
 
 
 # ---------------------------------------------------------------------------
-# RK4 integration kernels.  The drive is piecewise constant per step
-# (envelope edges snap to the step grid), which keeps fixed-step RK4
-# exact in its schedule handling.  `integrate` runs the four stages of
-# one trajectory as scalars; the chaotic ensemble applies the same RK4
-# step as an affine map per member, at one 3x3 matvec per member-step.
+# Propagators, all from one batched generator: the augmented matrix
+# M = [[A, b], [0, 0]] of x' = A x + b acts linearly on (x, 1) (Van Loan,
+# IEEE TAC 23, 395 (1978)).  expm(M t) is the exact map at constant
+# drive and its degree-4 Taylor polynomial the RK4 step.  The drive is
+# piecewise constant per step (envelope edges snap to the step grid).
+# `integrate` runs the four RK4 stages of one trajectory as scalars.
+
+
+def augmented_generator(params: TlsParams, omegas, detuning: float = 0.0) -> np.ndarray:
+    """M = [[A, b], [0, 0]] for x = (rho11, Re rho01, Im rho01), one per
+    drive: shape (n, 4, 4) for an array of n Rabi frequencies."""
+    om = np.atleast_1d(np.asarray(omegas, dtype=float))
+    it1, it2 = 1.0 / params.t1, 1.0 / params.t2
+    m = np.zeros((len(om), 4, 4))
+    m[:, :3, :3] = [[-it1, 0.0, 0.0], [0.0, -it2, detuning], [0.0, -detuning, -it2]]
+    m[:, 0, 2], m[:, 2, 0], m[:, 2, 3] = om, -om, 0.5 * om
+    return m
 
 
 def _rk4_trace_loop(n_steps, dt, om_steps, det, t1, t2, r0, u0, v0, out):
@@ -290,46 +299,40 @@ def _rk4_trace_loop(n_steps, dt, om_steps, det, t1, t2, r0, u0, v0, out):
     return out
 
 
-def _rk4_step_map(dt, om, det, it1, it2):
-    """One RK4 step of x' = A x + b for every member, as x <- P x + c.
+def _rk4_step_map(m, dt):
+    """One classical RK4 step of (x, 1)' = M (x, 1) for every generator
+    in the stack m, as the map (x, 1) <- T (x, 1).
 
-    With z = A dt and Q = I + z/2 (I + z/3 (I + z/4)), classical RK4
-    on a constant affine system is exactly P = I + z Q and c = dt Q b.
-    Returns P with shape (3, 3, n) and c with shape (3, n).
+    On a constant affine system RK4 is exactly the degree-4 Taylor
+    polynomial T = I + Z (I + Z/2 (I + Z/3 (I + Z/4))) of Z = M dt; its
+    top-left block is the linear part P and its last column (c, 1).
     """
-    n = len(om)
-    z = np.zeros((3, 3, n))
-    z[0, 0] = -it1 * dt
-    z[0, 2] = om * dt
-    z[1, 1] = -it2 * dt
-    z[1, 2] = det * dt
-    z[2, 0] = -om * dt
-    z[2, 1] = -det * dt
-    z[2, 2] = -it2 * dt
-    eye = np.eye(3)[:, :, None]
-    q = eye + z / 4.0
-    q = eye + np.einsum("ijn,jkn->ikn", z / 3.0, q)
-    q = eye + np.einsum("ijn,jkn->ikn", z / 2.0, q)
-    p = eye + np.einsum("ijn,jkn->ikn", z, q)
-    # b = (0, 0, om/2), so Q b is the last column of Q scaled by om/2
-    return p, q[:, 2] * (0.5 * dt * om)
+    z = m * dt
+    eye = np.eye(4)
+    t = eye + z / 4.0
+    for k in (3.0, 2.0, 1.0):
+        t = z @ t
+        t /= k
+        t += eye
+    return t
 
 
-def _rk4_ensemble(n_steps, dt, amp_steps, omegas, det, t1, t2, mean, meansq, coh_re, coh_im):
+def _rk4_ensemble(n_steps, dt, amp_steps, omegas, params, det, mean, meansq, coh_re, coh_im):
     """Lock-step RK4 over all ensemble members at once.
 
     Each run of equal envelope amplitude gets one step map per member
     (`_rk4_step_map`); a step is then one 3x3 matvec per member.  Only
     the current run's map is held, so memory is O(members).
     """
-    it1 = 1.0 / t1
-    it2 = 1.0 / t2
     x = np.zeros((3, len(omegas)))
     nxt = np.empty_like(x)
     # x starts in the ground state, so the t = 0 sums are zero
     edges = np.concatenate(([0], np.flatnonzero(np.diff(amp_steps)) + 1, [n_steps]))
     for start, stop in zip(edges[:-1], edges[1:]):
-        p, c = _rk4_step_map(dt, omegas * amp_steps[start], det, it1, it2)
+        t = _rk4_step_map(augmented_generator(params, omegas * amp_steps[start], det), dt)
+        # members on the last axis, as x
+        p = np.ascontiguousarray(t[:, :3, :3].transpose(1, 2, 0))
+        c = np.ascontiguousarray(t[:, :3, 3].T)
         for j in range(start, stop):
             np.einsum("ijn,jn->in", p, x, out=nxt)
             nxt += c
@@ -440,8 +443,7 @@ def chaotic_transient(
     meansq = np.zeros(n_steps + 1)
     coh_re = np.zeros(n_steps + 1)
     coh_im = np.zeros(n_steps + 1)
-    _rk4_ensemble(n_steps, dt, amps, omegas, pulse.detuning, params.t1, params.t2,
-                  mean, meansq, coh_re, coh_im)
+    _rk4_ensemble(n_steps, dt, amps, omegas, params, pulse.detuning, mean, meansq, coh_re, coh_im)
     mean /= n_samples
     meansq /= n_samples
     coh_re /= n_samples

@@ -270,6 +270,8 @@ def cmd_mollow(cfg: dict, pset: ParameterSet) -> list[str]:
     freqs = np.linspace(-span, span, int(cfg["grid_points"]))
     fpi = pset.instrument.fpi_fwhm_ghz
     order = int(cfg["quad_order"])
+    if order < 1:
+        raise ConfigError("quad_order must be >= 1")
     blocks = []
     for om in [float(x) for x in cfg["omegas"]]:
         coh = emission.qrt_spectrum(params, om, 0.0, freqs)
@@ -302,6 +304,10 @@ def cmd_g2(cfg: dict, pset: ParameterSet) -> list[str]:
     om = float(cfg["omega"])
     lag_max = float(cfg["max_lag_ns"])
     lag_step = float(cfg["lag_step_ns"])
+    if lag_step <= 0:
+        raise ConfigError("lag_step_ns must be > 0")
+    if lag_max < lag_step:
+        raise ConfigError("max_lag_ns must be >= lag_step_ns")
     lags = np.arange(0.0, lag_max + 0.5 * lag_step, lag_step)
     det_fwhm = pset.instrument.detector_fwhm_ns
     blink = _blinking_from(cfg)

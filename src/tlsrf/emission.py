@@ -2,22 +2,24 @@
 
 The power spectrum and the intensity correlation follow from two-time
 averages of the dipole operators, which the regression theorem reduces
-to evolutions under the same generator as the single-time Bloch
-equations.  Both are evaluated through the eigendecomposition of that
-3x3 generator, so lag and frequency grids are computed exactly instead
-of being stepped; the RK4 integrator serves as an independent check.
-
-Chaotic drive replaces a fixed Rabi frequency with a Gauss-Laguerre
-average over the exponential intensity distribution.
+to evolutions under the Bloch generator `bloch.augmented_generator`.
+The spectrum is the generator's resolvent, a rational function of
+frequency evaluated on the grid; g2 is propagated over the uniform lag
+grid by exact maps expm(M dtau).  Neither needs an eigendecomposition,
+and both kernels take an array of drives, so chaotic drive (a
+Gauss-Laguerre average over the exponential intensity law) runs them
+on chunks of nodes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.special import roots_laguerre
 
 from . import bloch
@@ -82,132 +84,128 @@ class EmissionG2:
         return write_csv(path, "lag_ns,g2", [self.lags, self.values])
 
 
-def regression_generator(params: TlsParams, omega: float, detuning: float = 0.0):
+# (rho11, u, v, 1) -> (rho11, rho01, rho10, 1) with rho01 = u + i v, and back
+_TO_DIPOLE = np.array([[1, 0, 0, 0], [0, 1, 1j, 0], [0, 1, -1j, 0], [0, 0, 0, 1]])
+_FROM_DIPOLE = np.array([[1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, -0.5j, 0.5j, 0], [0, 0, 0, 1]])
+
+
+def regression_generator(params: TlsParams, omega, detuning: float = 0.0):
     """Complex 3x3 generator for (M11, M01, M10) of a traceless-shifted
-    operator under the master equation, plus the trace coupling vector."""
-    g = np.array(
-        [
-            [-1.0 / params.t1, -0.5j * omega, 0.5j * omega],
-            [-1j * omega, -(1j * detuning + 1.0 / params.t2), 0.0],
-            [1j * omega, 0.0, (1j * detuning - 1.0 / params.t2)],
-        ],
-        dtype=complex,
-    )
-    g0 = np.array([0.0, 0.5j * omega, -0.5j * omega], dtype=complex)
-    return g, g0
+    operator under the master equation, plus the trace coupling vector:
+    the Bloch generator in the dipole basis.  A scalar drive gives
+    shapes (3, 3) and (3,); an array of n drives (n, 3, 3) and (n, 3)."""
+    m = bloch.augmented_generator(params, omega, detuning)
+    m = _TO_DIPOLE @ m @ _FROM_DIPOLE
+    if np.ndim(omega) == 0:
+        m = m[0]
+    return m[..., :3, :3], m[..., :3, 3]
 
 
-def bloch_matrix(params: TlsParams, omega: float, detuning: float = 0.0):
-    """Real affine form x' = A x + b for x = (rho11, Re rho01, Im rho01)."""
-    a = np.array(
-        [
-            [-1.0 / params.t1, 0.0, omega],
-            [0.0, -1.0 / params.t2, detuning],
-            [-omega, -detuning, -1.0 / params.t2],
-        ]
-    )
-    b = np.array([0.0, 0.0, 0.5 * omega])
-    return a, b
+def _fixed_point(m: np.ndarray) -> np.ndarray:
+    """Steady Bloch vector (n, 3) of a stack of augmented generators."""
+    return -np.linalg.solve(m[:, :3, :3], m[:, :3, 3:])[..., 0]
 
 
-def _linewidth_ghz(params: TlsParams) -> float:
-    return (2.0 / params.t2) / TWO_PI
+def _spectrum_rows(params: TlsParams, omegas: np.ndarray, detuning: float, freqs: np.ndarray):
+    """Incoherent density (n, len(freqs)), coherent weight (n,) and
+    incoherent power (n,) for n drives.
+
+    With w = y0 - yfix the mean-subtracted dipole state at zero lag,
+    the one-sided transform at s = 2 pi i nu is -[(G + s)^-1 w]_1, and
+    by Cayley-Hamilton (G + s)^-1 = (s^2 - s (G - tr G) + G^2 - tr G G
+    + c1) / (s^3 + tr G s^2 + c1 s + det G), c1 = (tr^2 G - tr G^2)/2.
+    """
+    df = freqs[1] - freqs[0]
+    linewidth = (2.0 / params.t2) / TWO_PI
+    if df > linewidth / 4.0:
+        raise NumericalGuardError(f"grid spacing {df} GHz cannot resolve the linewidth {linewidth:.4f} GHz")
+    xss = _fixed_point(bloch.augmented_generator(params, omegas, detuning))
+    r11 = xss[:, 0]
+    r01 = xss[:, 1] + 1j * xss[:, 2]
+    g, g0 = regression_generator(params, omegas, detuning)
+    s_tr = np.conj(r01)  # trace of sigma_minus . rho_ss
+    w = np.linalg.solve(g, (s_tr[:, None] * g0)[..., None])  # -yfix, (n, 3, 1)
+    w[:, 1, 0] += r11
+    gw = g @ w
+    ggw = g @ gw
+    # per-drive columns (n, 1), broadcast over the grid
+    w1, gw1, ggw1 = w[:, 1], gw[:, 1], ggw[:, 1]
+    tr = np.trace(g, axis1=1, axis2=2)[:, None]
+    c1 = 0.5 * (tr * tr - np.einsum("nij,nji->n", g, g)[:, None])
+    det = np.linalg.det(g)[:, None]
+    s = 1j * TWO_PI * freqs
+    num = (w1 * s + (tr * w1 - gw1)) * s + (ggw1 - tr * gw1 + c1 * w1)
+    den = ((s + tr) * s + c1) * s + det
+    dens = 2.0 * np.real(-num / den) / params.t1
+    peak = np.maximum(dens.max(axis=1, keepdims=True), 1e-300)
+    dens = np.where((dens < 0) & (dens > -1e-9 * peak), 0.0, dens)
+    return dens, np.abs(r01) ** 2 / params.t1, np.real(w1[:, 0]) / params.t1
 
 
 def qrt_spectrum(params: TlsParams, omega: float, detuning: float, freqs: np.ndarray) -> Spectrum:
     """Steady-state emission spectrum by the regression theorem.
 
-    The two-time dipole correlation, mean subtracted, is a sum of three
-    complex exponentials obtained from the generator eigensystem; its
-    one-sided Fourier transform is evaluated in closed form on the
-    grid.  Spectral density carries the radiative rate so that the
-    total power (incoherent integral plus coherent weight) equals the
-    steady population divided by t1.
+    The mean-subtracted two-time dipole correlation evolves under the
+    regression generator; its one-sided Fourier transform is the
+    generator's resolvent, a rational function of frequency evaluated
+    exactly on the grid (`_spectrum_rows`).  Spectral density carries
+    the radiative rate so that the total power (incoherent integral
+    plus coherent weight) equals the steady population divided by t1.
     """
     freqs = np.asarray(freqs, dtype=float)
-    df = freqs[1] - freqs[0]
-    if df > _linewidth_ghz(params) / 4.0:
-        raise NumericalGuardError(
-            f"grid spacing {df} GHz cannot resolve the linewidth {_linewidth_ghz(params):.4f} GHz"
-        )
-    ss = bloch.steady_state(params, omega, detuning)
-    r11 = ss.rho11
-    r01 = complex(ss.rho01_re, ss.rho01_im)
-    coherent_weight = abs(r01) ** 2 / params.t1
-    if omega == 0.0:
-        return Spectrum(freqs, np.zeros_like(freqs), 0.0, 0.0)
-    g, g0 = regression_generator(params, omega, detuning)
-    s_tr = np.conj(r01)  # trace of sigma_minus . rho_ss
-    y0 = np.array([0.0, r11, 0.0], dtype=complex)
-    yfix = -np.linalg.solve(g, s_tr * g0)
-    lam, vec = np.linalg.eig(g)
-    coef = vec[1, :] * np.linalg.solve(vec, y0 - yfix)
-    # one-sided FT of sum_k coef_k exp(lam_k tau) against exp(i 2 pi nu tau)
-    dens = np.zeros_like(freqs)
-    for ck, lk in zip(coef, lam):
-        dens += 2.0 * np.real(-ck / (lk + 1j * TWO_PI * freqs))
-    dens /= params.t1
-    peak = dens.max() if dens.size else 0.0
-    dens = np.where((dens < 0) & (dens > -1e-9 * max(peak, 1e-300)), 0.0, dens)
-    incoherent_power = float(np.real(coef.sum())) / params.t1
-    return Spectrum(freqs, dens, coherent_weight, incoherent_power)
+    dens, cw, ip = _spectrum_rows(params, np.array([omega], dtype=float), detuning, freqs)
+    return Spectrum(freqs, dens[0], float(cw[0]), float(ip[0]))
 
 
-_NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Laguerre nodes per kernel call: bounds the (nodes, grid) arrays.
+_NODE_CHUNK = 32
 
 
+@functools.lru_cache(maxsize=None)
 def _laguerre_nodes(order: int):
-    if order not in _NODE_CACHE:
-        x, w = roots_laguerre(order)
-        keep = w > 0.0
-        _NODE_CACHE[order] = (x[keep], w[keep])
-    return _NODE_CACHE[order]
+    x, w = roots_laguerre(order)
+    keep = w > 0.0
+    return x[keep], w[keep]
 
 
-def _chaotic_average(evaluate, mean_omega: float, order: int, check: bool, rtol: float):
-    """Gauss-Laguerre expectation of evaluate(omega) over the exponential
-    intensity law, with a doubled-order convergence check."""
+def _chaotic_average(f, mean_omega: float, order: int, rtol: float) -> np.ndarray:
+    """Gauss-Laguerre expectation of f over the exponential intensity
+    law, where f maps an array of drives to one row per drive.
+
+    The average is taken at order and at 2*order; QuadratureError is
+    raised when the two differ anywhere by more than rtol times the
+    largest magnitude of the 2*order result.
+    """
 
     def run(n):
         xs, ws = _laguerre_nodes(n)
-        acc = None
-        for x, w in zip(xs, ws):
-            val = evaluate(math.sqrt(x) * mean_omega)
-            acc = [w * v for v in val] if acc is None else [a + w * v for a, v in zip(acc, val)]
-        return acc
+        oms = np.sqrt(xs) * mean_omega
+        chunks = [slice(i, i + _NODE_CHUNK) for i in range(0, len(xs), _NODE_CHUNK)]
+        return sum(ws[c] @ f(oms[c]) for c in chunks)
 
-    result = run(order)
-    if check:
-        refined = run(2 * order)
-        scale = max(float(np.max(np.abs(np.asarray(b)))) for b in refined) or 1.0
-        worst = max(float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) for a, b in zip(result, refined))
-        if worst > rtol * scale:
-            raise QuadratureError(
-                f"Gauss-Laguerre average not converged at order {order} "
-                f"(vs {2*order}: {worst/scale:.2e} relative)"
-            )
+    result, refined = run(order), run(2 * order)
+    scale = float(np.max(np.abs(refined))) or 1.0
+    worst = float(np.max(np.abs(result - refined)))
+    if worst > rtol * scale:
+        raise QuadratureError(
+            f"Gauss-Laguerre average not converged at order {order} "
+            f"(vs {2*order}: {worst/scale:.2e} relative)"
+        )
     return result
 
 
-def chaotic_spectrum(
-    params: TlsParams,
-    mean_omega: float,
-    freqs: np.ndarray,
-    order: int = 96,
-    check: bool = True,
-) -> Spectrum:
+def chaotic_spectrum(params: TlsParams, mean_omega: float, freqs: np.ndarray, order: int = 96) -> Spectrum:
     """Emission spectrum averaged over chaotic intensity fluctuations."""
     freqs = np.asarray(freqs, dtype=float)
     if mean_omega == 0.0:
         return qrt_spectrum(params, 0.0, 0.0, freqs)
 
-    def evaluate(om):
-        sp = qrt_spectrum(params, om, 0.0, freqs)
-        return sp.incoherent, np.array([sp.coherent_weight]), np.array([sp.incoherent_power])
+    def rows(oms):
+        dens, cw, ip = _spectrum_rows(params, oms, 0.0, freqs)
+        return np.column_stack([dens, cw, ip])
 
-    dens, cw, ip = _chaotic_average(evaluate, mean_omega, order, check, rtol=1e-4)
-    dens = np.maximum(dens, 0.0)
-    return Spectrum(freqs, dens, float(cw[0]), float(ip[0]))
+    avg = _chaotic_average(rows, mean_omega, order, rtol=1e-4)
+    return Spectrum(freqs, np.maximum(avg[:-2], 0.0), float(avg[-2]), float(avg[-1]))
 
 
 def convolve_lorentzian(spec: Spectrum, fwhm: float) -> Spectrum:
@@ -243,73 +241,63 @@ def convolve_lorentzian(spec: Spectrum, fwhm: float) -> Spectrum:
     return Spectrum(freqs, np.maximum(out, 0.0), 0.0, spec.total_power())
 
 
-def _symmetrize(lags: np.ndarray, values: np.ndarray):
+def _mirrored(lags: np.ndarray, vals: np.ndarray) -> EmissionG2:
+    """g2 on lags >= 0 extended to negative lags.  A zero lag is not
+    repeated and reads 0: the detection has just emptied the emitter."""
+    at_zero = lags[0] == 0.0
+    if at_zero:
+        vals[0] = 0.0
+    back = slice(None, 0 if at_zero else None, -1)
+    return EmissionG2(np.concatenate([-lags[back], lags]), np.concatenate([vals[back], vals]))
+
+
+def _uniform_lags(lags) -> np.ndarray:
     lags = np.asarray(lags, dtype=float)
-    if lags[0] == 0.0:
-        full_l = np.concatenate([-lags[:0:-1], lags])
-        full_v = np.concatenate([values[:0:-1], values])
-    else:
-        full_l = np.concatenate([-lags[::-1], lags])
-        full_v = np.concatenate([values[::-1], values])
-    return full_l, full_v
+    if np.any(lags < 0):
+        raise ValueError("lags must be >= 0")
+    steps = np.diff(lags)
+    if steps.size and not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
+        raise ValueError("lags must form a uniform grid")
+    return lags
 
 
-def _conditional_population(params: TlsParams, omega: float, detuning: float, lags: np.ndarray):
-    """rho11(tau) starting from the ground state, via the eigensystem of
-    the affine Bloch generator (exact for constant drive)."""
-    a, b = bloch_matrix(params, omega, detuning)
-    xss = -np.linalg.solve(a, b)
-    lam, vec = np.linalg.eig(a.astype(complex))
-    coef = vec[0, :] * np.linalg.solve(vec, (-xss).astype(complex))
-    r11 = xss[0] + np.real(coef @ np.exp(np.outer(lam, lags)))
-    return r11, xss[0]
+def _conditional_population(params: TlsParams, omegas: np.ndarray, detuning: float, lags: np.ndarray):
+    """rho11 from the ground state on the uniform lag grid (n, len(lags))
+    and its steady value (n,), for n drives.
+
+    With the first k lags filled and E the exact map over k lag steps,
+    the next k lags are E times the first k, then E <- E E: two expm
+    calls and log2(len(lags)) batched matmuls.
+    """
+    m = bloch.augmented_generator(params, omegas, detuning)
+    n_lags = len(lags)
+    x = np.empty((len(m), 4, n_lags))
+    x[:, :, :1] = expm(m * lags[0])[:, :, 3:]
+    e = expm(m * ((lags[-1] - lags[0]) / max(n_lags - 1, 1)))
+    k = 1
+    while k < n_lags:
+        fill = min(k, n_lags - k)
+        x[:, :, k : k + fill] = e @ x[:, :, :fill]
+        e = e @ e
+        k += fill
+    return x[:, 0], _fixed_point(m)[:, 0]
 
 
-def qrt_g2(
-    params: TlsParams,
-    omega: float,
-    detuning: float,
-    lags: np.ndarray,
-    method: str = "eig",
-    dt: float | None = None,
-) -> EmissionG2:
+def qrt_g2(params: TlsParams, omega: float, detuning: float, lags: np.ndarray) -> EmissionG2:
     """Emission intensity correlation for constant coherent drive.
 
     After a detection the emitter is projected to the ground state, so
     g2(tau) is the conditional repopulation divided by its steady
-    value; g2(0) = 0 identically.  Lags must be non-negative; the
-    returned curve is symmetrized around zero.  method="rk4" integrates
-    the Bloch equations instead of using the eigensystem (cross-check
-    path; requires a uniform lag grid).
+    value; g2(0) = 0 identically.  The repopulation is propagated with
+    exact maps of the Bloch equations (`_conditional_population`), so
+    lags must be non-negative and uniformly spaced; the returned curve
+    is symmetrized around zero.
     """
-    lags = np.asarray(lags, dtype=float)
-    if np.any(lags < 0):
-        raise ValueError("lags must be >= 0")
+    lags = _uniform_lags(lags)
     if omega <= 0:
         raise ValueError("no emission at zero drive")
-    if method == "eig":
-        r11, rss = _conditional_population(params, omega, detuning, lags)
-    elif method == "rk4":
-        steps = np.diff(lags)
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-            raise ValueError("rk4 method requires a uniform lag grid")
-        lag_dt = steps[0]
-        limit = min(params.t2, TWO_PI / omega) / 50.0 if dt is None else dt
-        sub = max(1, int(math.ceil(lag_dt / limit - 1e-12)))
-        fine = lag_dt / sub
-        from .core import DrivePulse
-
-        trace = bloch.integrate(params, DrivePulse.cw(omega, detuning), lags[-1] + fine, fine)
-        idx = np.round(lags / fine).astype(int)
-        r11 = trace.rho11[idx]
-        rss = bloch.steady_state_population(params, omega, detuning)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    vals = np.maximum(r11 / rss, 0.0)
-    if lags[0] == 0.0:
-        vals[0] = 0.0
-    full_l, full_v = _symmetrize(lags, vals)
-    return EmissionG2(full_l, full_v)
+    r11, rss = _conditional_population(params, np.array([omega], dtype=float), detuning, lags)
+    return _mirrored(lags, np.maximum(r11[0] / rss[0], 0.0))
 
 
 def chaotic_g2(
@@ -317,20 +305,18 @@ def chaotic_g2(
     mean_omega: float,
     lags: np.ndarray,
     order: int = 96,
-    check: bool = True,
     tau_corr: float = bloch.LAMP_TAU_CORR,
 ) -> EmissionG2:
     """Intensity correlation under quasi-static chaotic drive.
 
     Pair rates weight each intensity twice, so the average is
     <I(om)^2 g2_om(tau)> / <I(om)>^2 over the exponential intensity
-    law.  Valid only for lags well below the source correlation time
-    tau_corr (beyond it the drive decorrelates and the true curve
-    relaxes to one, which this average does not describe).
+    law.  Lags must be non-negative and uniformly spaced.  Valid only
+    for lags well below the source correlation time tau_corr (beyond it
+    the drive decorrelates and the true curve relaxes to one, which
+    this average does not describe).
     """
-    lags = np.asarray(lags, dtype=float)
-    if np.any(lags < 0):
-        raise ValueError("lags must be >= 0")
+    lags = _uniform_lags(lags)
     if mean_omega <= 0:
         raise ValueError("no emission at zero mean drive")
     if lags.max() > tau_corr / 5.0:
@@ -340,19 +326,13 @@ def chaotic_g2(
             stacklevel=2,
         )
 
-    def evaluate(om):
-        if om == 0.0:
-            return np.zeros_like(lags), np.array([0.0])
-        r11, rss = _conditional_population(params, om, 0.0, lags)
-        intensity = rss
-        return intensity * np.maximum(r11, 0.0), np.array([intensity])
+    def rows(oms):
+        r11, rss = _conditional_population(params, oms, 0.0, lags)
+        # intensity rss times the conditional population, then intensity
+        return np.column_stack([rss[:, None] * np.maximum(r11, 0.0), rss])
 
-    num, den = _chaotic_average(evaluate, mean_omega, order, check, rtol=1e-4)
-    vals = np.maximum(num, 0.0) / float(den[0]) ** 2
-    if lags[0] == 0.0:
-        vals[0] = 0.0
-    full_l, full_v = _symmetrize(lags, vals)
-    return EmissionG2(full_l, full_v)
+    avg = _chaotic_average(rows, mean_omega, order, rtol=1e-4)
+    return _mirrored(lags, np.maximum(avg[:-1], 0.0) / avg[-1] ** 2)
 
 
 def blinking_envelope(g2: EmissionG2, on_fraction: float, tau_blink: float) -> EmissionG2:

@@ -41,6 +41,26 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"dt_ns": 0.2, "omegas": [7.2]}))
         assert run(["rabi", "--config", str(cfg), "--samples", "100", "--out", str(tmp_path / "x.csv")]) == 3
 
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("mollow", {"quad_order": 0}),
+            ("g2", {"lag_step_ns": 0}),
+            ("g2", {"lag_step_ns": -0.01}),
+            ("g2", {"max_lag_ns": -1}),
+            ("g2", {"max_lag_ns": 0}),
+        ],
+    )
+    def test_malformed_value_is_exit_2(self, tmp_path, command, options):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(options))
+        assert run([command, "--config", str(cfg)]) == 2
+
+    def test_unconverged_quadrature_is_exit_3(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"quad_order": 8}))
+        assert run(["mollow", "--config", str(cfg)]) == 3
+
     def test_cli_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"seed": 1, "s_points": 5}))

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.signal import argrelmax
 
 from tlsrf import bloch, core, emission
-from tlsrf.core import NumericalGuardError, TWO_PI
+from tlsrf.core import NumericalGuardError, QuadratureError, TWO_PI
 
 
 def fine_grid(span=4.0, n=4001):
@@ -16,6 +17,12 @@ def local_maxima(values, floor_frac=1e-6):
     idx = argrelmax(np.asarray(values))[0]
     vmax = np.max(values)
     return idx[values[idx] > floor_frac * vmax]
+
+
+def exceptional_drive(params):
+    """Rabi frequency at which two eigenvalues of the resonant Bloch
+    generator coalesce."""
+    return abs(1.0 / params.t1 - 1.0 / params.t2) / 2.0
 
 
 def weak_drive_g2(tau, params):
@@ -121,6 +128,22 @@ class TestQrtSpectrum:
         sp = emission.qrt_spectrum(qd, om, 0.0, freqs)
         assert np.abs(sp.incoherent - oracle).max() < 1e-4 * oracle.max()
 
+    @pytest.mark.parametrize("det", [0.0, 0.5])
+    def test_exceptional_point_matches_resolvent_solve(self, qd, det):
+        # one linear solve of (G + 2 pi i nu) w per frequency, with no
+        # eigenvectors to lose digits where they coalesce
+        om = exceptional_drive(qd)
+        ss = bloch.steady_state(qd, om, det)
+        g, g0 = emission.regression_generator(qd, om, det)
+        s_tr = complex(ss.rho01_re, -ss.rho01_im)
+        w = np.array([0.0, ss.rho11, 0.0], dtype=complex) + np.linalg.solve(g, s_tr * g0)
+        freqs = fine_grid()
+        shifted = g + 1j * TWO_PI * freqs[:, None, None] * np.eye(3)
+        rhs = np.broadcast_to(w[:, None], (len(freqs), 3, 1))
+        oracle = 2.0 * np.real(-np.linalg.solve(shifted, rhs)[:, 1, 0]) / qd.t1
+        sp = emission.qrt_spectrum(qd, om, det, freqs)
+        assert np.abs(sp.incoherent - oracle).max() < 1e-12 * oracle.max()
+
     def test_grid_guard(self, qd):
         with pytest.raises(NumericalGuardError):
             emission.qrt_spectrum(qd, 7.2, 0.0, np.linspace(-4, 4, 21))
@@ -143,7 +166,7 @@ class TestChaoticSpectrum:
         assert len(local_maxima(tot.incoherent)) == 3
 
     def test_zero_mean_drive_degenerates(self, qd):
-        a = emission.chaotic_spectrum(qd, 1e-6, fine_grid(2.0, 2001), check=False)
+        a = emission.chaotic_spectrum(qd, 1e-6, fine_grid(2.0, 2001))
         b = emission.qrt_spectrum(qd, 1e-6, 0.0, fine_grid(2.0, 2001))
         assert np.abs(a.incoherent - b.incoherent).max() < 1e-12
 
@@ -154,7 +177,11 @@ class TestChaoticSpectrum:
         )
 
     def test_convergence_check_runs(self, qd):
-        emission.chaotic_spectrum(qd, 5.2, fine_grid(3.0, 2001), order=96, check=True)
+        emission.chaotic_spectrum(qd, 5.2, fine_grid(3.0, 2001), order=96)
+
+    def test_low_order_fails_convergence_check(self, qd):
+        with pytest.raises(QuadratureError, match="not converged at order 8"):
+            emission.chaotic_spectrum(qd, 7.2, fine_grid(3.0, 2001), order=8)
 
 
 class TestConvolveLorentzian:
@@ -248,11 +275,33 @@ class TestQrtG2:
         g2 = emission.qrt_g2(qd, 1.7, 0.0, np.array([0.0, 25.0]))
         assert g2.values[-1] == pytest.approx(1.0, abs=1e-4)
 
-    def test_eig_matches_rk4(self, qd):
+    def test_matches_rk4_integration(self, qd):
+        # the conditional repopulation stepped by RK4 from the ground
+        # state, on a fine grid that hits every lag
+        om = 1.7
         lags = np.arange(0.0, 5.0, 0.01)
-        a = emission.qrt_g2(qd, 1.7, 0.0, lags, method="eig")
-        b = emission.qrt_g2(qd, 1.7, 0.0, lags, method="rk4")
-        assert np.abs(a.values - b.values).max() < 1e-8
+        sub = math.ceil(0.01 / (min(qd.t2, TWO_PI / om) / 50.0))
+        fine = 0.01 / sub
+        trace = bloch.integrate(qd, core.DrivePulse.cw(om, 0.0), lags[-1] + fine, fine)
+        rk4 = trace.rho11[np.round(lags / fine).astype(int)] / bloch.steady_state_population(qd, om)
+        g2 = emission.qrt_g2(qd, om, 0.0, lags)
+        assert np.abs(g2.values[len(lags) - 1 :] - rk4).max() < 1e-8
+
+    def test_exceptional_point_matches_per_lag_expm(self, qd):
+        om = exceptional_drive(qd)
+        lags = np.arange(0.0, 5.0, 0.01)
+        m = bloch.augmented_generator(qd, om)[0]
+        r11 = np.array([expm(m * tau)[0, 3] for tau in lags])
+        oracle = r11 / bloch.steady_state_population(qd, om)
+        g2 = emission.qrt_g2(qd, om, 0.0, lags)
+        assert np.abs(g2.values[len(lags) - 1 :] - oracle).max() < 1e-12
+
+    def test_non_uniform_lags_rejected(self, qd):
+        lags = np.array([0.0, 0.1, 0.3, 0.4])
+        with pytest.raises(ValueError, match="uniform"):
+            emission.qrt_g2(qd, 1.7, 0.0, lags)
+        with pytest.raises(ValueError, match="uniform"):
+            emission.chaotic_g2(qd, 1.7, lags)
 
     def test_output_symmetrized(self, qd):
         g2 = emission.qrt_g2(qd, 1.7, 0.0, np.arange(0.0, 2.0, 0.01))
