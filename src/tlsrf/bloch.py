@@ -108,13 +108,7 @@ def steady_state_population(params: TlsParams, omega: float, detuning: float = 0
 
     Equals S / (2 (1 + S)) on resonance with S = omega**2 t1 t2.
     """
-    if omega < 0:
-        raise ValueError("omega must be >= 0")
-    if omega == 0.0:
-        return 0.0
-    d = detuning**2 + 1.0 / params.t2**2
-    x = omega**2 * params.t1 / params.t2
-    return 0.5 * x / (d + x)
+    return steady_state(params, omega, detuning).rho11
 
 
 def steady_state_from_saturation(s: float) -> float:
@@ -126,12 +120,17 @@ def steady_state_from_saturation(s: float) -> float:
 
 def steady_state(params: TlsParams, omega: float, detuning: float = 0.0) -> BlochState:
     """Full steady state including the coherence."""
-    r11 = steady_state_population(params, omega, detuning)
+    if omega < 0:
+        raise ValueError("omega must be >= 0")
     if omega == 0.0:
         return BlochState(0.0, 0.0, 0.0)
-    z = complex(1.0 / params.t2, detuning)
-    r01 = -1j * 0.5 * omega * (2.0 * r11 - 1.0) / z
-    return BlochState(r11, r01.real, r01.imag)
+    d = detuning**2 + 1.0 / params.t2**2
+    x = omega**2 * params.t1 / params.t2
+    # rho01 = -(i omega / 2) (2 rho11 - 1) / z with z = 1/t2 + i det;
+    # 2 rho11 - 1 = -d / (d + x) and d / z = conj(z) give it without the
+    # cancellation in 2 rho11 - 1 at strong drive
+    scale = 0.5 * omega / (d + x)
+    return BlochState(0.5 * x / (d + x), scale * detuning, scale / params.t2)
 
 
 def _exp1_cf_scaled(x: float) -> float:

@@ -35,38 +35,8 @@ from .core import (
     write_csv,
 )
 
+# every command accepts these keys and the keys of its _DEFAULTS entry
 _COMMON_KEYS = {"params", "params_file", "seed", "out", "samples", "preset"}
-
-_COMMAND_KEYS = {
-    "saturation": {"s_min", "s_max", "s_points"},
-    "rabi": {"omegas", "pulse_ns", "t_end_ns", "dt_ns"},
-    "mollow": {"omegas", "span_ghz", "grid_points", "quad_order"},
-    "g2": {
-        "omega",
-        "statistics",
-        "max_lag_ns",
-        "lag_step_ns",
-        "bin_ns",
-        "duration_ns",
-        "efficiency",
-        "blinking_beta",
-        "blinking_tau_ns",
-        "mc",
-        "chaotic",
-    },
-    "lamp": {"tau_corr_ns", "dt_ns", "n", "max_lag_ns", "field_rows"},
-    "linewidth": {"s_min", "s_max", "s_points"},
-    "tags": {
-        "omega",
-        "statistics",
-        "duration_ns",
-        "efficiency",
-        "blinking_beta",
-        "blinking_tau_ns",
-        "tau_corr_ns",
-    },
-    "validate": set(),
-}
 
 _PRESETS: dict[str, dict[str, dict]] = {
     "saturation": {"fig2": {}},
@@ -131,7 +101,7 @@ _DEFAULTS: dict[str, dict] = {
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tlsrf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMAND_KEYS:
+    for name in _DEFAULTS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--preset", type=str, default=None)
@@ -152,7 +122,7 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
     cfg.setdefault("params_file", None)
     cfg.setdefault("seed", 12345)
     cfg.setdefault("out", None)
-    allowed = _COMMAND_KEYS[command] | _COMMON_KEYS
+    allowed = set(_DEFAULTS[command]) | _COMMON_KEYS
     doc = {}
     if args.config:
         try:
@@ -221,11 +191,18 @@ def _write_sidecar(out, command: str, cfg: dict, pset: ParameterSet, outputs: li
     Path(str(out) + ".json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _positive(cfg: dict, key: str) -> float:
+    val = float(cfg[key])
+    if not val > 0:
+        raise ConfigError(f"{key} must be > 0")
+    return val
+
+
 def _s_grid(cfg) -> np.ndarray:
     n = int(cfg["s_points"])
     if n < 2:
         raise ConfigError("s_points must be >= 2")
-    return np.logspace(math.log10(cfg["s_min"]), math.log10(cfg["s_max"]), n)
+    return np.logspace(math.log10(_positive(cfg, "s_min")), math.log10(_positive(cfg, "s_max")), n)
 
 
 def cmd_saturation(cfg: dict, pset: ParameterSet) -> list[str]:
@@ -248,13 +225,14 @@ def cmd_rabi(cfg: dict, pset: ParameterSet) -> list[str]:
     params = pset.tls
     n_samples = int(cfg.get("samples") or _DEFAULTS["rabi"]["samples"])
     omegas = [float(x) for x in cfg["omegas"]]
-    pulse_ns = float(cfg["pulse_ns"])
-    t_end = float(cfg["t_end_ns"])
+    pulse_ns = _positive(cfg, "pulse_ns")
+    t_end = _positive(cfg, "t_end_ns")
+    dt_cfg = _positive(cfg, "dt_ns") if cfg["dt_ns"] else None
     blocks = []
     rng = stream(int(cfg["seed"]))
     streams = rng.spawn(len(omegas))
     for om, sub in zip(omegas, streams):
-        dt = cfg["dt_ns"] or min(params.t2, 2.0 * math.pi / (2.0 * om)) / 50.0
+        dt = dt_cfg or min(params.t2, 2.0 * math.pi / (2.0 * om)) / 50.0
         pulse = DrivePulse.square(om, 0.0, pulse_ns)
         coh = bloch.integrate(params, pulse, t_end, dt)
         cha = bloch.chaotic_transient(params, pulse, t_end, dt, n_samples, sub)
@@ -296,21 +274,26 @@ def _blinking_from(cfg) -> tuple[float, float] | None:
         return None
     if beta is None or tau is None:
         raise ConfigError("blinking needs both blinking_beta and blinking_tau_ns")
-    return float(beta), float(tau)
+    if not 0.0 < float(beta) <= 1.0:
+        raise ConfigError("blinking_beta must be in (0, 1]")
+    return float(beta), _positive(cfg, "blinking_tau_ns")
 
 
 def cmd_g2(cfg: dict, pset: ParameterSet) -> list[str]:
     params = pset.tls
     om = float(cfg["omega"])
     lag_max = float(cfg["max_lag_ns"])
-    lag_step = float(cfg["lag_step_ns"])
-    if lag_step <= 0:
-        raise ConfigError("lag_step_ns must be > 0")
+    lag_step = _positive(cfg, "lag_step_ns")
     if lag_max < lag_step:
         raise ConfigError("max_lag_ns must be >= lag_step_ns")
+    bin_w = _positive(cfg, "bin_ns")
     lags = np.arange(0.0, lag_max + 0.5 * lag_step, lag_step)
     det_fwhm = pset.instrument.detector_fwhm_ns
     blink = _blinking_from(cfg)
+    with_mc = bool(cfg.get("mc", True))
+    if with_mc:
+        statistics = _statistics(cfg)
+        duration = _tag_duration(cfg, params, om, statistics, blink)
 
     with_chaotic = bool(cfg.get("chaotic", True))
     # detector convolution needs the lag grid to resolve the response;
@@ -331,20 +314,15 @@ def cmd_g2(cfg: dict, pset: ParameterSet) -> list[str]:
     out = write_csv(cfg["out"], header, [curves[0].lags] + [c.values for c in curves])
     if out:
         outputs.append(out)
-    if cfg.get("mc", True):
+    if with_mc:
         rng = stream(int(cfg["seed"]))
         sim_rng, det_rng = rng.spawn(2)
-        statistics = Statistics(cfg.get("statistics", "coherent"))
-        duration = float(cfg["duration_ns"])
-        if cfg.get("samples"):
-            rate = _expected_rate(params, om, statistics, float(cfg["efficiency"]), blink)
-            duration = max(20.0 * params.t1, float(cfg["samples"]) / rate)
         pulse = DrivePulse.cw(om, statistics=statistics)
         tags = trajectory.simulate_tags(
             params, pulse, duration, float(cfg["efficiency"]), sim_rng, blinking=blink
         )
         tags = trajectory.apply_detector(tags, det_fwhm / math.sqrt(2.0), det_rng)
-        hist = trajectory.correlate(tags, float(cfg["bin_ns"]), lag_max)
+        hist = trajectory.correlate(tags, bin_w, lag_max)
         mc_out = hist.to_csv(str(cfg["out"]) + ".mc.csv" if cfg["out"] else None)
         if mc_out:
             outputs.append(mc_out)
@@ -362,15 +340,37 @@ def _expected_rate(params, om, statistics, efficiency, blink) -> float:
     return max(rate, 1e-12)
 
 
+def _statistics(cfg: dict) -> Statistics:
+    try:
+        return Statistics(cfg.get("statistics", "coherent"))
+    except ValueError as err:
+        raise ConfigError(f"statistics must be one of {[s.value for s in Statistics]}") from err
+
+
+def _tag_duration(cfg: dict, params, om, statistics, blink) -> float:
+    """Length of the tag record: duration_ns, or, when `samples` is set,
+    the length that yields that many detected tags at the expected
+    rate.  Checks the efficiency and the length that simulate_tags
+    accepts."""
+    efficiency = float(cfg["efficiency"])
+    if not 0.0 < efficiency <= 1.0:
+        raise ConfigError("efficiency must be in (0, 1]")
+    duration = float(cfg["duration_ns"])
+    if cfg.get("samples"):
+        rate = _expected_rate(params, om, statistics, efficiency, blink)
+        duration = max(20.0 * params.t1, float(cfg["samples"]) / rate)
+    if not duration >= 10.0 * params.t1:
+        raise ConfigError(f"duration_ns must be >= 10 t1 ({10.0 * params.t1:g} ns)")
+    return duration
+
+
 def cmd_tags(cfg: dict, pset: ParameterSet) -> list[str]:
     params = pset.tls
     om = float(cfg["omega"])
-    statistics = Statistics(cfg.get("statistics", "coherent"))
+    statistics = _statistics(cfg)
     blink = _blinking_from(cfg)
-    duration = float(cfg["duration_ns"])
-    if cfg.get("samples"):
-        rate = _expected_rate(params, om, statistics, float(cfg["efficiency"]), blink)
-        duration = max(20.0 * params.t1, float(cfg["samples"]) / rate)
+    duration = _tag_duration(cfg, params, om, statistics, blink)
+    tau_corr = _positive(cfg, "tau_corr_ns")
     rng = stream(int(cfg["seed"]))
     pulse = DrivePulse.cw(om, statistics=statistics)
     tags = trajectory.simulate_tags(
@@ -380,17 +380,19 @@ def cmd_tags(cfg: dict, pset: ParameterSet) -> list[str]:
         float(cfg["efficiency"]),
         rng,
         blinking=blink,
-        tau_corr=float(cfg["tau_corr_ns"]),
+        tau_corr=tau_corr,
     )
     out = tags.to_csv(cfg["out"])
     return [out] if out else []
 
 
 def cmd_lamp(cfg: dict, pset: ParameterSet) -> list[str]:
-    tau_corr = float(cfg["tau_corr_ns"])
+    tau_corr = _positive(cfg, "tau_corr_ns")
     dt = float(cfg["dt_ns"] or tau_corr / 20.0)
     n = int(cfg.get("samples") or cfg["n"])
     max_lag = float(cfg["max_lag_ns"] or 3.0 * tau_corr)
+    if not max_lag > 0:
+        raise ConfigError("max_lag_ns must be > 0")
     rng = stream(int(cfg["seed"]))
     trace = lamp.synthesize_field(tau_corr, dt, n, rng)
     g2 = lamp.estimate_g2(trace, max_lag)

@@ -20,8 +20,9 @@ segment of constant drive is therefore i.i.d., which the vectorized
 leg solver exploits.  Partially elapsed legs are carried across
 segment boundaries by evolving the unnormalized state and keeping the
 target uniform, so piecewise drives (pulse envelopes, quasi-static
-chaotic blocks) are handled without bias; a carried leg goes through
-the same iteration with the rest of its new segment as the bracket.
+chaotic blocks) are handled without bias; a carried leg is leg 0 of
+its new segment's first batch, and its state joins the table as a
+third survival curve.
 """
 
 from __future__ import annotations
@@ -127,44 +128,43 @@ def _evolve_state(psi_g, psi_e, om, det, it2, tau):
 
 # ---------------------------------------------------------------------------
 # Waiting times.  A leg ends where its no-jump survival S(tau) = |U psi|^2
-# falls to its uniform target u.  Fresh legs start from ground or excited,
-# so within a segment S is one of two fixed curves: they are tabulated
-# once per batch, and searchsorted gives each leg a bracket one grid
-# step wide.
+# falls to its uniform target u.  Within a segment every leg starts from
+# one of a few states: ground, excited, and the state of a leg carried
+# over the segment's start edge.  S is then one of a few fixed curves:
+# they are tabulated once per batch, and searchsorted gives each leg a
+# bracket one grid step wide.
 # Chandrupatla's method (Adv. Eng. Softw. 28, 145 (1997)) then polishes
 # log S - log u inside the bracket; it interpolates where the curve is
 # smooth and bisects across the near-flat steps of a strongly driven
 # S, where psi_e passes through zero twice per Rabi cycle.
 
+_FRESH = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)  # ground, excited
 
-def _survival_table(om, det, it2, u_min, bracket):
-    """Grid tau from 0 with the fresh-leg survivals S_g and S_e on it.
+
+def _survival_table(states, om, det, it2, u_min, bracket):
+    """Grid tau from 0 and the survival S_k(tau) of each start state
+    (psi_g, psi_e) = states[k], one row per state.
 
     The spacing starts at 1/32 of the faster of the Rabi period and t2
-    and doubles every _TABLE_POINTS points, until both curves are
-    below u_min or the grid reaches the bracket, which is its last point."""
+    and doubles every _TABLE_POINTS points, until every curve is below
+    u_min or the grid reaches the bracket, which is its last point."""
     scale = 1.0 / it2
     if om or det:
         scale = min(scale, 2.0 * math.pi / math.hypot(om, det))
     step = scale / 32.0
-    taus, s_g, s_e = [np.zeros(1)], [np.ones(1)], [np.ones(1)]
-    while taus[-1][-1] < bracket and max(s_g[-1][-1], s_e[-1][-1]) >= u_min:
+    psi_g, psi_e = states[:, :1], states[:, 1:]
+    taus, surv = [np.zeros(1)], [(np.abs(states) ** 2).sum(axis=1, keepdims=True)]
+    while taus[-1][-1] < bracket and (surv[-1][:, -1] >= u_min).any():
         tau = taus[-1][-1] + step * np.arange(1, _TABLE_POINTS + 1)
         if tau[-1] >= bracket:
             tau = np.append(tau[tau < bracket], bracket)
         e00, eoff, e11 = _prop_entries(om, det, it2, tau)
-        off = np.abs(eoff) ** 2
         taus.append(tau)
-        s_g.append(np.abs(e00) ** 2 + off)
-        s_e.append(off + np.abs(e11) ** 2)
+        surv.append(np.abs(e00 * psi_g + eoff * psi_e) ** 2 + np.abs(eoff * psi_g + e11 * psi_e) ** 2)
         step *= 2.0
     # rounding can lift S by an ulp on a flat step; searchsorted needs
     # the curves monotone
-    return (
-        np.concatenate(taus),
-        np.minimum.accumulate(np.concatenate(s_g)),
-        np.minimum.accumulate(np.concatenate(s_e)),
-    )
+    return np.concatenate(taus), np.minimum.accumulate(np.concatenate(surv, axis=1), axis=1)
 
 
 def _log(s):
@@ -183,7 +183,9 @@ def _find_roots(surv, u, lo, hi, s_lo, s_hi):
     idx = np.arange(len(u))
     # x1 is the newest point, x2 the end of the bracket across the root,
     # x3 the point x1 or x2 displaced last
-    x1, f1 = lo, _log(s_lo) - log_u
+    # S(lo) > u, but log S(lo) can round to log u (a carried leg whose
+    # target is its norm); f1 = 0 would put lo on the wrong side
+    x1, f1 = lo, np.maximum(_log(s_lo) - log_u, _TINY)
     x2, f2 = hi, _log(s_hi) - log_u
     t = f1 / np.maximum(f1 - f2, _TINY)  # secant step into the bracket
     # the smallest step, as a fraction of the bracket, that still
@@ -221,55 +223,44 @@ def _find_roots(surv, u, lo, hi, s_lo, s_hi):
     return roots
 
 
-def _solve_legs(u, starts, om, det, it2, bracket):
-    """Waiting times from fresh ground (0) / excited (1) starts; inf when
-    the leg survives past the bracket.  The table is built per call,
-    down to the smallest target of the batch; a segment seldom needs
-    more than one batch."""
-    tau, s_g, s_e = _survival_table(om, det, it2, float(u.min()), bracket)
+def _solve_legs(u, starts, states, om, det, it2, bracket):
+    """Waiting times of legs that start from states[starts], rows
+    (psi_g, psi_e) that a carried leg leaves unnormalized; inf when the
+    leg survives past the bracket.  The table of one survival curve per
+    state is built per call, down to the smallest target of the batch;
+    a segment seldom needs more than one batch."""
+    tau, surv = _survival_table(states, om, det, it2, float(u.min()), bracket)
     waits = np.empty(len(u))
     # chunks keep the working arrays of a 2^17-leg batch to a few MB
     for a in range(0, len(u), _CHUNK):
         b = slice(a, a + _CHUNK)
-        waits[b] = _table_legs(u[b], starts[b], tau, s_g, s_e, om, det, it2)
+        waits[b] = _table_legs(u[b], starts[b], states, tau, surv, om, det, it2)
     return waits
 
 
-def _table_legs(u, starts, tau, s_g, s_e, om, det, it2):
+def _table_legs(u, starts, states, tau, surv, om, det, it2):
     """_solve_legs on one chunk, given the survival table."""
     k = np.empty(len(u), dtype=np.int64)
     s_lo, s_hi = np.empty(len(u)), np.empty(len(u))
-    for state, s_tab in ((0, s_g), (1, s_e)):
+    for state, s_tab in enumerate(surv):
         sel = starts == state
         # first grid point with S <= u; the one before it has S > u
         ks = np.searchsorted(-s_tab, -u[sel], side="left")
         k[sel] = ks
         s_lo[sel] = s_tab[ks - 1]
         s_hi[sel] = s_tab[np.minimum(ks, len(tau) - 1)]
-    has_root = k < len(tau)
-    waits = np.full(len(u), np.inf)
+    # k = 0 is S(0) <= u: a leg that had ended before the segment edge,
+    # carried by rounding in t + cumsum(waits); it ends at once
+    waits = np.where(k > 0, np.inf, 0.0)
+    has_root = (k > 0) & (k < len(tau))
     if has_root.any():
         k = k[has_root]
-        psi_e = starts[has_root].astype(float)
-        psi_g = 1.0 - psi_e
+        psi = states[starts[has_root]]
         waits[has_root] = _find_roots(
-            lambda x, i: _survival_state(psi_g[i], psi_e[i], om, det, it2, x),
+            lambda x, i: _survival_state(psi[i, 0], psi[i, 1], om, det, it2, x),
             u[has_root], tau[k - 1], tau[k], s_lo[has_root], s_hi[has_root],
         )
     return waits
-
-
-def _state_leg(psi_g, psi_e, r, om, det, it2, bracket):
-    """Jump time for a carried (unnormalized) state, or None if it
-    survives the whole bracket."""
-    s_end = _survival_state(psi_g, psi_e, om, det, it2, bracket)
-    if s_end > r:
-        return None
-    s0 = abs(psi_g) ** 2 + abs(psi_e) ** 2
-    return float(_find_roots(
-        lambda x, i: _survival_state(psi_g, psi_e, om, det, it2, x),
-        np.array([r]), np.zeros(1), np.array([float(bracket)]), np.array([s0]), np.array([s_end]),
-    )[0])
 
 
 def _drive_segments(pulse: DrivePulse, duration: float, tau_corr: float, rng) -> list[tuple[float, float, float]]:
@@ -330,28 +321,14 @@ def simulate_tags(
     segments = _drive_segments(pulse, duration, tau_corr, rng)
 
     emissions: list[np.ndarray] = []
-    psi_g, psi_e = 1.0 + 0.0j, 0.0j  # state at the last jump (normalized)
-    pending_r = None  # target uniform of the leg in progress
-    fresh_state = 0  # 0 ground / 1 excited, for fresh legs
+    fresh_state = 0  # 0 ground / 1 excited, for the next fresh leg
+    carried = None  # (state, target) of a leg in progress at a segment edge
 
     for seg_start, seg_end, om in segments:
         t = seg_start
-        # finish a leg carried over from the previous segment
-        if pending_r is not None:
-            w = _state_leg(psi_g, psi_e, pending_r, om, det, it2, seg_end - t)
-            if w is None:
-                psi_g, psi_e = _evolve_state(psi_g, psi_e, om, det, it2, seg_end - t)
-                continue
-            t = t + w
-            if rng.random() < p_rad:
-                emissions.append(np.array([t]))
-                fresh_state = 0
-            else:
-                fresh_state = 1
-            pending_r = None
         # i.i.d. legs within the constant segment
         jump_rate = (2.0 / params.t2) * bloch.steady_state_population(params, om, det)
-        while pending_r is None and t < seg_end:
+        while t < seg_end:
             n_est = int(min(max(64, 1.4 * (seg_end - t) * jump_rate + 32), float(1 << 17)))
             u = rng.random(n_est)
             coins = rng.random(n_est)
@@ -359,7 +336,13 @@ def simulate_tags(
             starts = np.empty(n_est, dtype=np.int8)
             starts[0] = fresh_state
             starts[1:] = (~rad[:-1]).astype(np.int8)
-            waits = _solve_legs(u, starts, om, det, it2, seg_end - t)
+            states = _FRESH
+            if carried is not None:
+                # the carried leg is leg 0, with its own start state
+                states = np.vstack([_FRESH, carried[0]])
+                starts[0], u[0] = 2, carried[1]
+                carried = None
+            waits = _solve_legs(u, starts, states, om, det, it2, seg_end - t)
             jump_t = t + np.cumsum(waits)
             inside = jump_t < seg_end
             stop = int(np.argmin(inside)) if not inside.all() else n_est
@@ -370,9 +353,8 @@ def simulate_tags(
                 fresh_state = 0 if rad[stop - 1] else 1
             if stop < n_est:
                 # leg `stop` is in progress at seg_end: carry it
-                psi0 = (1.0 + 0.0j, 0.0j) if starts[stop] == 0 else (0.0j, 1.0 + 0.0j)
-                psi_g, psi_e = _evolve_state(psi0[0], psi0[1], om, det, it2, seg_end - t)
-                pending_r = float(u[stop])
+                psi = _evolve_state(*states[starts[stop]], om, det, it2, seg_end - t)
+                carried = (psi, u[stop])
                 t = seg_end
 
     times = np.concatenate(emissions) if emissions else np.empty(0)

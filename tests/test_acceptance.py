@@ -416,34 +416,30 @@ def test_criterion_11_determinism(tmp_path):
 
 
 def test_criterion_11_determinism_across_worker_counts(tmp_path):
-    # thread count must not affect bytes: kernels avoid cross-thread
-    # reductions, so outputs are invariant under NUMBA_NUM_THREADS
+    # thread count must not affect bytes: the BLAS and OpenMP pools that
+    # numpy and scipy may use run at 1 and 2 threads; the chaotic tags
+    # run carries legs across every block edge
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"duration_ns": 2e4, "max_lag_ns": 5.0}))
+    tags_cfg = tmp_path / "tags.json"
+    tags_cfg.write_text(json.dumps({"statistics": "chaotic", "duration_ns": 2e4}))
     blobs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"t{threads}.csv"
-        env = dict(os.environ, NUMBA_NUM_THREADS=threads)
-        res = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "tlsrf.cli",
-                "g2",
-                "--preset",
-                "fig5",
-                "--config",
-                str(cfg),
-                "--seed",
-                "7",
-                "--out",
-                str(out),
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert res.returncode == 0, res.stderr
-        blobs.append(out.read_bytes() + (tmp_path / f"t{threads}.csv.mc.csv").read_bytes())
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        blob = b""
+        for name, args in (
+            ("g2", ["g2", "--preset", "fig5", "--config", str(cfg), "--seed", "7"]),
+            ("tags", ["tags", "--config", str(tags_cfg), "--seed", "7"]),
+        ):
+            out = tmp_path / f"{name}_t{threads}.csv"
+            res = subprocess.run(
+                [sys.executable, "-m", "tlsrf.cli", *args, "--out", str(out)],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert res.returncode == 0, res.stderr
+            blob += out.read_bytes()
+        blobs.append(blob + (tmp_path / f"g2_t{threads}.csv.mc.csv").read_bytes())
     ok = blobs[0] == blobs[1]
     assert report("11 determinism (worker count)", ok, "byte-identical across thread counts")

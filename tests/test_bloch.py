@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,6 +51,22 @@ class TestSteadyState:
 
     def test_detuning_reduces_population(self, qd):
         assert bloch.steady_state_population(qd, 2.0, detuning=3.0) < bloch.steady_state_population(qd, 2.0)
+
+    @pytest.mark.parametrize("omega", [0.3, 1.0, 7.2, 30.0, 300.0])
+    @pytest.mark.parametrize("detuning", [0.0, 0.5, -3.0])
+    def test_coherence_matches_exact_arithmetic(self, qd, omega, detuning):
+        # rho01 = omega (det + i/t2) / (2 (d + x)), d = det^2 + 1/t2^2,
+        # x = omega^2 t1/t2, in rational arithmetic on the float inputs;
+        # 2 rho11 - 1 cancels at strong drive if it is formed explicitly
+        t1, t2, om, det = (Fraction(v) for v in (qd.t1, qd.t2, omega, detuning))
+        d = det**2 + 1 / t2**2
+        x = om**2 * t1 / t2
+        re, im = om * det / (2 * (d + x)), om / (2 * t2 * (d + x))
+        ss = bloch.steady_state(qd, omega, detuning)
+        got_re, got_im = Fraction(ss.rho01_re), Fraction(ss.rho01_im)
+        assert abs(got_re - re) <= 1e-15 * abs(re)
+        assert abs(got_im - im) <= 1e-15 * im
+        assert abs(got_re**2 + got_im**2 - re**2 - im**2) <= 1e-15 * (re**2 + im**2)
 
 
 class TestExp1:

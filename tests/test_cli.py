@@ -41,6 +41,13 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"dt_ns": 0.2, "omegas": [7.2]}))
         assert run(["rabi", "--config", str(cfg), "--samples", "100", "--out", str(tmp_path / "x.csv")]) == 3
 
+    def test_checked_dt_is_the_one_used(self, tmp_path):
+        # dt_ns is converted once at the config boundary, so a numeric
+        # string reaches the same guard as the number
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"dt_ns": "0.2", "omegas": [7.2]}))
+        assert run(["rabi", "--config", str(cfg), "--samples", "100", "--out", str(tmp_path / "x.csv")]) == 3
+
     @pytest.mark.parametrize(
         "command, options",
         [
@@ -49,6 +56,19 @@ class TestConfigHandling:
             ("g2", {"lag_step_ns": -0.01}),
             ("g2", {"max_lag_ns": -1}),
             ("g2", {"max_lag_ns": 0}),
+            ("g2", {"bin_ns": 0}),
+            ("g2", {"duration_ns": 1}),
+            ("lamp", {"max_lag_ns": -1}),
+            ("lamp", {"tau_corr_ns": 0}),
+            ("rabi", {"dt_ns": -0.01}),
+            ("rabi", {"pulse_ns": -1}),
+            ("rabi", {"t_end_ns": 0}),
+            ("tags", {"duration_ns": -5}),
+            ("tags", {"efficiency": 0}),
+            ("tags", {"statistics": "bogus"}),
+            ("tags", {"blinking_beta": 0, "blinking_tau_ns": 405.0}),
+            ("tags", {"blinking_beta": 0.5, "blinking_tau_ns": 0}),
+            ("saturation", {"s_min": 0}),
         ],
     )
     def test_malformed_value_is_exit_2(self, tmp_path, command, options):
