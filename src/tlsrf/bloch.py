@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
 
 from .core import DrivePulse, NumericalGuardError, QuadratureError, TlsParams, write_csv
 from .photonstat import sample_chaotic_intensity
@@ -225,10 +224,13 @@ def chaotic_steady_state_quadrature(
     def f(x):
         return 0.5 * x * ratio / (d + x * ratio) * math.exp(-x / w2) / w2
 
+    # imported on first use, to keep it out of `import tlsrf`
+    from scipy.integrate import quad
+
     cutoff = 50.0 * w2
     prev = None
     for _ in range(12):
-        val, _err = _scipy_integrate.quad(f, 0.0, cutoff, limit=500, epsabs=1e-15, epsrel=1e-13)
+        val, _err = quad(f, 0.0, cutoff, limit=500, epsabs=1e-15, epsrel=1e-13)
         if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-300):
             return val
         prev = val

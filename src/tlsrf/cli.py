@@ -152,6 +152,7 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
+    cfg["seed"] = _number(cfg["seed"], "seed", int)
     return cfg
 
 
@@ -191,15 +192,39 @@ def _write_sidecar(out, command: str, cfg: dict, pset: ParameterSet, outputs: li
     Path(str(out) + ".json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _number(val, key: str, kind=float):
+    """A config value converted to `kind`; a value that does not
+    convert is a configuration error, not a traceback."""
+    try:
+        return kind(val)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{key} must be a number, got {val!r}") from err
+
+
 def _positive(cfg: dict, key: str) -> float:
-    val = float(cfg[key])
+    val = _number(cfg[key], key)
     if not val > 0:
         raise ConfigError(f"{key} must be > 0")
     return val
 
 
+def _drive(val, key: str) -> float:
+    """A Rabi frequency from the config: a number >= 0."""
+    om = _number(val, key)
+    if not om >= 0:
+        raise ConfigError(f"{key} must be >= 0")
+    return om
+
+
+def _drives(cfg: dict, key: str) -> list[float]:
+    vals = cfg[key]
+    if not isinstance(vals, list) or not vals:
+        raise ConfigError(f"{key} must be a non-empty list")
+    return [_drive(v, key) for v in vals]
+
+
 def _s_grid(cfg) -> np.ndarray:
-    n = int(cfg["s_points"])
+    n = _number(cfg["s_points"], "s_points", int)
     if n < 2:
         raise ConfigError("s_points must be >= 2")
     return np.logspace(math.log10(_positive(cfg, "s_min")), math.log10(_positive(cfg, "s_max")), n)
@@ -223,16 +248,19 @@ def cmd_linewidth(cfg: dict, pset: ParameterSet) -> list[str]:
 
 def cmd_rabi(cfg: dict, pset: ParameterSet) -> list[str]:
     params = pset.tls
-    n_samples = int(cfg.get("samples") or _DEFAULTS["rabi"]["samples"])
-    omegas = [float(x) for x in cfg["omegas"]]
+    n_samples = _number(cfg.get("samples") or _DEFAULTS["rabi"]["samples"], "samples", int)
+    if n_samples < 100:
+        raise ConfigError("samples must be >= 100")
+    omegas = _drives(cfg, "omegas")
     pulse_ns = _positive(cfg, "pulse_ns")
     t_end = _positive(cfg, "t_end_ns")
     dt_cfg = _positive(cfg, "dt_ns") if cfg["dt_ns"] else None
     blocks = []
-    rng = stream(int(cfg["seed"]))
+    rng = stream(cfg["seed"])
     streams = rng.spawn(len(omegas))
     for om, sub in zip(omegas, streams):
-        dt = dt_cfg or min(params.t2, 2.0 * math.pi / (2.0 * om)) / 50.0
+        # a fiftieth of half a Rabi period, or of t2 for an undriven emitter
+        dt = dt_cfg or min(params.t2, math.pi / om if om > 0 else math.inf) / 50.0
         pulse = DrivePulse.square(om, 0.0, pulse_ns)
         coh = bloch.integrate(params, pulse, t_end, dt)
         cha = bloch.chaotic_transient(params, pulse, t_end, dt, n_samples, sub)
@@ -244,14 +272,14 @@ def cmd_rabi(cfg: dict, pset: ParameterSet) -> list[str]:
 
 def cmd_mollow(cfg: dict, pset: ParameterSet) -> list[str]:
     params = pset.tls
-    span = float(cfg["span_ghz"])
-    freqs = np.linspace(-span, span, int(cfg["grid_points"]))
+    span = _number(cfg["span_ghz"], "span_ghz")
+    freqs = np.linspace(-span, span, _number(cfg["grid_points"], "grid_points", int))
     fpi = pset.instrument.fpi_fwhm_ghz
-    order = int(cfg["quad_order"])
+    order = _number(cfg["quad_order"], "quad_order", int)
     if order < 1:
         raise ConfigError("quad_order must be >= 1")
     blocks = []
-    for om in [float(x) for x in cfg["omegas"]]:
+    for om in _drives(cfg, "omegas"):
         coh = emission.qrt_spectrum(params, om, 0.0, freqs)
         coh_irf = emission.convolve_lorentzian(coh, fpi)
         cha = emission.chaotic_spectrum(params, om, freqs, order=order)
@@ -274,15 +302,16 @@ def _blinking_from(cfg) -> tuple[float, float] | None:
         return None
     if beta is None or tau is None:
         raise ConfigError("blinking needs both blinking_beta and blinking_tau_ns")
-    if not 0.0 < float(beta) <= 1.0:
+    beta = _number(beta, "blinking_beta")
+    if not 0.0 < beta <= 1.0:
         raise ConfigError("blinking_beta must be in (0, 1]")
-    return float(beta), _positive(cfg, "blinking_tau_ns")
+    return beta, _positive(cfg, "blinking_tau_ns")
 
 
 def cmd_g2(cfg: dict, pset: ParameterSet) -> list[str]:
     params = pset.tls
-    om = float(cfg["omega"])
-    lag_max = float(cfg["max_lag_ns"])
+    om = _drive(cfg["omega"], "omega")
+    lag_max = _number(cfg["max_lag_ns"], "max_lag_ns")
     lag_step = _positive(cfg, "lag_step_ns")
     if lag_max < lag_step:
         raise ConfigError("max_lag_ns must be >= lag_step_ns")
@@ -315,7 +344,7 @@ def cmd_g2(cfg: dict, pset: ParameterSet) -> list[str]:
     if out:
         outputs.append(out)
     if with_mc:
-        rng = stream(int(cfg["seed"]))
+        rng = stream(cfg["seed"])
         sim_rng, det_rng = rng.spawn(2)
         pulse = DrivePulse.cw(om, statistics=statistics)
         tags = trajectory.simulate_tags(
@@ -352,13 +381,13 @@ def _tag_duration(cfg: dict, params, om, statistics, blink) -> float:
     the length that yields that many detected tags at the expected
     rate.  Checks the efficiency and the length that simulate_tags
     accepts."""
-    efficiency = float(cfg["efficiency"])
+    efficiency = _number(cfg["efficiency"], "efficiency")
     if not 0.0 < efficiency <= 1.0:
         raise ConfigError("efficiency must be in (0, 1]")
-    duration = float(cfg["duration_ns"])
+    duration = _number(cfg["duration_ns"], "duration_ns")
     if cfg.get("samples"):
         rate = _expected_rate(params, om, statistics, efficiency, blink)
-        duration = max(20.0 * params.t1, float(cfg["samples"]) / rate)
+        duration = max(20.0 * params.t1, _number(cfg["samples"], "samples") / rate)
     if not duration >= 10.0 * params.t1:
         raise ConfigError(f"duration_ns must be >= 10 t1 ({10.0 * params.t1:g} ns)")
     return duration
@@ -366,12 +395,12 @@ def _tag_duration(cfg: dict, params, om, statistics, blink) -> float:
 
 def cmd_tags(cfg: dict, pset: ParameterSet) -> list[str]:
     params = pset.tls
-    om = float(cfg["omega"])
+    om = _drive(cfg["omega"], "omega")
     statistics = _statistics(cfg)
     blink = _blinking_from(cfg)
     duration = _tag_duration(cfg, params, om, statistics, blink)
     tau_corr = _positive(cfg, "tau_corr_ns")
-    rng = stream(int(cfg["seed"]))
+    rng = stream(cfg["seed"])
     pulse = DrivePulse.cw(om, statistics=statistics)
     tags = trajectory.simulate_tags(
         params,
@@ -388,12 +417,14 @@ def cmd_tags(cfg: dict, pset: ParameterSet) -> list[str]:
 
 def cmd_lamp(cfg: dict, pset: ParameterSet) -> list[str]:
     tau_corr = _positive(cfg, "tau_corr_ns")
-    dt = float(cfg["dt_ns"] or tau_corr / 20.0)
-    n = int(cfg.get("samples") or cfg["n"])
-    max_lag = float(cfg["max_lag_ns"] or 3.0 * tau_corr)
-    if not max_lag > 0:
-        raise ConfigError("max_lag_ns must be > 0")
-    rng = stream(int(cfg["seed"]))
+    dt = _positive(cfg, "dt_ns") if cfg["dt_ns"] else tau_corr / 20.0
+    n_key = "samples" if cfg.get("samples") else "n"
+    n = _number(cfg[n_key], n_key, int)
+    if n < 2:
+        raise ConfigError(f"{n_key} must be >= 2")
+    max_lag = _positive(cfg, "max_lag_ns") if cfg["max_lag_ns"] else 3.0 * tau_corr
+    rows = max(_number(cfg["field_rows"], "field_rows", int), 0)
+    rng = stream(cfg["seed"])
     trace = lamp.synthesize_field(tau_corr, dt, n, rng)
     g2 = lamp.estimate_g2(trace, max_lag)
     fit = lamp.fit_gaussian_g2(g2)
@@ -401,10 +432,9 @@ def cmd_lamp(cfg: dict, pset: ParameterSet) -> list[str]:
     out = g2.to_csv(cfg["out"])
     if out:
         outputs.append(out)
-        rows = max(int(cfg["field_rows"]), 0)
-        outputs.append(lamp._write_field_csv(
-            str(cfg["out"]) + ".field.csv", trace.dt, trace.amplitudes[:rows], trace.intensity[:rows]
-        ))
+        # only the head of the trace is written; square just those rows
+        head = trace.amplitudes[:rows]
+        outputs.append(lamp._write_field_csv(str(cfg["out"]) + ".field.csv", trace.dt, head, np.abs(head) ** 2))
         fit_doc = {
             "amplitude": fit.amplitude,
             "amplitude_err": fit.amplitude_err,
@@ -456,12 +486,12 @@ def cmd_validate(cfg: dict, pset: ParameterSet) -> list[str]:
     dt = min(params.t2, math.pi / om) / 50.0
     t_end = 10.0 * params.t1
     pulse = DrivePulse.square(om, 0.0, t_end + 1.0, statistics=Statistics.CHAOTIC)
-    ens = bloch.chaotic_transient(params, pulse, t_end, dt, 4000, stream(30311 + int(cfg["seed"])))
+    ens = bloch.chaotic_transient(params, pulse, t_end, dt, 4000, stream(30311 + cfg["seed"]))
     dev = abs(ens.rho11[-1] - bloch.chaotic_steady_state(params, om)) / ens.stderr[-1]
     record("chaotic ensemble: plateau vs closed form", dev < 3.0, f"{dev:.2f} SE")
 
     # lamp Siegert relation
-    rng = stream(20240 + int(cfg["seed"]))
+    rng = stream(20240 + cfg["seed"])
     tau_corr = bloch.LAMP_TAU_CORR
     trace = lamp.synthesize_field(tau_corr, tau_corr / 20.0, 1 << 19, rng)
     g1 = lamp.estimate_g1(trace, 3.0 * tau_corr)
@@ -471,7 +501,7 @@ def cmd_validate(cfg: dict, pset: ParameterSet) -> list[str]:
 
     # tag correlator vs analytic correlation
     om = omega_from_saturation(0.6, params)
-    rng = stream(40962 + int(cfg["seed"]))
+    rng = stream(40962 + cfg["seed"])
     sim_rng, det_rng = rng.spawn(2)
     det_fwhm = pset.instrument.detector_fwhm_ns
     tags = trajectory.simulate_tags(params, DrivePulse.cw(om), 6e4, 1.0, sim_rng)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import roots_laguerre
 
 from . import bloch
 from .core import NumericalGuardError, QuadratureError, TlsParams, TWO_PI, write_csv
@@ -163,6 +162,9 @@ _NODE_CHUNK = 32
 
 @functools.lru_cache(maxsize=None)
 def _laguerre_nodes(order: int):
+    # imported on first use, to keep it out of `import tlsrf`
+    from scipy.special import roots_laguerre
+
     x, w = roots_laguerre(order)
     keep = w > 0.0
     return x[keep], w[keep]

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.optimize import curve_fit
 
 from .core import FitError, NumericalGuardError, write_csv
 
@@ -74,19 +72,50 @@ def synthesize_field(tau_corr: float, dt: float, n: int, rng: np.random.Generato
     construction.  The synthesis is periodic, so the first 5 tau_corr
     of samples are discarded to remove wrap-around correlation, and it
     runs on the next FFT-friendly length, whose surplus tail is dropped.
+
+    The spectrum is built in place in two buffers of that length, one
+    complex (the noise, then the shaped spectrum, then the field) and
+    one real (each normal draw in turn, then the frequencies, then the
+    spectral amplitude); the real one is freed before the inverse
+    transform, which overwrites the complex one.  The returned trace
+    is a view into the complex buffer.
     """
     if dt > tau_corr / 20.0:
         raise NumericalGuardError(f"dt={dt} must be <= tau_corr/20 ({tau_corr/20.0})")
     if n * dt < 50.0 * tau_corr:
         raise NumericalGuardError("trace must span at least 50 correlation times")
+    # scipy.fft pulls in scipy.special, so it is imported only here
+    from scipy import fft
+
     discard = int(math.ceil(5.0 * tau_corr / dt))
-    total = next_fast_len(n + discard)
-    freqs = np.fft.fftfreq(total, d=dt)
+    total = fft.next_fast_len(n + discard)
+    buf = np.empty(total, dtype=complex)
+    tmp = np.empty(total)
+    # white noise (re + i im) / sqrt(2), the real draws first
+    rng.standard_normal(out=tmp)
+    buf.real = tmp
+    rng.standard_normal(out=tmp)
+    buf.imag = tmp
+    buf *= 1.0 / math.sqrt(2.0)
+    # the frequencies of np.fft.fftfreq(total, dt)
+    half = (total - 1) // 2 + 1
+    tmp[:half] = np.arange(half)
+    tmp[half:] = np.arange(-(total // 2), 0)
+    tmp *= 1.0 / (total * dt)
     # PSD of g1(tau) = exp(-pi tau^2 / (2 tau_corr^2)):
-    #   S(nu) = tau_corr sqrt(2) exp(-2 pi nu^2 tau_corr^2)
-    psd = tau_corr * math.sqrt(2.0) * np.exp(-2.0 * math.pi * (freqs * tau_corr) ** 2)
-    white = (rng.standard_normal(total) + 1j * rng.standard_normal(total)) / math.sqrt(2.0)
-    shaped = np.fft.ifft(white * np.sqrt(psd * total / dt))
+    #   S(nu) = tau_corr sqrt(2) exp(-2 pi nu^2 tau_corr^2),
+    # and the amplitude sqrt(S total / dt) that shapes the noise
+    tmp *= tau_corr
+    np.square(tmp, out=tmp)
+    tmp *= -2.0 * math.pi
+    np.exp(tmp, out=tmp)
+    tmp *= tau_corr * math.sqrt(2.0)
+    tmp *= total
+    tmp /= dt
+    np.sqrt(tmp, out=tmp)
+    buf *= tmp
+    del tmp
+    shaped = fft.ifft(buf, overwrite_x=True)
     return FieldTrace(dt, shaped[discard : discard + n])
 
 
@@ -167,6 +196,9 @@ def fit_gaussian_g2(curve: CorrelationCurve) -> GaussianG2Fit:
     else:
         # already flat at the first lag: degenerate, fit still reports
         tc0 = lags[-1] / 4.0
+    # imported on first use, to keep it out of `import tlsrf`
+    from scipy.optimize import curve_fit
+
     try:
         popt, pcov = curve_fit(model, lags, vals, p0=(a0, tc0), maxfev=20000)
     except RuntimeError as err:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 
 class DistributionKind(enum.Enum):
@@ -57,6 +56,9 @@ def pmf(dist: PhotonDistribution, n) -> np.ndarray | float:
         out = np.where(nf == 0, 1.0, 0.0)
         return out if out.shape else float(out)
     if dist.kind is DistributionKind.POISSON:
+        # imported on first use, to keep it out of `import tlsrf`
+        from scipy.special import gammaln
+
         logp = nf * math.log(mu) - mu - gammaln(nf + 1.0)
     else:
         logp = nf * math.log(mu) - (nf + 1.0) * math.log1p(mu)

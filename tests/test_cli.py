@@ -1,11 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tlsrf import cli
+import tlsrf
+from tlsrf import cli, lamp
+from tlsrf.core import stream
 
 
 def run(args):
@@ -69,6 +75,15 @@ class TestConfigHandling:
             ("tags", {"blinking_beta": 0, "blinking_tau_ns": 405.0}),
             ("tags", {"blinking_beta": 0.5, "blinking_tau_ns": 0}),
             ("saturation", {"s_min": 0}),
+            ("tags", {"omega": "abc"}),
+            ("rabi", {"omegas": [-1]}),
+            ("lamp", {"dt_ns": -1}),
+            ("lamp", {"n": 1}),
+            ("g2", {"omega": -1}),
+            ("mollow", {"omegas": 7.2}),
+            ("lamp", {"field_rows": "all"}),
+            ("saturation", {"seed": "abc"}),
+            ("rabi", {"samples": 10}),
         ],
     )
     def test_malformed_value_is_exit_2(self, tmp_path, command, options):
@@ -168,6 +183,16 @@ class TestLinewidthCommand:
 
 
 class TestRabiCommand:
+    def test_undriven_emitter_stays_in_ground_state(self, tmp_path):
+        # the default step is set by t2 alone when there is no Rabi period
+        out = tmp_path / "rabi0.csv"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"omegas": [0]}))
+        assert run(["rabi", "--config", str(cfg), "--samples", "100", "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert len(rows) > 50
+        assert all(float(r["coherent"]) == 0.0 and float(r["chaotic_mean"]) == 0.0 for r in rows)
+
     def test_fig3_traces(self, tmp_path):
         out = tmp_path / "fig3.csv"
         assert run(["rabi", "--preset", "fig3", "--out", str(out), "--samples", "400"]) == 0
@@ -265,6 +290,20 @@ class TestLampCommand:
         field_rows = read_rows(str(out) + ".field.csv")
         assert set(field_rows[0]) == {"t_ns", "re", "im", "intensity"}
 
+    def test_field_rows_match_trace(self, tmp_path):
+        # the CLI squares only the rows it writes; they must equal the
+        # head of the trace's own intensity to the last digit
+        out = tmp_path / "lamp.csv"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 1 << 17, "field_rows": 300}))
+        assert run(["lamp", "--config", str(cfg), "--seed", "9", "--out", str(out)]) == 0
+        tau_corr = cli._DEFAULTS["lamp"]["tau_corr_ns"]
+        trace = lamp.synthesize_field(tau_corr, tau_corr / 20.0, 1 << 17, stream(9))
+        rows = read_rows(str(out) + ".field.csv")
+        assert len(rows) == 300
+        assert np.array_equal([float(r["intensity"]) for r in rows], trace.intensity[:300])
+        assert np.array_equal([float(r["re"]) for r in rows], trace.amplitudes[:300].real)
+
 
 class TestValidateCommand:
     def test_validate_passes(self, capsys):
@@ -309,3 +348,18 @@ class TestDeterminism:
             tmp_path, "lamp", ["lamp", "--preset", "fig1c", "--config", str(cfg), "--seed", "5"]
         )
         assert a == b
+
+
+def test_import_leaves_optional_scipy_modules_out():
+    # scipy.integrate, scipy.optimize and scipy.special (which scipy.fft
+    # pulls in) are imported by the functions that call them, not at
+    # start-up
+    src = str(Path(tlsrf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, tlsrf, tlsrf.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special') if m in sys.modules))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

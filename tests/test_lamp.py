@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.optimize import curve_fit
 from scipy.stats import kstest
 
@@ -72,6 +74,49 @@ class TestSynthesizeField:
         popt, _ = curve_fit(model, f[win], psd[win], p0=(psd.max(), 0.3 / TAU))
         fwhm = 2.0 * math.sqrt(2.0 * math.log(2.0)) * abs(popt[1])
         assert fwhm == pytest.approx(0.664 / TAU, rel=0.10)
+
+
+def reference_field(tau_corr, dt, n, rng):
+    """The out-of-place synthesis: every intermediate array held at
+    once, transformed by the same inverse FFT."""
+    discard = int(math.ceil(5.0 * tau_corr / dt))
+    total = scipy.fft.next_fast_len(n + discard)
+    freqs = np.fft.fftfreq(total, d=dt)
+    psd = tau_corr * math.sqrt(2.0) * np.exp(-2.0 * math.pi * (freqs * tau_corr) ** 2)
+    white = (rng.standard_normal(total) + 1j * rng.standard_normal(total)) / math.sqrt(2.0)
+    return scipy.fft.ifft(white * np.sqrt(psd * total / dt))[discard : discard + n], total
+
+
+class TestInPlaceSynthesis:
+    @pytest.mark.parametrize(
+        "tau_corr, dt, n, seed, odd",
+        [
+            # n + discard = 1125 = 3^2 5^3, an odd FFT length
+            (1.0, 0.05, 1025, 3, True),
+            (TAU, TAU / 20.0, 1 << 14, 7, False),
+            (TAU, TAU / 37.0, 30001, 11, False),
+            (2.5, 0.1, 4096, 12345, False),
+        ],
+    )
+    def test_bit_equal_to_out_of_place(self, tau_corr, dt, n, seed, odd):
+        ref, total = reference_field(tau_corr, dt, n, core.stream(seed))
+        assert total % 2 == odd
+        field = lamp.synthesize_field(tau_corr, dt, n, core.stream(seed))
+        assert np.array_equal(field.amplitudes, ref)
+
+    def test_peak_allocation_per_sample(self):
+        tau_corr, dt, n = 1.0, 0.05, 1 << 17
+        total = scipy.fft.next_fast_len(n + int(math.ceil(5.0 * tau_corr / dt)))
+        rng = core.stream(5)
+        tracemalloc.start()
+        try:
+            lamp.synthesize_field(tau_corr, dt, n, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one complex and one real buffer of the FFT length, plus the
+        # integer ramps of the frequency grid
+        assert peak <= 32 * total
 
 
 class TestEstimateG1:
