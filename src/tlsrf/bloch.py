@@ -92,14 +92,8 @@ class BlochTrace:
 
 def bloch_derivative(state: BlochState, params: TlsParams, omega_t: float, detuning: float = 0.0) -> np.ndarray:
     """Time derivative (d rho11, d u, d v) at the given drive value."""
-    r, u, v = state.rho11, state.rho01_re, state.rho01_im
-    return np.array(
-        [
-            omega_t * v - r / params.t1,
-            detuning * v - u / params.t2,
-            -detuning * u - v / params.t2 - 0.5 * omega_t * (2.0 * r - 1.0),
-        ]
-    )
+    x = np.array([state.rho11, state.rho01_re, state.rho01_im, 1.0])
+    return (augmented_generator(params, omega_t, detuning)[0] @ x)[:3]
 
 
 def steady_state_population(params: TlsParams, omega: float, detuning: float = 0.0) -> float:
@@ -243,8 +237,9 @@ def chaotic_steady_state_quadrature(
 # M = [[A, b], [0, 0]] of x' = A x + b acts linearly on (x, 1) (Van Loan,
 # IEEE TAC 23, 395 (1978)).  expm(M t) is the exact map at constant
 # drive and its degree-4 Taylor polynomial the RK4 step.  The drive is
-# piecewise constant per step (envelope edges snap to the step grid).
-# `integrate` runs the four RK4 stages of one trajectory as scalars.
+# piecewise constant per step (envelope edges snap to the step grid), so
+# each run of equal amplitude has one constant map, and `orbit` fills a
+# uniform grid with it by doubling.
 
 
 def augmented_generator(params: TlsParams, omegas, detuning: float = 0.0) -> np.ndarray:
@@ -256,48 +251,6 @@ def augmented_generator(params: TlsParams, omegas, detuning: float = 0.0) -> np.
     m[:, :3, :3] = [[-it1, 0.0, 0.0], [0.0, -it2, detuning], [0.0, -detuning, -it2]]
     m[:, 0, 2], m[:, 2, 0], m[:, 2, 3] = om, -om, 0.5 * om
     return m
-
-
-def _rk4_trace_loop(n_steps, dt, om_steps, det, t1, t2, r0, u0, v0, out):
-    """Scalar RK4 of a single trajectory, written out step by step so
-    that it stays an independent check on the vectorized kernels."""
-    r, u, v = r0, u0, v0
-    out[0, 0] = r
-    out[0, 1] = u
-    out[0, 2] = v
-    it1 = 1.0 / t1
-    it2 = 1.0 / t2
-    for j in range(n_steps):
-        om = om_steps[j]
-        kr1 = om * v - r * it1
-        ku1 = det * v - u * it2
-        kv1 = -det * u - v * it2 - 0.5 * om * (2.0 * r - 1.0)
-        r2 = r + 0.5 * dt * kr1
-        u2 = u + 0.5 * dt * ku1
-        v2 = v + 0.5 * dt * kv1
-        kr2 = om * v2 - r2 * it1
-        ku2 = det * v2 - u2 * it2
-        kv2 = -det * u2 - v2 * it2 - 0.5 * om * (2.0 * r2 - 1.0)
-        r3 = r + 0.5 * dt * kr2
-        u3 = u + 0.5 * dt * ku2
-        v3 = v + 0.5 * dt * kv2
-        kr3 = om * v3 - r3 * it1
-        ku3 = det * v3 - u3 * it2
-        kv3 = -det * u3 - v3 * it2 - 0.5 * om * (2.0 * r3 - 1.0)
-        r4 = r + dt * kr3
-        u4 = u + dt * ku3
-        v4 = v + dt * kv3
-        kr4 = om * v4 - r4 * it1
-        ku4 = det * v4 - u4 * it2
-        kv4 = -det * u4 - v4 * it2 - 0.5 * om * (2.0 * r4 - 1.0)
-        sixth = dt / 6.0
-        r += sixth * (kr1 + 2.0 * kr2 + 2.0 * kr3 + kr4)
-        u += sixth * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4)
-        v += sixth * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
-        out[j + 1, 0] = r
-        out[j + 1, 1] = u
-        out[j + 1, 2] = v
-    return out
 
 
 def _rk4_step_map(m, dt):
@@ -318,7 +271,33 @@ def _rk4_step_map(m, dt):
     return t
 
 
-def _rk4_ensemble(n_steps, dt, amp_steps, omegas, params, det, mean, meansq, coh_re, coh_im):
+def orbit(maps, x0, n):
+    """The first n points x0, T x0, T^2 x0, ... of the orbit of each
+    state x0 (k, 4) under its map T in the stack maps (k, 4, 4), as
+    (k, 4, n).
+
+    With the first j points filled and E = T^j, the next j are E times
+    them, then E <- E E: log2(n) batched matmuls.
+    """
+    x = np.empty((len(maps), 4, n))
+    x[:, :, 0] = x0
+    e = maps
+    k = 1
+    while k < n:
+        fill = min(k, n - k)
+        x[:, :, k : k + fill] = e @ x[:, :, :fill]
+        e = e @ e
+        k += fill
+    return x
+
+
+def _runs(amp_steps):
+    """(start, stop) of each run of equal amplitude on the step grid."""
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(amp_steps)) + 1, [len(amp_steps)]))
+    return zip(edges[:-1], edges[1:])
+
+
+def _rk4_ensemble(dt, amp_steps, omegas, params, det, mean, meansq, coh_re, coh_im):
     """Lock-step RK4 over all ensemble members at once.
 
     Each run of equal envelope amplitude gets one step map per member
@@ -328,8 +307,7 @@ def _rk4_ensemble(n_steps, dt, amp_steps, omegas, params, det, mean, meansq, coh
     x = np.zeros((3, len(omegas)))
     nxt = np.empty_like(x)
     # x starts in the ground state, so the t = 0 sums are zero
-    edges = np.concatenate(([0], np.flatnonzero(np.diff(amp_steps)) + 1, [n_steps]))
-    for start, stop in zip(edges[:-1], edges[1:]):
+    for start, stop in _runs(amp_steps):
         t = _rk4_step_map(augmented_generator(params, omegas * amp_steps[start], det), dt)
         # members on the last axis, as x
         p = np.ascontiguousarray(t[:, :3, :3].transpose(1, 2, 0))
@@ -383,9 +361,12 @@ def integrate(
 ) -> BlochTrace:
     """Fixed-step RK4 trace of the Bloch equations from t = 0 to t_end.
 
-    The envelope is piecewise constant per step.  Halving dt moves any
-    sample by less than 1e-6 at the guard-allowed resolution (4th-order
-    convergence); a step-size guard enforces dt <= min(t2, 2*pi/omega)/50.
+    The envelope is piecewise constant per step, so each run of equal
+    amplitude is the orbit of its first state under one RK4 step map
+    (`_rk4_step_map`), filled by doubling (`orbit`).  Halving dt moves
+    any sample by less than 1e-6 at the guard-allowed resolution
+    (4th-order convergence); a step-size guard enforces
+    dt <= min(t2, 2*pi/omega)/50.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -393,11 +374,13 @@ def integrate(
     _step_guard(params, om_max, dt)
     n_steps = _n_steps(t_end, dt)
     state0 = initial or BlochState.ground()
-    amps = _amplitudes_per_step(pulse, n_steps, dt) * pulse.rabi
-    out = np.empty((n_steps + 1, 3))
-    _rk4_trace_loop(n_steps, dt, amps, pulse.detuning, params.t1, params.t2,
-                    state0.rho11, state0.rho01_re, state0.rho01_im, out)
-    return BlochTrace(0.0, dt, out[:, 0].copy(), out[:, 1].copy(), out[:, 2].copy())
+    amps = _amplitudes_per_step(pulse, n_steps, dt)
+    x = np.empty((4, n_steps + 1))
+    x[:, 0] = (state0.rho11, state0.rho01_re, state0.rho01_im, 1.0)
+    for start, stop in _runs(amps):
+        t = _rk4_step_map(augmented_generator(params, pulse.rabi * amps[start], pulse.detuning), dt)
+        x[:, start : stop + 1] = orbit(t, x[None, :, start], stop + 1 - start)[0]
+    return BlochTrace(0.0, dt, x[0], x[1], x[2])
 
 
 def chaotic_transient(
@@ -414,10 +397,11 @@ def chaotic_transient(
     Each member draws a squared Rabi frequency from the exponential
     intensity law and is integrated with the shared envelope; the
     returned trace is the pointwise mean with the standard error of
-    rho11.  Members are stepped with the RK4 step map of their drive
-    (the numbers of `integrate` to rounding), one 3x3 matvec per
-    member-step, rebuilt at each change of envelope amplitude; memory
-    is O(n_samples + steps).  Valid while the pulse is much shorter
+    rho11.  Members are stepped in lock step with the RK4 step map of
+    their drive, the map whose powers `integrate` takes (the two agree
+    to rounding): one 3x3 matvec per member-step, with the maps rebuilt
+    at each change of envelope amplitude, so memory is
+    O(n_samples + steps).  Valid while the pulse is much shorter
     than the source correlation time (warned above tau_corr/10).
     """
     if n_samples < 100:
@@ -444,7 +428,7 @@ def chaotic_transient(
     meansq = np.zeros(n_steps + 1)
     coh_re = np.zeros(n_steps + 1)
     coh_im = np.zeros(n_steps + 1)
-    _rk4_ensemble(n_steps, dt, amps, omegas, params, pulse.detuning, mean, meansq, coh_re, coh_im)
+    _rk4_ensemble(dt, amps, omegas, params, pulse.detuning, mean, meansq, coh_re, coh_im)
     mean /= n_samples
     meansq /= n_samples
     coh_re /= n_samples

@@ -208,6 +208,14 @@ def _positive(cfg: dict, key: str) -> float:
     return val
 
 
+def _flag(cfg: dict, key: str) -> bool:
+    """A switch from the config: JSON true or false, nothing else."""
+    val = cfg[key]
+    if not isinstance(val, bool):
+        raise ConfigError(f"{key} must be true or false, got {val!r}")
+    return val
+
+
 def _drive(val, key: str) -> float:
     """A Rabi frequency from the config: a number >= 0."""
     om = _number(val, key)
@@ -273,7 +281,10 @@ def cmd_rabi(cfg: dict, pset: ParameterSet) -> list[str]:
 def cmd_mollow(cfg: dict, pset: ParameterSet) -> list[str]:
     params = pset.tls
     span = _number(cfg["span_ghz"], "span_ghz")
-    freqs = np.linspace(-span, span, _number(cfg["grid_points"], "grid_points", int))
+    points = _number(cfg["grid_points"], "grid_points", int)
+    if points < 3:
+        raise ConfigError("grid_points must be >= 3")
+    freqs = np.linspace(-span, span, points)
     fpi = pset.instrument.fpi_fwhm_ghz
     order = _number(cfg["quad_order"], "quad_order", int)
     if order < 1:
@@ -310,7 +321,8 @@ def _blinking_from(cfg) -> tuple[float, float] | None:
 
 def cmd_g2(cfg: dict, pset: ParameterSet) -> list[str]:
     params = pset.tls
-    om = _drive(cfg["omega"], "omega")
+    # g2 is a ratio to the steady emission, which needs a drive
+    om = _positive(cfg, "omega")
     lag_max = _number(cfg["max_lag_ns"], "max_lag_ns")
     lag_step = _positive(cfg, "lag_step_ns")
     if lag_max < lag_step:
@@ -319,12 +331,12 @@ def cmd_g2(cfg: dict, pset: ParameterSet) -> list[str]:
     lags = np.arange(0.0, lag_max + 0.5 * lag_step, lag_step)
     det_fwhm = pset.instrument.detector_fwhm_ns
     blink = _blinking_from(cfg)
-    with_mc = bool(cfg.get("mc", True))
+    with_mc = _flag(cfg, "mc")
     if with_mc:
         statistics = _statistics(cfg)
         duration = _tag_duration(cfg, params, om, statistics, blink)
 
-    with_chaotic = bool(cfg.get("chaotic", True))
+    with_chaotic = _flag(cfg, "chaotic")
     # detector convolution needs the lag grid to resolve the response;
     # on coarse grids the response is sub-bin and the raw curve stands in
     irf_resolved = lag_step <= det_fwhm / 5.0

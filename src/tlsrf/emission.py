@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import bloch
 from .core import NumericalGuardError, QuadratureError, TlsParams, TWO_PI, write_csv
@@ -267,21 +266,17 @@ def _conditional_population(params: TlsParams, omegas: np.ndarray, detuning: flo
     """rho11 from the ground state on the uniform lag grid (n, len(lags))
     and its steady value (n,), for n drives.
 
-    With the first k lags filled and E the exact map over k lag steps,
-    the next k lags are E times the first k, then E <- E E: two expm
-    calls and log2(len(lags)) batched matmuls.
+    The state at the first lag is expm(M lags[0]) applied to the ground
+    state, and `bloch.orbit` fills the rest with the exact map over one
+    lag step: two expm calls and log2(len(lags)) batched matmuls.
     """
+    # imported on first use, to keep it out of `import tlsrf`
+    from scipy.linalg import expm
+
     m = bloch.augmented_generator(params, omegas, detuning)
     n_lags = len(lags)
-    x = np.empty((len(m), 4, n_lags))
-    x[:, :, :1] = expm(m * lags[0])[:, :, 3:]
-    e = expm(m * ((lags[-1] - lags[0]) / max(n_lags - 1, 1)))
-    k = 1
-    while k < n_lags:
-        fill = min(k, n_lags - k)
-        x[:, :, k : k + fill] = e @ x[:, :, :fill]
-        e = e @ e
-        k += fill
+    x0 = expm(m * lags[0])[:, :, 3]
+    x = bloch.orbit(expm(m * ((lags[-1] - lags[0]) / max(n_lags - 1, 1))), x0, n_lags)
     return x[:, 0], _fixed_point(m)[:, 0]
 
 

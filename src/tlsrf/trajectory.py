@@ -113,17 +113,16 @@ def _prop_entries(om, det, it2, tau):
     return e00, eoff, e11
 
 
-def _survival_state(psi_g, psi_e, om, det, it2, tau):
-    """Squared norm of U(tau) psi for a general (unnormalized) state."""
-    e00, eoff, e11 = _prop_entries(om, det, it2, tau)
-    a = e00 * psi_g + eoff * psi_e
-    b = eoff * psi_g + e11 * psi_e
-    return np.abs(a) ** 2 + np.abs(b) ** 2
-
-
 def _evolve_state(psi_g, psi_e, om, det, it2, tau):
+    """U(tau) psi for a general (unnormalized) state (psi_g, psi_e)."""
     e00, eoff, e11 = _prop_entries(om, det, it2, tau)
     return e00 * psi_g + eoff * psi_e, eoff * psi_g + e11 * psi_e
+
+
+def _survival_state(psi_g, psi_e, om, det, it2, tau):
+    """Squared norm of U(tau) psi."""
+    a, b = _evolve_state(psi_g, psi_e, om, det, it2, tau)
+    return np.abs(a) ** 2 + np.abs(b) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +151,15 @@ def _survival_table(states, om, det, it2, u_min, bracket):
     if om or det:
         scale = min(scale, 2.0 * math.pi / math.hypot(om, det))
     step = scale / 32.0
+    # state columns (k, 1), broadcast against the tau grid
     psi_g, psi_e = states[:, :1], states[:, 1:]
     taus, surv = [np.zeros(1)], [(np.abs(states) ** 2).sum(axis=1, keepdims=True)]
     while taus[-1][-1] < bracket and (surv[-1][:, -1] >= u_min).any():
         tau = taus[-1][-1] + step * np.arange(1, _TABLE_POINTS + 1)
         if tau[-1] >= bracket:
             tau = np.append(tau[tau < bracket], bracket)
-        e00, eoff, e11 = _prop_entries(om, det, it2, tau)
         taus.append(tau)
-        surv.append(np.abs(e00 * psi_g + eoff * psi_e) ** 2 + np.abs(eoff * psi_g + e11 * psi_e) ** 2)
+        surv.append(_survival_state(psi_g, psi_e, om, det, it2, tau))
         step *= 2.0
     # rounding can lift S by an ulp on a flat step; searchsorted needs
     # the curves monotone

@@ -84,6 +84,13 @@ class TestConfigHandling:
             ("lamp", {"field_rows": "all"}),
             ("saturation", {"seed": "abc"}),
             ("rabi", {"samples": 10}),
+            ("g2", {"omega": 0}),
+            ("g2", {"omega": 0, "statistics": "chaotic"}),
+            ("mollow", {"grid_points": 0}),
+            ("mollow", {"grid_points": 1}),
+            ("mollow", {"grid_points": -5}),
+            ("g2", {"mc": "no"}),
+            ("g2", {"chaotic": 1}),
         ],
     )
     def test_malformed_value_is_exit_2(self, tmp_path, command, options):
@@ -351,14 +358,15 @@ class TestDeterminism:
 
 
 def test_import_leaves_optional_scipy_modules_out():
-    # scipy.integrate, scipy.optimize and scipy.special (which scipy.fft
-    # pulls in) are imported by the functions that call them, not at
-    # start-up
+    # scipy.integrate, scipy.linalg, scipy.optimize and scipy.special
+    # (which scipy.fft pulls in) are imported by the functions that call
+    # them, not at start-up
     src = str(Path(tlsrf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys, tlsrf, tlsrf.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', 'scipy.optimize', 'scipy.special') "
+        "if m in sys.modules))"
     )
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
