@@ -194,11 +194,15 @@ def _write_sidecar(out, command: str, cfg: dict, pset: ParameterSet, outputs: li
 
 def _number(val, key: str, kind=float):
     """A config value converted to `kind`; a value that does not
-    convert is a configuration error, not a traceback."""
+    convert, or a fractional one where an integer is expected, is a
+    configuration error, not a traceback or a silent truncation."""
     try:
+        if kind is int and isinstance(val, float) and not val.is_integer():
+            raise ValueError(val)
         return kind(val)
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"{key} must be a number, got {val!r}") from err
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {val!r}") from err
 
 
 def _positive(cfg: dict, key: str) -> float:
@@ -280,7 +284,7 @@ def cmd_rabi(cfg: dict, pset: ParameterSet) -> list[str]:
 
 def cmd_mollow(cfg: dict, pset: ParameterSet) -> list[str]:
     params = pset.tls
-    span = _number(cfg["span_ghz"], "span_ghz")
+    span = _positive(cfg, "span_ghz")
     points = _number(cfg["grid_points"], "grid_points", int)
     if points < 3:
         raise ConfigError("grid_points must be >= 3")

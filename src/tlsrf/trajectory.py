@@ -28,6 +28,7 @@ third survival curve.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,16 +171,21 @@ def _log(s):
     return np.log(np.maximum(s, _TINY))
 
 
-def _find_roots(surv, u, lo, hi, s_lo, s_hi):
-    """tau in [lo, hi] with surv(tau, i) = u[i] for every leg i, given
-    s_lo = surv(lo) > u >= surv(hi) = s_hi.
+def _find_roots(surv, u, lo, hi, s_lo, s_hi, *legs):
+    """tau in [lo, hi] with surv(tau, *legs) = u for every leg, given
+    s_lo = surv(lo) > u >= surv(hi) = s_hi; legs are arrays of per-leg
+    arguments that surv takes elementwise.
 
-    Chandrupatla's bracketed iteration on f = log S - log u, run only on
-    the legs not yet converged; a root is kept once its bracket is
-    narrower than _XTOL + 4 eps tau."""
+    Chandrupatla's bracketed iteration on f = log S - log u; a root is
+    kept at the first iteration whose bracket is narrower than
+    _XTOL + 4 eps tau.  The working arrays, legs among them, drop the
+    converged legs only once they are at least half of them, so they
+    are not reallocated on every iteration; until then a converged leg
+    bisects its bracket and its further points are not used."""
     log_u = _log(u)
     roots = np.empty(len(u))
     idx = np.arange(len(u))
+    open_ = np.ones(len(u), dtype=bool)  # not converged yet
     # x1 is the newest point, x2 the end of the bracket across the root,
     # x3 the point x1 or x2 displaced last
     # S(lo) > u, but log S(lo) can round to log u (a carried leg whose
@@ -188,26 +194,34 @@ def _find_roots(surv, u, lo, hi, s_lo, s_hi):
     x2, f2 = hi, _log(s_hi) - log_u
     t = f1 / np.maximum(f1 - f2, _TINY)  # secant step into the bracket
     # the smallest step, as a fraction of the bracket, that still
-    # resolves a new point; kept at most 0.5 once converged legs leave
+    # resolves a new point; at most 0.5, which is bisection
     tl = np.minimum((2.0 * _EPS * np.abs(x2) + 0.5 * _XTOL) / (x2 - x1), 0.5)
     for _ in range(_MAX_ITERS):
         t = np.clip(t, tl, 1.0 - tl)
         x = x1 + t * (x2 - x1)
-        f = _log(surv(x, idx)) - log_u[idx]
+        f = _log(surv(x, *legs)) - log_u
         same = (f > 0.0) == (f1 > 0.0)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
         x1, f1 = x, f
         near = np.abs(f1) < np.abs(f2)
         xm, fm = np.where(near, x1, x2), np.where(near, f1, f2)
-        tl = (2.0 * _EPS * np.abs(xm) + 0.5 * _XTOL) / np.abs(x2 - x1)
+        # a converged leg's bracket can close to a point
+        with np.errstate(divide="ignore"):
+            tl = (2.0 * _EPS * np.abs(xm) + 0.5 * _XTOL) / np.abs(x2 - x1)
         done = (tl > 0.5) | (fm == 0.0)
-        roots[idx[done]] = xm[done]
-        if done.all():
+        first = done & open_
+        roots[idx[first]] = xm[first]
+        open_ &= ~done
+        n_open = np.count_nonzero(open_)
+        if n_open == 0:
             return roots
-        keep = ~done
-        idx, tl = idx[keep], tl[keep]
-        x1, x2, x3, f1, f2, f3 = x1[keep], x2[keep], x3[keep], f1[keep], f2[keep], f3[keep]
+        if 2 * n_open <= len(idx):
+            keep = open_
+            idx, tl, open_, log_u = idx[keep], tl[keep], open_[keep], log_u[keep]
+            x1, x2, x3, f1, f2, f3 = x1[keep], x2[keep], x3[keep], f1[keep], f2[keep], f3[keep]
+            legs = [a[keep] for a in legs]
+        tl = np.minimum(tl, 0.5)  # a converged leg bisects
         with np.errstate(divide="ignore", invalid="ignore"):
             xi = (x1 - x2) / (x3 - x2)
             phi = (f1 - f2) / (f3 - f2)
@@ -218,7 +232,7 @@ def _find_roots(surv, u, lo, hi, s_lo, s_hi):
                 f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
                 0.5,
             )
-    roots[idx] = 0.5 * (x1 + x2)
+    roots[idx[open_]] = 0.5 * (x1 + x2)[open_]
     return roots
 
 
@@ -230,36 +244,70 @@ def _solve_legs(u, starts, states, om, det, it2, bracket):
     a segment seldom needs more than one batch."""
     tau, surv = _survival_table(states, om, det, it2, float(u.min()), bracket)
     waits = np.empty(len(u))
-    # chunks keep the working arrays of a 2^17-leg batch to a few MB
-    for a in range(0, len(u), _CHUNK):
-        b = slice(a, a + _CHUNK)
+
+    def polish(b):
         waits[b] = _table_legs(u[b], starts[b], states, tau, surv, om, det, it2)
+
+    # chunks keep the working arrays of a 2^17-leg batch to a few MB
+    _run_chunks(polish, [slice(a, a + _CHUNK) for a in range(0, len(u), _CHUNK)])
     return waits
 
 
 def _table_legs(u, starts, states, tau, surv, om, det, it2):
     """_solve_legs on one chunk, given the survival table."""
     k = np.empty(len(u), dtype=np.int64)
-    s_lo, s_hi = np.empty(len(u)), np.empty(len(u))
     for state, s_tab in enumerate(surv):
         sel = starts == state
         # first grid point with S <= u; the one before it has S > u
-        ks = np.searchsorted(-s_tab, -u[sel], side="left")
-        k[sel] = ks
-        s_lo[sel] = s_tab[ks - 1]
-        s_hi[sel] = s_tab[np.minimum(ks, len(tau) - 1)]
+        k[sel] = np.searchsorted(-s_tab, -u[sel], side="left")
     # k = 0 is S(0) <= u: a leg that had ended before the segment edge,
     # carried by rounding in t + cumsum(waits); it ends at once
     waits = np.where(k > 0, np.inf, 0.0)
     has_root = (k > 0) & (k < len(tau))
     if has_root.any():
-        k = k[has_root]
-        psi = states[starts[has_root]]
+        k, starts = k[has_root], starts[has_root]
         waits[has_root] = _find_roots(
-            lambda x, i: _survival_state(psi[i, 0], psi[i, 1], om, det, it2, x),
-            u[has_root], tau[k - 1], tau[k], s_lo[has_root], s_hi[has_root],
+            lambda x, psi_g, psi_e: _survival_state(psi_g, psi_e, om, det, it2, x),
+            u[has_root], tau[k - 1], tau[k], surv[starts, k - 1], surv[starts, k],
+            states[starts, 0], states[starts, 1],
         )
     return waits
+
+
+# ---------------------------------------------------------------------------
+# The chunks of a batch are independent and write disjoint slices, and
+# numpy releases the GIL inside the ufuncs that do their work, so they
+# run on a thread per CPU.  Every leg's arithmetic is elementwise, so
+# the waits do not depend on the number of threads.
+
+# the CPUs this process may run on; macOS has no affinity call
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = None  # created on the first batch of two or more chunks
+
+
+def _run_chunks(body, chunks):
+    """body(chunk) for every chunk, on up to _WORKERS threads."""
+    if min(len(chunks), _WORKERS) < 2:
+        for chunk in chunks:
+            body(chunk)
+        return
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_WORKERS)
+    for _ in _pool.map(body, chunks):
+        pass
+
+
+def _forget_pool():
+    # a forked child has none of the pool's threads
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _drive_segments(pulse: DrivePulse, duration: float, tau_corr: float, rng) -> list[tuple[float, float, float]]:

@@ -91,6 +91,13 @@ class TestConfigHandling:
             ("mollow", {"grid_points": -5}),
             ("g2", {"mc": "no"}),
             ("g2", {"chaotic": 1}),
+            ("mollow", {"span_ghz": -4}),
+            ("mollow", {"span_ghz": 0}),
+            ("saturation", {"s_points": 2.5}),
+            ("mollow", {"grid_points": 2001.5}),
+            ("lamp", {"n": 1e3 + 0.5}),
+            ("rabi", {"samples": 100.5}),
+            ("lamp", {"field_rows": float("inf")}),
         ],
     )
     def test_malformed_value_is_exit_2(self, tmp_path, command, options):
@@ -359,13 +366,15 @@ class TestDeterminism:
 
 def test_import_leaves_optional_scipy_modules_out():
     # scipy.integrate, scipy.linalg, scipy.optimize and scipy.special
-    # (which scipy.fft pulls in) are imported by the functions that call
-    # them, not at start-up
+    # (which scipy.fft pulls in), and concurrent.futures for the leg
+    # solver's threads, are imported by the functions that call them,
+    # not at start-up
     src = str(Path(tlsrf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys, tlsrf, tlsrf.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', 'scipy.optimize', 'scipy.special') "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', 'scipy.optimize', 'scipy.special', "
+        "'concurrent.futures') "
         "if m in sys.modules))"
     )
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -260,6 +261,88 @@ class TestLegSolver:
         assert len(new.times) == len(ref.times) > 1000
         assert np.array_equal(new.channels, ref.channels)
         assert np.max(np.abs(new.times - ref.times)) <= 1e-8
+
+
+class TestChunkThreads:
+    # the chunks of a batch run on a thread per CPU; each leg's
+    # arithmetic is elementwise, so the waits must be bit-equal for any
+    # number of threads, here more threads than this host has cores
+
+    @staticmethod
+    def _threaded(monkeypatch, call):
+        # a fresh pool of 8 threads, switching every microsecond
+        monkeypatch.setattr(trajectory, "_WORKERS", 8)
+        monkeypatch.setattr(trajectory, "_pool", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = call()
+            assert trajectory._pool is not None
+        finally:
+            sys.setswitchinterval(interval)
+            if trajectory._pool is not None:
+                trajectory._pool.shutdown()
+        monkeypatch.setattr(trajectory, "_WORKERS", 1)
+        return out, call()
+
+    def test_solve_legs(self, qd, monkeypatch):
+        rng = np.random.default_rng(8)
+        n = 3 * trajectory._CHUNK + 100
+        u, starts = rng.random(n), (rng.random(n) < 0.5).astype(np.int8)
+        psi = np.array([0.3 + 0.2j, -0.1 + 0.5j])
+        states = np.vstack([trajectory._FRESH, psi])
+        starts[0], u[0] = 2, 0.1
+        # a bracket past the sum of the waits solves every chunk
+        threaded, inline = self._threaded(
+            monkeypatch, lambda: trajectory._solve_legs(u, starts, states, 7.1, 0.3, 1.0 / qd.t2, 1e9)
+        )
+        assert np.isfinite(inline).all()
+        assert np.array_equal(threaded, inline)
+
+    def test_simulate_tags(self, qd, monkeypatch):
+        # 2e4 ns at 7.1 rad/ns is one batch of seven chunks
+        threaded, inline = self._threaded(
+            monkeypatch, lambda: trajectory.simulate_tags(qd, DrivePulse.cw(7.1), 2e4, 1.0, core.stream(31))
+        )
+        assert len(inline.times) > 10000
+        assert np.array_equal(threaded.times, inline.times)
+        assert np.array_equal(threaded.channels, inline.channels)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_starts_its_own_pool(self, qd, monkeypatch):
+        # a child forked after the pool started has none of its threads;
+        # it must start a pool of its own, not wait on the parent's
+        u = np.random.default_rng(9).random(2 * trajectory._CHUNK)
+        starts = np.zeros(len(u), dtype=np.int8)
+
+        def solve():
+            return trajectory._solve_legs(u, starts, trajectory._FRESH, 7.1, 0.0, 1.0 / qd.t2, 1e9)
+
+        monkeypatch.setattr(trajectory, "_WORKERS", 2)
+        monkeypatch.setattr(trajectory, "_pool", None)
+        try:
+            expect = solve()
+            assert trajectory._pool is not None
+            pid = os.fork()
+            if pid == 0:  # the child leaves through os._exit, whatever happens
+                code = 1
+                try:
+                    code = 0 if np.array_equal(solve(), expect) else 1
+                finally:
+                    os._exit(code)
+            for _ in range(600):
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    break
+                time.sleep(0.1)
+            else:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish in 60 s")
+            assert os.waitstatus_to_exitcode(status) == 0
+        finally:
+            if trajectory._pool is not None:
+                trajectory._pool.shutdown()
 
 
 class TestApplyDetector:
