@@ -253,40 +253,58 @@ def augmented_generator(params: TlsParams, omegas, detuning: float = 0.0) -> np.
     return m
 
 
+def taylor_increment(m, dt, degree):
+    """T - I for the degree-`degree` Taylor polynomial T of expm(M dt),
+    for every generator in the stack m.
+
+    Horner's rule, I + Z (I + Z/2 (I + ... (I + Z/degree))) with Z = M dt,
+    stops short of its leading I: a map close to I keeps the small part
+    that carries its slow modes to full relative precision.
+    """
+    z = m * dt
+    eye = np.eye(4)
+    t = eye + z / degree
+    for k in range(degree - 1, 1, -1):
+        t = z @ t
+        t /= k
+        t += eye
+    return z @ t
+
+
 def _rk4_step_map(m, dt):
     """One classical RK4 step of (x, 1)' = M (x, 1) for every generator
     in the stack m, as the map (x, 1) <- T (x, 1).
 
     On a constant affine system RK4 is exactly the degree-4 Taylor
-    polynomial T = I + Z (I + Z/2 (I + Z/3 (I + Z/4))) of Z = M dt; its
-    top-left block is the linear part P and its last column (c, 1).
+    polynomial of Z = M dt; its top-left block is the linear part P and
+    its last column (c, 1).
     """
-    z = m * dt
-    eye = np.eye(4)
-    t = eye + z / 4.0
-    for k in (3.0, 2.0, 1.0):
-        t = z @ t
-        t /= k
-        t += eye
-    return t
+    return np.eye(4) + taylor_increment(m, dt, 4)
 
 
-def orbit(maps, x0, n):
+def orbit(maps, x0, n, increments=False):
     """The first n points x0, T x0, T^2 x0, ... of the orbit of each
-    state x0 (k, 4) under its map T in the stack maps (k, 4, 4), as
-    (k, 4, n).
+    state x0 (k, 4) under its map T in the stack maps (k, 4, 4), or one
+    map (4, 4) for all, as (k, 4, n).
 
     With the first j points filled and E = T^j, the next j are E times
-    them, then E <- E E: log2(n) batched matmuls.
+    them, then E <- E E: log2(n) batched matmuls.  With increments the
+    maps are D = T - I, the next points x + D x and D <- 2 D + D D, so a
+    map close to I does not lose its slow modes to rounding on the way
+    to a long orbit.
     """
-    x = np.empty((len(maps), 4, n))
+    x = np.empty((len(x0), 4, n))
     x[:, :, 0] = x0
     e = maps
     k = 1
     while k < n:
         fill = min(k, n - k)
-        x[:, :, k : k + fill] = e @ x[:, :, :fill]
-        e = e @ e
+        if increments:
+            x[:, :, k : k + fill] = x[:, :, :fill] + e @ x[:, :, :fill]
+            e = 2.0 * e + e @ e
+        else:
+            x[:, :, k : k + fill] = e @ x[:, :, :fill]
+            e = e @ e
         k += fill
     return x
 

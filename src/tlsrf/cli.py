@@ -153,6 +153,8 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
         if val is not None:
             cfg[key] = val
     cfg["seed"] = _number(cfg["seed"], "seed", int)
+    if cfg["seed"] < 0:
+        raise ConfigError("seed must be >= 0")
     return cfg
 
 
@@ -194,12 +196,16 @@ def _write_sidecar(out, command: str, cfg: dict, pset: ParameterSet, outputs: li
 
 def _number(val, key: str, kind=float):
     """A config value converted to `kind`; a value that does not
-    convert, or a fractional one where an integer is expected, is a
-    configuration error, not a traceback or a silent truncation."""
+    convert, a bool, NaN or an infinity, or a fractional one where an
+    integer is expected, is a configuration error, not a traceback or a
+    silent truncation."""
     try:
-        if kind is int and isinstance(val, float) and not val.is_integer():
+        if isinstance(val, bool) or (kind is int and isinstance(val, float) and not val.is_integer()):
             raise ValueError(val)
-        return kind(val)
+        out = kind(val)
+        if kind is float and not math.isfinite(out):
+            raise ValueError(val)
+        return out
     except (TypeError, ValueError) as err:
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {what}, got {val!r}") from err
@@ -439,6 +445,8 @@ def cmd_lamp(cfg: dict, pset: ParameterSet) -> list[str]:
     if n < 2:
         raise ConfigError(f"{n_key} must be >= 2")
     max_lag = _positive(cfg, "max_lag_ns") if cfg["max_lag_ns"] else 3.0 * tau_corr
+    if max_lag < 2.0 * dt:
+        raise ConfigError(f"max_lag_ns must be at least two sample steps, 2 x {dt:g} ns")
     rows = max(_number(cfg["field_rows"], "field_rows", int), 0)
     rng = stream(cfg["seed"])
     trace = lamp.synthesize_field(tau_corr, dt, n, rng)

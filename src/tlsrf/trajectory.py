@@ -1,34 +1,30 @@
 """Photon time-tag Monte Carlo and coincidence analysis.
 
-Trajectories are unraveled with two jump channels: a radiative jump at
-rate 1/t1 (resetting the emitter to the ground state and producing a
-tag) and a dephasing jump at rate 2*gamma_phi (projecting onto the
-excited state, no tag).  Both rates are proportional to the excited
-amplitude, so between jumps the wave function evolves under the
-non-Hermitian Hamiltonian with total decay 2/t2 on the excited level
-and the ensemble average reproduces the Bloch equations exactly.
+A radiative jump leaves the emitter in its ground state, so within a
+segment of constant drive the photon-to-photon intervals are i.i.d.:
+the tags form a renewal process.  An interval survives to tau with the
+delay function P(tau), the trace of the density matrix evolved by the
+master equation without its radiative refill (Cohen-Tannoudji &
+Dalibard, Europhys. Lett. 1, 441 (1986); Plenio & Knight, Rev. Mod.
+Phys. 70, 101 (1998)); dephasing is averaged over, not sampled.  In the
+coordinates of `bloch.augmented_generator` this is the generator M'
+with M'[3, 0] = -1/t1, whose last coordinate is P, started from
+(0, 0, 0, 1).
 
-Waiting times are sampled exactly by inverting the closed-form no-jump
-survival; there is no time-step discretization.  Within a segment of
-constant drive every fresh leg starts from the ground or the excited
-state, so a table of those two survival curves brackets each root to
-one grid step, and Chandrupatla's bracketed iteration polishes it to
-1e-14 ns, or to the rounding of the survival where that is coarser.
-Given a jump, it is radiative with the constant probability
-t2/(2 t1), and the chain of (start state, waiting time) pairs within a
-segment of constant drive is therefore i.i.d., which the vectorized
-leg solver exploits.  Partially elapsed legs are carried across
-segment boundaries by evolving the unnormalized state and keeping the
-target uniform, so piecewise drives (pulse envelopes, quasi-static
-chaotic blocks) are handled without bias; a carried leg is leg 0 of
-its new segment's first batch, and its state joins the table as a
-third survival curve.
+Each interval draws one uniform target and ends where P falls to it,
+with no time-step discretization: a per-segment table of the orbit of
+M' brackets the root to one node, and a safeguarded Newton iteration on
+that node's Taylor polynomial of P finds it to 1e-14 ns, or to the
+rounding of P where that is coarser.  An interval in progress at a
+segment edge keeps its unnormalized state and its target, and that
+state is a second row of the next segment's table, so piecewise drives
+(pulse envelopes, quasi-static chaotic blocks) are handled without
+bias.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,14 +32,6 @@ import numpy as np
 from . import bloch
 from .core import DrivePulse, NumericalGuardError, Statistics, TlsParams, write_csv
 from .photonstat import sample_chaotic_intensity
-
-_TABLE_POINTS = 256  # survival-table points per doubling of its spacing
-_XTOL = 1e-14  # ns, absolute tolerance of a waiting time
-_MAX_ITERS = 200
-_CHUNK = 1 << 13  # legs per pass of the root iteration
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
-
 
 @dataclass
 class TagStream:
@@ -87,227 +75,133 @@ class CoincidenceHistogram:
 
 
 # ---------------------------------------------------------------------------
-# No-jump propagator.  In the (ground, excited) basis the effective
-# Hamiltonian is [[0, om/2], [om/2, -det - i/t2]]; exp(-i H tau) is
-# evaluated from the 2x2 closed form with exponents exp((m0 +/- q0) tau)
-# that are individually bounded by one (the evolution is contractive),
-# so nothing overflows at any tau.  m0 and q0 are per unit tau, so the
-# square root is taken once per call.
+# Waiting times.  An interval survives to tau with the delay function
+# P(tau), the last component of the orbit of the conditional generator
+# M' from its start state: (0, 0, 0, 1) after a jump, the unnormalized
+# state of an interval carried over a segment edge.  A table of the
+# orbit on a uniform grid of nodes, one row per start state, brackets
+# each target u to one node, where P is the degree-9 Taylor polynomial
+# with coefficients (M'^j x)[3] / j! of the node's state x, and a
+# safeguarded Newton iteration on that polynomial finds the root.
+
+_GROUND = np.array([0.0, 0.0, 0.0, 1.0])  # the state after a jump
+_MAP_DEGREE = 12  # Taylor degree of the table's step map
+_STEP_NORM = 0.11  # ||M' h||_1 of a step: the map matches expm to rounding
+_P_DEGREE = 9  # degree of P's polynomial on a node
+_EXTRA_NODES = 512  # added to a table's estimated length for the transient
+_MAX_NODES = 1 << 16  # nodes per table; an interval past them is carried
+_XTOL = 1e-14  # ns, absolute tolerance of a waiting time
+_EPS = np.finfo(float).eps
 
 
-def _prop_entries(om, det, it2, tau):
-    tau = np.asarray(tau, dtype=float)
-    m0 = 0.5 * (1j * det - it2)
-    q0 = np.sqrt(m0 * m0 - 0.25 * om * om + 0j)
-    g1 = np.exp((m0 + q0) * tau)
-    g2 = np.exp((m0 - q0) * tau)
-    cosht = 0.5 * (g1 + g2)
-    # tau sinh(q0 tau) / (q0 tau) exp(m0 tau), from its series where
-    # q0 tau is too small for the difference g1 - g2
-    tsinhc = 0.5 * (g1 - g2) / (q0 if q0 else 1.0)
-    small = abs(q0) * tau < 1e-8
-    if small.any():
-        tsinhc = np.where(small, tau * np.exp(m0 * tau) * (1.0 + (q0 * tau) ** 2 / 6.0), tsinhc)
-    e00 = cosht - m0 * tsinhc
-    eoff = (-0.5j * om) * tsinhc
-    e11 = cosht + m0 * tsinhc
-    return e00, eoff, e11
+def _conditional_generator(params: TlsParams, om: float, det: float) -> np.ndarray:
+    """M' of the Bloch equations without the radiative refill of the
+    ground state: its last coordinate, the trace, falls at rho11/t1."""
+    m = bloch.augmented_generator(params, om, det)[0]
+    m[3, 0] = -1.0 / params.t1
+    return m
 
 
-def _evolve_state(psi_g, psi_e, om, det, it2, tau):
-    """U(tau) psi for a general (unnormalized) state (psi_g, psi_e)."""
-    e00, eoff, e11 = _prop_entries(om, det, it2, tau)
-    return e00 * psi_g + eoff * psi_e, eoff * psi_g + e11 * psi_e
+def _table(m, states, h, u_min, n_max):
+    """The orbit (k, 4, n) of each start state in states (k, 4) on nodes
+    j h, until every P is below u_min at the last node or the table has
+    n_max nodes.  The first length comes from the slowest decay rate of
+    M', and a table that falls short is doubled."""
+    d = bloch.taylor_increment(m, h, _MAP_DEGREE)
+    rate = -np.linalg.eigvals(m).real.max()
+    n = n_max
+    if rate > 0.0 and u_min > 0.0:
+        n = int(1.25 * math.log(1.0 / u_min) / (rate * h)) + _EXTRA_NODES
+    while True:
+        table = bloch.orbit(d, states, min(n, n_max), increments=True)
+        if n >= n_max or (table[:, 3, -1] < u_min).all():
+            return table
+        n *= 2
 
 
-def _survival_state(psi_g, psi_e, om, det, it2, tau):
-    """Squared norm of U(tau) psi."""
-    a, b = _evolve_state(psi_g, psi_e, om, det, it2, tau)
-    return np.abs(a) ** 2 + np.abs(b) ** 2
+def _waits(u, starts, m, table, h, t, seg_end):
+    """Waiting times of intervals started back to back at t from the
+    states table[starts, :, 0], for the targets u: inf past the table.
+
+    Every interval is bracketed first; only those up to the first whose
+    running sum of lower bracket ends reaches seg_end are polished, and
+    the rest are left inf, since they start past seg_end."""
+    n = table.shape[2]
+    surv = np.minimum.accumulate(table[:, 3], axis=1)  # monotone against rounding
+    k = np.empty(len(u), dtype=np.int64)
+    for state, p in enumerate(surv):
+        sel = starts == state
+        # the first node with P <= u; the one before it has P > u
+        k[sel] = np.searchsorted(-p, -u[sel], side="left")
+    lower = np.maximum(k - 1, 0) * h
+    keep = int(np.searchsorted(t + np.cumsum(lower), seg_end, side="left")) + 1
+    k, starts = k[:keep], starts[:keep]
+    # k = 0 is P(0) <= u: an interval that had ended before the segment
+    # edge, carried by rounding in t + cumsum(waits); it ends at once
+    waits = np.full(len(u), np.inf)
+    waits[:keep] = np.where(k > 0, np.inf, 0.0)
+    inner = np.flatnonzero((k > 0) & (k < n))
+    if len(inner):
+        j, st = k[inner] - 1, starts[inner]
+        rows = np.empty((_P_DEGREE + 1, 4))  # e3 M'^q / q!
+        rows[0] = _GROUND
+        for q in range(1, _P_DEGREE + 1):
+            rows[q] = rows[q - 1] @ m / q
+        coef = rows @ table[st, :, j].T
+        waits[inner] = j * h + _newton(coef, u[inner], surv[st, j], surv[st, j + 1], h, j * h)
+    return waits
 
 
-# ---------------------------------------------------------------------------
-# Waiting times.  A leg ends where its no-jump survival S(tau) = |U psi|^2
-# falls to its uniform target u.  Within a segment every leg starts from
-# one of a few states: ground, excited, and the state of a leg carried
-# over the segment's start edge.  S is then one of a few fixed curves:
-# they are tabulated once per batch, and searchsorted gives each leg a
-# bracket one grid step wide.
-# Chandrupatla's method (Adv. Eng. Softw. 28, 145 (1997)) then polishes
-# log S - log u inside the bracket; it interpolates where the curve is
-# smooth and bisects across the near-flat steps of a strongly driven
-# S, where psi_e passes through zero twice per Rabi cycle.
-
-_FRESH = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)  # ground, excited
-
-
-def _survival_table(states, om, det, it2, u_min, bracket):
-    """Grid tau from 0 and the survival S_k(tau) of each start state
-    (psi_g, psi_e) = states[k], one row per state.
-
-    The spacing starts at 1/32 of the faster of the Rabi period and t2
-    and doubles every _TABLE_POINTS points, until every curve is below
-    u_min or the grid reaches the bracket, which is its last point."""
-    scale = 1.0 / it2
-    if om or det:
-        scale = min(scale, 2.0 * math.pi / math.hypot(om, det))
-    step = scale / 32.0
-    # state columns (k, 1), broadcast against the tau grid
-    psi_g, psi_e = states[:, :1], states[:, 1:]
-    taus, surv = [np.zeros(1)], [(np.abs(states) ** 2).sum(axis=1, keepdims=True)]
-    while taus[-1][-1] < bracket and (surv[-1][:, -1] >= u_min).any():
-        tau = taus[-1][-1] + step * np.arange(1, _TABLE_POINTS + 1)
-        if tau[-1] >= bracket:
-            tau = np.append(tau[tau < bracket], bracket)
-        taus.append(tau)
-        surv.append(_survival_state(psi_g, psi_e, om, det, it2, tau))
-        step *= 2.0
-    # rounding can lift S by an ulp on a flat step; searchsorted needs
-    # the curves monotone
-    return np.concatenate(taus), np.minimum.accumulate(np.concatenate(surv, axis=1), axis=1)
-
-
-def _log(s):
-    return np.log(np.maximum(s, _TINY))
-
-
-def _find_roots(surv, u, lo, hi, s_lo, s_hi, *legs):
-    """tau in [lo, hi] with surv(tau, *legs) = u for every leg, given
-    s_lo = surv(lo) > u >= surv(hi) = s_hi; legs are arrays of per-leg
-    arguments that surv takes elementwise.
-
-    Chandrupatla's bracketed iteration on f = log S - log u; a root is
-    kept at the first iteration whose bracket is narrower than
-    _XTOL + 4 eps tau.  The working arrays, legs among them, drop the
-    converged legs only once they are at least half of them, so they
-    are not reallocated on every iteration; until then a converged leg
-    bisects its bracket and its further points are not used."""
-    log_u = _log(u)
-    roots = np.empty(len(u))
+def _newton(coef, u, p_lo, p_hi, h, tau0):
+    """s in [0, h] with sum_q coef[q] s^q = u, given p_lo > u >= p_hi at
+    the ends.  Safeguarded Newton (rtsafe, Numerical Recipes 9.4): a
+    step that leaves the bracket, or does not halve the one before it,
+    bisects instead, since P' = -rho11/t1 is flat twice per Rabi cycle
+    under strong drive.  A root is kept at the first step below
+    _XTOL + 4 eps tau (a zero step, f = 0, included); the working arrays
+    drop the kept roots once they are at least half of them."""
+    out = np.empty(len(u))
     idx = np.arange(len(u))
-    open_ = np.ones(len(u), dtype=bool)  # not converged yet
-    # x1 is the newest point, x2 the end of the bracket across the root,
-    # x3 the point x1 or x2 displaced last
-    # S(lo) > u, but log S(lo) can round to log u (a carried leg whose
-    # target is its norm); f1 = 0 would put lo on the wrong side
-    x1, f1 = lo, np.maximum(_log(s_lo) - log_u, _TINY)
-    x2, f2 = hi, _log(s_hi) - log_u
-    t = f1 / np.maximum(f1 - f2, _TINY)  # secant step into the bracket
-    # the smallest step, as a fraction of the bracket, that still
-    # resolves a new point; at most 0.5, which is bisection
-    tl = np.minimum((2.0 * _EPS * np.abs(x2) + 0.5 * _XTOL) / (x2 - x1), 0.5)
-    for _ in range(_MAX_ITERS):
-        t = np.clip(t, tl, 1.0 - tl)
-        x = x1 + t * (x2 - x1)
-        f = _log(surv(x, *legs)) - log_u
-        same = (f > 0.0) == (f1 > 0.0)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = x, f
-        near = np.abs(f1) < np.abs(f2)
-        xm, fm = np.where(near, x1, x2), np.where(near, f1, f2)
-        # a converged leg's bracket can close to a point
-        with np.errstate(divide="ignore"):
-            tl = (2.0 * _EPS * np.abs(xm) + 0.5 * _XTOL) / np.abs(x2 - x1)
-        done = (tl > 0.5) | (fm == 0.0)
+    open_ = np.ones(len(u), dtype=bool)  # no root kept yet
+    lo, hi = np.zeros(len(u)), np.full(len(u), h)
+    s = h * (p_lo - u) / (p_lo - p_hi)  # the chord
+    dx = np.full(len(u), h)
+    tol = _XTOL + 4.0 * _EPS * (tau0 + h)
+    while True:
+        p, dp = coef[-1].copy(), np.zeros(len(idx))  # Horner's rule for P and P'
+        for c in coef[-2::-1]:
+            dp *= s
+            dp += p
+            p *= s
+            p += c
+        f = p - u
+        above = f > 0.0
+        lo, hi = np.where(above, s, lo), np.where(above, hi, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / dp
+        new = s - step
+        step = np.abs(step)
+        bisect = ~((new >= lo) & (new <= hi) & (step <= 0.5 * dx))
+        dx = np.where(bisect, 0.5 * (hi - lo), step)
+        s = np.where(bisect, 0.5 * (lo + hi), new)
+        done = dx <= tol
         first = done & open_
-        roots[idx[first]] = xm[first]
+        out[idx[first]] = s[first]
         open_ &= ~done
         n_open = np.count_nonzero(open_)
         if n_open == 0:
-            return roots
+            return out
         if 2 * n_open <= len(idx):
             keep = open_
-            idx, tl, open_, log_u = idx[keep], tl[keep], open_[keep], log_u[keep]
-            x1, x2, x3, f1, f2, f3 = x1[keep], x2[keep], x3[keep], f1[keep], f2[keep], f3[keep]
-            legs = [a[keep] for a in legs]
-        tl = np.minimum(tl, 0.5)  # a converged leg bisects
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
-            alpha = (x3 - x1) / (x2 - x1)
-            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-            t = np.where(
-                iqi,
-                f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
-                0.5,
+            idx, coef, u, s, lo, hi, dx, tol, open_ = (
+                idx[keep], coef[:, keep], u[keep], s[keep], lo[keep], hi[keep], dx[keep], tol[keep], open_[keep]
             )
-    roots[idx[open_]] = 0.5 * (x1 + x2)[open_]
-    return roots
 
 
-def _solve_legs(u, starts, states, om, det, it2, bracket):
-    """Waiting times of legs that start from states[starts], rows
-    (psi_g, psi_e) that a carried leg leaves unnormalized; inf when the
-    leg survives past the bracket.  The table of one survival curve per
-    state is built per call, down to the smallest target of the batch;
-    a segment seldom needs more than one batch."""
-    tau, surv = _survival_table(states, om, det, it2, float(u.min()), bracket)
-    waits = np.empty(len(u))
-
-    def polish(b):
-        waits[b] = _table_legs(u[b], starts[b], states, tau, surv, om, det, it2)
-
-    # chunks keep the working arrays of a 2^17-leg batch to a few MB
-    _run_chunks(polish, [slice(a, a + _CHUNK) for a in range(0, len(u), _CHUNK)])
-    return waits
-
-
-def _table_legs(u, starts, states, tau, surv, om, det, it2):
-    """_solve_legs on one chunk, given the survival table."""
-    k = np.empty(len(u), dtype=np.int64)
-    for state, s_tab in enumerate(surv):
-        sel = starts == state
-        # first grid point with S <= u; the one before it has S > u
-        k[sel] = np.searchsorted(-s_tab, -u[sel], side="left")
-    # k = 0 is S(0) <= u: a leg that had ended before the segment edge,
-    # carried by rounding in t + cumsum(waits); it ends at once
-    waits = np.where(k > 0, np.inf, 0.0)
-    has_root = (k > 0) & (k < len(tau))
-    if has_root.any():
-        k, starts = k[has_root], starts[has_root]
-        waits[has_root] = _find_roots(
-            lambda x, psi_g, psi_e: _survival_state(psi_g, psi_e, om, det, it2, x),
-            u[has_root], tau[k - 1], tau[k], surv[starts, k - 1], surv[starts, k],
-            states[starts, 0], states[starts, 1],
-        )
-    return waits
-
-
-# ---------------------------------------------------------------------------
-# The chunks of a batch are independent and write disjoint slices, and
-# numpy releases the GIL inside the ufuncs that do their work, so they
-# run on a thread per CPU.  Every leg's arithmetic is elementwise, so
-# the waits do not depend on the number of threads.
-
-# the CPUs this process may run on; macOS has no affinity call
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_pool = None  # created on the first batch of two or more chunks
-
-
-def _run_chunks(body, chunks):
-    """body(chunk) for every chunk, on up to _WORKERS threads."""
-    if min(len(chunks), _WORKERS) < 2:
-        for chunk in chunks:
-            body(chunk)
-        return
-    global _pool
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(_WORKERS)
-    for _ in _pool.map(body, chunks):
-        pass
-
-
-def _forget_pool():
-    # a forked child has none of the pool's threads
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
-    os.register_at_fork(after_in_child=_forget_pool)
+def _state_at(m, table, h, tau):
+    """The state (4,) of a table row (4, n) at tau within its nodes."""
+    j = min(int(tau / h), table.shape[1] - 1)
+    return table[:, j] + bloch.taylor_increment(m, tau - j * h, _MAP_DEGREE) @ table[:, j]
 
 
 def _drive_segments(pulse: DrivePulse, duration: float, tau_corr: float, rng) -> list[tuple[float, float, float]]:
@@ -352,57 +246,54 @@ def simulate_tags(
 ) -> TagStream:
     """Generate detected photon tags over [0, duration].
 
-    Radiative jump times are exact samples of the unraveled dynamics
-    starting from the ground state; detection keeps each with the given
-    efficiency, an optional (on_fraction, tau_blink) telegraph gates
-    the emission on and off, and kept tags split 50:50 between the two
-    channels.
+    Photon times are exact samples of the renewal process of radiative
+    jumps, starting from the ground state; detection keeps each with
+    the given efficiency, an optional (on_fraction, tau_blink) telegraph
+    gates the emission on and off, and kept tags split 50:50 between the
+    two channels.
     """
     if duration < 10.0 * params.t1:
         raise ValueError("duration must be long against t1")
     if not 0.0 < efficiency <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
-    p_rad = params.t2 / (2.0 * params.t1)
-    it2 = 1.0 / params.t2
     det = pulse.detuning
     segments = _drive_segments(pulse, duration, tau_corr, rng)
 
     emissions: list[np.ndarray] = []
-    fresh_state = 0  # 0 ground / 1 excited, for the next fresh leg
-    carried = None  # (state, target) of a leg in progress at a segment edge
+    carried = None  # (state, target) of an interval in progress at a segment edge
 
     for seg_start, seg_end, om in segments:
+        m = _conditional_generator(params, om, det)
+        h = _STEP_NORM / np.abs(m).sum(axis=0).max()
+        rate = bloch.steady_state_population(params, om, det) / params.t1
         t = seg_start
-        # i.i.d. legs within the constant segment
-        jump_rate = (2.0 / params.t2) * bloch.steady_state_population(params, om, det)
         while t < seg_end:
-            n_est = int(min(max(64, 1.4 * (seg_end - t) * jump_rate + 32), float(1 << 17)))
+            n_est = int(min(max(64, 1.4 * (seg_end - t) * rate + 32), float(1 << 17)))
             u = rng.random(n_est)
-            coins = rng.random(n_est)
-            rad = coins < p_rad
-            starts = np.empty(n_est, dtype=np.int8)
-            starts[0] = fresh_state
-            starts[1:] = (~rad[:-1]).astype(np.int8)
-            states = _FRESH
+            starts = np.zeros(n_est, dtype=np.int8)
+            states = _GROUND[None]
             if carried is not None:
-                # the carried leg is leg 0, with its own start state
-                states = np.vstack([_FRESH, carried[0]])
-                starts[0], u[0] = 2, carried[1]
+                # the carried interval is the first, with its own start state
+                states = np.vstack([_GROUND, carried[0]])
+                starts[0], u[0] = 1, carried[1]
                 carried = None
-            waits = _solve_legs(u, starts, states, om, det, it2, seg_end - t)
-            jump_t = t + np.cumsum(waits)
+            n_max = min(_MAX_NODES, int((seg_end - t) / h) + 2)
+            table = _table(m, states, h, float(u.min()), n_max)
+            jump_t = t + np.cumsum(_waits(u, starts, m, table, h, t, seg_end))
             inside = jump_t < seg_end
             stop = int(np.argmin(inside)) if not inside.all() else n_est
             if stop > 0:
-                kept = jump_t[:stop]
-                emissions.append(kept[rad[:stop]])
-                t = float(kept[-1])
-                fresh_state = 0 if rad[stop - 1] else 1
+                emissions.append(jump_t[:stop])
+                t = float(jump_t[stop - 1])
             if stop < n_est:
-                # leg `stop` is in progress at seg_end: carry it
-                psi = _evolve_state(*states[starts[stop]], om, det, it2, seg_end - t)
-                carried = (psi, u[stop])
-                t = seg_end
+                # interval `stop` is in progress at seg_end, or at the end
+                # of its table: carry it from there
+                row = table[starts[stop]]
+                edge = min(seg_end, t + (table.shape[2] - 1) * h)
+                carried = (_state_at(m, row, h, edge - t), u[stop])
+                if edge < seg_end and (row[:, -1] == row[:, -2]).all():
+                    edge = seg_end  # an orbit at rest (no drive, nothing left to decay) holds its state
+                t = edge
 
     times = np.concatenate(emissions) if emissions else np.empty(0)
     if len(times):

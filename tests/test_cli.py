@@ -98,12 +98,22 @@ class TestConfigHandling:
             ("lamp", {"n": 1e3 + 0.5}),
             ("rabi", {"samples": 100.5}),
             ("lamp", {"field_rows": float("inf")}),
+            ("tags", {"seed": -1}),
+            ("rabi", {"seed": -1}),
+            ("lamp", {"seed": -1}),
+            ("g2", {"seed": -1}),
+            ("g2", {"max_lag_ns": float("nan")}),
+            ("g2", {"omega": True}),
+            ("lamp", {"max_lag_ns": 2.5}),
         ],
     )
     def test_malformed_value_is_exit_2(self, tmp_path, command, options):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(options))
         assert run([command, "--config", str(cfg)]) == 2
+
+    def test_negative_seed_flag_is_exit_2(self):
+        assert run(["tags", "--seed", "-1"]) == 2
 
     def test_unconverged_quadrature_is_exit_3(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -366,9 +376,8 @@ class TestDeterminism:
 
 def test_import_leaves_optional_scipy_modules_out():
     # scipy.integrate, scipy.linalg, scipy.optimize and scipy.special
-    # (which scipy.fft pulls in), and concurrent.futures for the leg
-    # solver's threads, are imported by the functions that call them,
-    # not at start-up
+    # (which scipy.fft pulls in) are imported by the functions that call
+    # them, not at start-up, and nothing imports concurrent.futures
     src = str(Path(tlsrf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (

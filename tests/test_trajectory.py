@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 import warnings
 
@@ -10,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.optimize import curve_fit
 from scipy.stats import kstest
 
@@ -24,21 +24,67 @@ def poisson_stream(rate, duration, rng, channel):
     return t, np.full(len(t), channel, dtype=np.int8)
 
 
-def bisect_legs(u, starts, states, om, det, it2, bracket):
-    """Reference leg solver: 64 bisection steps on S(tau) > u over the
-    whole bracket, for legs that start from states[starts]."""
-    psi = states[starts]
+def expm_increments(m, taus):
+    """expm(m tau) - I for taus that halve along the array.  Where
+    ||m tau||_1 <= 1 it is m times the top right block of expm([[m, I],
+    [0, 0]] tau), the integral of expm(m s) over [0, tau] (Van Loan), so
+    a map close to I keeps its slow modes; above, (I + D)^2 - I = 2 D + D D
+    from the next smaller tau."""
+    small = np.abs(m).sum(axis=0).max() * taus <= 1.0
+    blocks = np.zeros((np.count_nonzero(small), 8, 8))
+    blocks[:, :4, :4] = m * taus[small, None, None]
+    blocks[:, :4, 4:] = np.eye(4) * taus[small, None, None]
+    d = np.empty((len(taus), 4, 4))
+    d[small] = m @ expm(blocks)[:, :4, 4:]
+    for k in np.flatnonzero(~small)[::-1]:
+        d[k] = 2.0 * d[k + 1] + d[k + 1] @ d[k + 1]
+    return d
 
-    def surv(tau):
-        return trajectory._survival_state(psi[:, 0], psi[:, 1], om, det, it2, tau)
 
-    lo, hi = np.zeros(len(u)), np.full(len(u), float(bracket))
-    s_end = surv(hi)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        above = surv(mid) > u
-        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-    return np.where(s_end <= u, 0.5 * (lo + hi), np.inf)
+def bisect_waits(u, starts, m, table, h, t, seg_end):
+    """Reference waiting times: 64 bisection steps on P(tau) > u over the
+    table's span, P the last component of expm(M' tau) x0 for the start
+    states x0 = table[starts, :, 0]; inf where P stays above u.  Each
+    midpoint is expm(M' span / 2^k) applied to the state at the lower
+    end.  Every interval is solved; t and seg_end are not used."""
+    taus = (table.shape[2] - 1) * h / 2.0 ** np.arange(65)
+    d = expm_increments(m, taus)
+    x = table[starts, :, 0].copy()
+    end = x + x @ d[0].T
+    lo = np.zeros(len(u))
+    for k in range(1, 65):
+        mid = x + x @ d[k].T
+        above = mid[:, 3] > u
+        x[above] = mid[above]
+        lo[above] += taus[k]
+    return np.where(end[:, 3] <= u, lo, np.inf)
+
+
+def conditional(log_s, ratio, det):
+    """M' and its table step for S = 10^log_s, t2 = ratio t1."""
+    params = core.TlsParams(t1=0.641, t2=0.641 * ratio)
+    m = trajectory._conditional_generator(params, core.omega_from_saturation(10.0**log_s, params), det)
+    return m, trajectory._STEP_NORM / np.abs(m).sum(axis=0).max()
+
+
+def interval_cdf(params, det, segments, times):
+    """1 - P of each interval between consecutive tags, the first from
+    t = 0, with P the last component of the orbit of M' from (0, 0, 0, 1)
+    taken by expm across the drive segments it spans."""
+    edges = np.array([a for a, _, _ in segments])
+    starts = np.concatenate(([0.0], times[:-1]))
+    out = np.empty(len(times))
+    for i, (a, b) in enumerate(zip(starts, times)):
+        x = np.array([0.0, 0.0, 0.0, 1.0])
+        k = int(np.searchsorted(edges, a, side="right")) - 1
+        while True:
+            stop = min(b, segments[k][1])
+            x = expm(trajectory._conditional_generator(params, segments[k][2], det) * (stop - a)) @ x
+            if stop == b:
+                break
+            a, k = stop, k + 1
+        out[i] = 1.0 - x[3]
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -193,52 +239,64 @@ leg_cases = st.tuples(
 class TestLegSolver:
     @settings(max_examples=60, deadline=None)
     @given(leg_cases)
+    # weak detuned drive over a long bracket: P decays at ~2e-4 /ns over
+    # ~7e4 steps, so a step map that loses eps of its slow decay to the
+    # I in front moves the roots by ~3e-9 ns
+    @example((-2.0, 2.0, 5.0, 1000.0, 1))
     def test_fresh_legs_match_bisection(self, case):
         log_s, ratio, det, bracket, seed = case
-        params = core.TlsParams(t1=0.641, t2=0.641 * ratio)
-        om = core.omega_from_saturation(10.0**log_s, params)
+        m, h = conditional(log_s, ratio, det)
         rng = np.random.default_rng(seed)
         u = rng.random(400)
-        starts = (rng.random(400) < 0.5).astype(np.int8)
-        got = trajectory._solve_legs(u, starts, trajectory._FRESH, om, det, 1.0 / params.t2, bracket)
-        ref = bisect_legs(u, starts, trajectory._FRESH, om, det, 1.0 / params.t2, bracket)
+        starts = np.zeros(400, dtype=np.int8)
+        n_max = min(trajectory._MAX_NODES, int(bracket / h) + 2)
+        table = trajectory._table(m, trajectory._GROUND[None], h, u.min(), n_max)
+        got = trajectory._waits(u, starts, m, table, h, 0.0, np.inf)
+        ref = bisect_waits(u, starts, m, table, h, 0.0, np.inf)
         assert np.array_equal(np.isinf(got), np.isinf(ref))
         finite = np.isfinite(ref)
         assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-10)
+        # with the bracket as the segment end, every interval up to the
+        # first that ends at or past it is solved, to the same bits
+        cut = trajectory._waits(u, starts, m, table, h, 0.0, bracket)
+        need = int(np.searchsorted(np.cumsum(ref), bracket)) + 1
+        assert np.array_equal(cut[:need], got[:need])
+        assert np.all(np.isinf(cut[need:]) | (cut[need:] == got[need:]))
 
     @settings(max_examples=60, deadline=None)
     @given(leg_cases, st.booleans())
-    # the target at the norm: rounding in t + cumsum(waits) can carry a
-    # leg that has already ended, and it must end within the first step
+    # the target at the norm: rounding in t + cumsum(waits) can carry an
+    # interval that has already ended, and it must end at once
     @example((1.0, 0.5, 0.0, 100.0, 3), True)
     def test_carried_legs_match_bisection(self, case, at_norm):
-        # a carried state has lost norm on its way to the edge, and its
-        # target lies below that norm; it is leg 0 of a batch of fresh
-        # legs, and each example checks five such batches
+        # a carried state is an unnormalized density matrix that has lost
+        # trace on its way to the edge, and its target lies below that
+        # trace; it is the first interval of a batch of fresh ones, and
+        # each example checks five such batches
         log_s, ratio, det, bracket, seed = case
-        params = core.TlsParams(t1=0.641, t2=0.641 * ratio)
-        om = core.omega_from_saturation(10.0**log_s, params)
+        m, h = conditional(log_s, ratio, det)
         rng = np.random.default_rng(seed)
+        n_max = min(trajectory._MAX_NODES, int(bracket / h) + 2)
         for batch in range(5):
-            psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-            psi *= rng.random() / np.linalg.norm(psi)
-            norm = abs(psi[0]) ** 2 + abs(psi[1]) ** 2
-            states = np.vstack([trajectory._FRESH, psi])
+            norm = rng.random()
+            r11 = norm * rng.random()
+            coh = math.sqrt(r11 * (norm - r11)) * rng.random() * np.exp(2j * math.pi * rng.random())
+            states = np.vstack([trajectory._GROUND, [r11, coh.real, coh.imag, norm]])
             u = rng.random(400)
-            starts = (rng.random(400) < 0.5).astype(np.int8)
-            starts[0], u[0] = 2, rng.random() * norm
+            starts = np.zeros(400, dtype=np.int8)
+            starts[0], u[0] = 1, rng.random() * norm
             if at_norm and batch == 0:
                 u[0] = norm
+            table = trajectory._table(m, states, h, u.min(), n_max)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = trajectory._solve_legs(u, starts, states, om, det, 1.0 / params.t2, bracket)
-            ref = bisect_legs(u, starts, states, om, det, 1.0 / params.t2, bracket)
+                got = trajectory._waits(u, starts, m, table, h, 0.0, np.inf)
+            ref = bisect_waits(u, starts, m, table, h, 0.0, np.inf)
             assert np.array_equal(np.isinf(got), np.isinf(ref))
             finite = np.isfinite(ref)
             assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-10)
             if u[0] == norm:
-                tau, _ = trajectory._survival_table(states, om, det, 1.0 / params.t2, u.min(), bracket)
-                assert 0.0 <= got[0] <= tau[1]
+                assert 0.0 <= got[0] <= h
 
     @pytest.mark.parametrize(
         "pulse, blinking",
@@ -252,97 +310,56 @@ class TestLegSolver:
         ids=["chaotic", "blinking-high-s"],
     )
     def test_simulate_tags_matches_bisection(self, qd, monkeypatch, pulse, blinking):
-        # the same seed must give the same legs as the bisection solver;
-        # 2e4 ns keeps the drift small that a carried leg amplifies when
-        # its new segment decays much slower than the old one
+        # the same seed must give the same intervals as the bisection
+        # solver; 2e4 ns keeps the drift small that a carried interval
+        # amplifies when its new segment decays much slower than the old
         new = trajectory.simulate_tags(qd, pulse, 2e4, 1.0, core.stream(2024), blinking=blinking)
-        monkeypatch.setattr(trajectory, "_solve_legs", bisect_legs)
+        monkeypatch.setattr(trajectory, "_waits", bisect_waits)
         ref = trajectory.simulate_tags(qd, pulse, 2e4, 1.0, core.stream(2024), blinking=blinking)
         assert len(new.times) == len(ref.times) > 1000
         assert np.array_equal(new.channels, ref.channels)
         assert np.max(np.abs(new.times - ref.times)) <= 1e-8
 
 
-class TestChunkThreads:
-    # the chunks of a batch run on a thread per CPU; each leg's
-    # arithmetic is elementwise, so the waits must be bit-equal for any
-    # number of threads, here more threads than this host has cores
+class TestRenewal:
+    # the intervals between tags follow 1 - P(tau): under cw drive
+    # directly, and across segment edges through the transform
+    # 1 - P(interval), which is uniform for the right law
 
-    @staticmethod
-    def _threaded(monkeypatch, call):
-        # a fresh pool of 8 threads, switching every microsecond
-        monkeypatch.setattr(trajectory, "_WORKERS", 8)
-        monkeypatch.setattr(trajectory, "_pool", None)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            out = call()
-            assert trajectory._pool is not None
-        finally:
-            sys.setswitchinterval(interval)
-            if trajectory._pool is not None:
-                trajectory._pool.shutdown()
-        monkeypatch.setattr(trajectory, "_WORKERS", 1)
-        return out, call()
+    @pytest.mark.parametrize("omega", [1.7, 7.1])
+    def test_cw_intervals_follow_delay_function(self, qd, omega):
+        tags = trajectory.simulate_tags(qd, DrivePulse.cw(omega), 1e4, 1.0, core.stream(71))
+        m = trajectory._conditional_generator(qd, omega, 0.0)
 
-    def test_solve_legs(self, qd, monkeypatch):
-        rng = np.random.default_rng(8)
-        n = 3 * trajectory._CHUNK + 100
-        u, starts = rng.random(n), (rng.random(n) < 0.5).astype(np.int8)
-        psi = np.array([0.3 + 0.2j, -0.1 + 0.5j])
-        states = np.vstack([trajectory._FRESH, psi])
-        starts[0], u[0] = 2, 0.1
-        # a bracket past the sum of the waits solves every chunk
-        threaded, inline = self._threaded(
-            monkeypatch, lambda: trajectory._solve_legs(u, starts, states, 7.1, 0.3, 1.0 / qd.t2, 1e9)
-        )
-        assert np.isfinite(inline).all()
-        assert np.array_equal(threaded, inline)
+        def cdf(tau):
+            return 1.0 - (expm(m * np.asarray(tau)[:, None, None]) @ trajectory._GROUND)[:, 3]
 
-    def test_simulate_tags(self, qd, monkeypatch):
-        # 2e4 ns at 7.1 rad/ns is one batch of seven chunks
-        threaded, inline = self._threaded(
-            monkeypatch, lambda: trajectory.simulate_tags(qd, DrivePulse.cw(7.1), 2e4, 1.0, core.stream(31))
-        )
-        assert len(inline.times) > 10000
-        assert np.array_equal(threaded.times, inline.times)
-        assert np.array_equal(threaded.channels, inline.channels)
+        assert len(tags.times) > 2000
+        assert kstest(np.diff(tags.times, prepend=0.0), cdf).pvalue > 0.05
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_forked_child_starts_its_own_pool(self, qd, monkeypatch):
-        # a child forked after the pool started has none of its threads;
-        # it must start a pool of its own, not wait on the parent's
-        u = np.random.default_rng(9).random(2 * trajectory._CHUNK)
-        starts = np.zeros(len(u), dtype=np.int8)
-
-        def solve():
-            return trajectory._solve_legs(u, starts, trajectory._FRESH, 7.1, 0.0, 1.0 / qd.t2, 1e9)
-
-        monkeypatch.setattr(trajectory, "_WORKERS", 2)
-        monkeypatch.setattr(trajectory, "_pool", None)
-        try:
-            expect = solve()
-            assert trajectory._pool is not None
-            pid = os.fork()
-            if pid == 0:  # the child leaves through os._exit, whatever happens
-                code = 1
-                try:
-                    code = 0 if np.array_equal(solve(), expect) else 1
-                finally:
-                    os._exit(code)
-            for _ in range(600):
-                done, status = os.waitpid(pid, os.WNOHANG)
-                if done:
-                    break
-                time.sleep(0.1)
-            else:
-                os.kill(pid, 9)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child did not finish in 60 s")
-            assert os.waitstatus_to_exitcode(status) == 0
-        finally:
-            if trajectory._pool is not None:
-                trajectory._pool.shutdown()
+    @pytest.mark.parametrize(
+        "pulse, duration, max_nodes",
+        [
+            (DrivePulse.cw(1.7, statistics=Statistics.CHAOTIC), 1e4, None),
+            (DrivePulse(rabi=7.2, envelope=tuple((10.0 * k, 10.0 * k + 2.0, 1.0) for k in range(800))), 8e3, None),
+            # weak drive with tables of 2000 nodes, 64 ns: intervals
+            # (65 ns on average) are carried at the end of their table
+            (DrivePulse.cw(0.3), 1e5, 2000),
+            # 998 ns dark gaps and tables of 15000 nodes, 530 ns: an
+            # interval left from a pulse comes to rest at ~480 ns, at the
+            # end of its table, and is carried straight to the next pulse
+            (DrivePulse(rabi=7.2, envelope=tuple((1000.0 * k, 1000.0 * k + 2.0, 1.0) for k in range(600))), 6e5, 15000),
+        ],
+        ids=["chaotic", "pulsed", "table-end", "dark-rest"],
+    )
+    def test_intervals_across_segments(self, qd, monkeypatch, pulse, duration, max_nodes):
+        if max_nodes is not None:
+            monkeypatch.setattr(trajectory, "_MAX_NODES", max_nodes)
+        tags = trajectory.simulate_tags(qd, pulse, duration, 1.0, core.stream(72))
+        segments = trajectory._drive_segments(pulse, duration, bloch.LAMP_TAU_CORR, core.stream(72))
+        assert len(tags.times) > 1000
+        cdf = interval_cdf(qd, pulse.detuning, segments, tags.times)
+        assert kstest(cdf, "uniform").pvalue > 0.05
 
 
 class TestApplyDetector:
