@@ -4,6 +4,12 @@ Subcommands map onto the bundled experiment presets; every run is
 reproducible from its config plus seed, and randomized commands echo
 the effective seed into a JSON sidecar next to the output CSV.
 
+One table, _SCHEMA, declares every config key of every command with
+its default and its kind.  _load_config merges defaults < preset <
+config file < flags and converts every key once, before the command
+runs, so a malformed value is refused even where the command does not
+read it.  The commands check only the rules that tie keys together.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical-guard
 failure, 4 validation failure.
 """
@@ -35,9 +41,6 @@ from .core import (
     write_csv,
 )
 
-# every command accepts these keys and the keys of its _DEFAULTS entry
-_COMMON_KEYS = {"params", "params_file", "seed", "out", "samples", "preset"}
-
 _PRESETS: dict[str, dict[str, dict]] = {
     "saturation": {"fig2": {}},
     "rabi": {"fig3": {}},
@@ -60,48 +63,131 @@ _PRESETS: dict[str, dict[str, dict]] = {
     "tags": {},
 }
 
-_DEFAULTS: dict[str, dict] = {
-    "saturation": {"s_min": 1e-2, "s_max": 1e2, "s_points": 81},
-    "rabi": {"omegas": [5.2, 6.6, 7.2], "pulse_ns": 2.0, "t_end_ns": 3.5, "dt_ns": None, "samples": 10000},
-    "mollow": {"omegas": [5.2, 6.6, 7.2], "span_ghz": 4.0, "grid_points": 2001, "quad_order": 96},
-    "g2": {
-        "omega": 1.7,
-        "statistics": "coherent",
-        "max_lag_ns": 15.0,
-        "lag_step_ns": 0.01,
-        "bin_ns": 0.1,
-        "duration_ns": 2e5,
-        "efficiency": 1.0,
-        "blinking_beta": None,
-        "blinking_tau_ns": None,
-        "mc": True,
-        "chaotic": True,
-    },
-    "lamp": {
-        "tau_corr_ns": bloch.LAMP_TAU_CORR,
-        "dt_ns": None,
-        "n": 1 << 21,
-        "max_lag_ns": None,
-        "field_rows": 4000,
-    },
-    "linewidth": {"s_min": 1e-3, "s_max": 1e2, "s_points": 61},
-    "tags": {
-        "omega": 1.7,
-        "statistics": "coherent",
-        "duration_ns": 2e5,
-        "efficiency": 1.0,
-        "blinking_beta": None,
-        "blinking_tau_ns": None,
-        "tau_corr_ns": bloch.LAMP_TAU_CORR,
-    },
-    "validate": {},
+
+def _number(convert, ok, what):
+    """A number kind: `convert` (int or float) of the value, which must
+    be finite and pass `ok`.  A bool, or a fraction where an integer is
+    expected, is refused, not truncated."""
+
+    def kind(key, val):
+        try:
+            if isinstance(val, bool) or (convert is int and isinstance(val, float) and not val.is_integer()):
+                raise ValueError(val)
+            out = convert(val)
+            if not (math.isfinite(out) and ok(out)):
+                raise ValueError(val)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ConfigError(f"{key} must be {what}, got {val!r}") from err
+        return out
+
+    return kind
+
+
+def _count(lo):
+    return _number(int, lambda n: n >= lo, f"an integer >= {lo}")
+
+
+def _typed(types, what):
+    def kind(key, val):
+        if not isinstance(val, types):
+            raise ConfigError(f"{key} must be {what}, got {val!r}")
+        return val
+
+    return kind
+
+
+def _statistics(key, val):
+    try:
+        return Statistics(val)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{key} must be one of {[s.value for s in Statistics]}, got {val!r}") from err
+
+
+_DRIVE = _number(float, lambda x: x >= 0, "a number >= 0")
+_POSITIVE = _number(float, lambda x: x > 0, "a number > 0")
+_FRACTION = _number(float, lambda x: 0 < x <= 1, "a number in (0, 1]")
+_SWITCH = _typed(bool, "true or false")
+_TEXT = _typed(str, "a string")
+
+
+def _drives(key, val):
+    if not isinstance(val, list) or not val:
+        raise ConfigError(f"{key} must be a non-empty list")
+    return [_DRIVE(key, v) for v in val]
+
+
+# Every config key of every command as (default, kind).  A kind
+# converts one merged value, or raises ConfigError when the value is
+# not of that kind; a key whose default is None is optional, and null
+# leaves it unset.  Every command takes the _SHARED keys; `samples` is
+# unset unless a command says otherwise.
+_SHARED = {
+    "params": ("paper-qd", _typed((str, dict), "a set name or an inline object")),
+    "params_file": (None, _TEXT),
+    "seed": (12345, _count(0)),
+    "out": (None, _TEXT),
+    "samples": (None, _count(1)),
+    "preset": (None, _TEXT),
+}
+_SCHEMA: dict[str, dict[str, tuple]] = {
+    name: {**_SHARED, **keys}
+    for name, keys in {
+        "saturation": {"s_min": (1e-2, _POSITIVE), "s_max": (1e2, _POSITIVE), "s_points": (81, _count(2))},
+        "rabi": {
+            "omegas": ([5.2, 6.6, 7.2], _drives),
+            "pulse_ns": (2.0, _POSITIVE),
+            "t_end_ns": (3.5, _POSITIVE),
+            "dt_ns": (None, _POSITIVE),
+            "samples": (10000, _count(100)),
+        },
+        "mollow": {
+            "omegas": ([5.2, 6.6, 7.2], _drives),
+            "span_ghz": (4.0, _POSITIVE),
+            "grid_points": (2001, _count(3)),
+            "quad_order": (96, _count(1)),
+        },
+        "g2": {
+            # g2 is a ratio to the steady emission, which needs a drive
+            "omega": (1.7, _POSITIVE),
+            "statistics": ("coherent", _statistics),
+            "max_lag_ns": (15.0, _POSITIVE),
+            "lag_step_ns": (0.01, _POSITIVE),
+            "bin_ns": (0.1, _POSITIVE),
+            "duration_ns": (2e5, _POSITIVE),
+            "efficiency": (1.0, _FRACTION),
+            "blinking_beta": (None, _FRACTION),
+            "blinking_tau_ns": (None, _POSITIVE),
+            "mc": (True, _SWITCH),
+            "chaotic": (True, _SWITCH),
+        },
+        "lamp": {
+            "tau_corr_ns": (bloch.LAMP_TAU_CORR, _POSITIVE),
+            "dt_ns": (None, _POSITIVE),
+            "n": (1 << 21, _count(2)),
+            "max_lag_ns": (None, _POSITIVE),
+            "field_rows": (4000, _count(0)),
+            # replaces n when set
+            "samples": (None, _count(2)),
+        },
+        "linewidth": {"s_min": (1e-3, _POSITIVE), "s_max": (1e2, _POSITIVE), "s_points": (61, _count(2))},
+        "tags": {
+            "omega": (1.7, _DRIVE),
+            "statistics": ("coherent", _statistics),
+            "duration_ns": (2e5, _POSITIVE),
+            "efficiency": (1.0, _FRACTION),
+            "blinking_beta": (None, _FRACTION),
+            "blinking_tau_ns": (None, _POSITIVE),
+            "tau_corr_ns": (bloch.LAMP_TAU_CORR, _POSITIVE),
+        },
+        "validate": {},
+    }.items()
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tlsrf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DEFAULTS:
+    for name in _SCHEMA:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--preset", type=str, default=None)
@@ -112,17 +198,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(command: str, args: argparse.Namespace) -> dict:
-    """Effective options: defaults < preset < config file < flags.
+    """Effective options: defaults < preset < config file < flags, each
+    converted by its kind.
 
     The preset is named by --preset or else by the config's `preset`
     key.
     """
-    cfg = dict(_DEFAULTS[command])
-    cfg.setdefault("params", "paper-qd")
-    cfg.setdefault("params_file", None)
-    cfg.setdefault("seed", 12345)
-    cfg.setdefault("out", None)
-    allowed = set(_DEFAULTS[command]) | _COMMON_KEYS
+    schema = _SCHEMA[command]
     doc = {}
     if args.config:
         try:
@@ -134,42 +216,40 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
             raise ConfigError(f"config is not valid JSON (line {err.lineno}, col {err.colno})") from err
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(doc) - allowed
+        unknown = set(doc) - set(schema)
         if unknown:
             raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
+    cfg = {key: default for key, (default, _) in schema.items()}
     preset = args.preset if args.preset is not None else doc.get("preset")
     if preset is not None:
         table = _PRESETS.get(command, {})
-        if preset not in table:
-            raise ConfigError(
-                f"preset {preset!r} is not defined for {command} (available: {sorted(table)})"
-            )
+        if not isinstance(preset, str) or preset not in table:
+            raise ConfigError(f"preset {preset!r} is not defined for {command} (available: {sorted(table)})")
         cfg.update(table[preset])
     cfg.update(doc)
-    if preset is not None:
-        cfg["preset"] = preset
+    cfg["preset"] = preset
     for key in ("seed", "out", "samples"):
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
-    cfg["seed"] = _number(cfg["seed"], "seed", int)
-    if cfg["seed"] < 0:
-        raise ConfigError("seed must be >= 0")
+    for key, (default, kind) in schema.items():
+        if cfg[key] is not None or default is not None:
+            cfg[key] = kind(key, cfg[key])
     return cfg
 
 
 def _resolve_params(cfg: dict) -> ParameterSet:
-    registry = dict(BUILTIN_SETS)
-    if cfg.get("params_file"):
-        registry = load_registry(cfg["params_file"])
-    spec = cfg.get("params", "paper-qd")
-    if isinstance(spec, str):
-        if spec not in registry:
-            raise ConfigError(f"unknown parameter set {spec!r}")
-        return registry[spec]
-    if isinstance(spec, dict):
-        return parameter_set_from_dict("inline", spec)
-    raise ConfigError("params must be a set name or an inline object")
+    spec = cfg["params"]
+    try:
+        registry = BUILTIN_SETS if cfg["params_file"] is None else load_registry(cfg["params_file"])
+        pset = parameter_set_from_dict("inline", spec) if isinstance(spec, dict) else registry.get(spec)
+    except ConfigError:
+        raise
+    except (OSError, TypeError, ValueError) as err:
+        raise ConfigError(f"cannot load the parameter set: {err}") from err
+    if pset is None:
+        raise ConfigError(f"unknown parameter set {spec!r}")
+    return pset
 
 
 def _write_sidecar(out, command: str, cfg: dict, pset: ParameterSet, outputs: list[str]):
@@ -177,8 +257,8 @@ def _write_sidecar(out, command: str, cfg: dict, pset: ParameterSet, outputs: li
         return
     doc = {
         "command": command,
-        "seed": cfg.get("seed"),
-        "preset": cfg.get("preset"),
+        "seed": cfg["seed"],
+        "preset": cfg["preset"],
         "parameter_set": {
             "name": pset.name,
             "t1_ns": pset.tls.t1,
@@ -186,66 +266,20 @@ def _write_sidecar(out, command: str, cfg: dict, pset: ParameterSet, outputs: li
             "fpi_fwhm_ghz": pset.instrument.fpi_fwhm_ghz,
             "detector_fwhm_ns": pset.instrument.detector_fwhm_ns,
         },
+        # every option but the paths and the shared keys left unset
         "options": {
-            k: v for k, v in sorted(cfg.items()) if k not in ("params", "params_file", "out")
+            k: v
+            for k, v in sorted(cfg.items())
+            if k not in ("params", "params_file", "out") and (v is not None or k not in _SHARED)
         },
         "outputs": outputs,
     }
-    Path(str(out) + ".json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _number(val, key: str, kind=float):
-    """A config value converted to `kind`; a value that does not
-    convert, a bool, NaN or an infinity, or a fractional one where an
-    integer is expected, is a configuration error, not a traceback or a
-    silent truncation."""
-    try:
-        if isinstance(val, bool) or (kind is int and isinstance(val, float) and not val.is_integer()):
-            raise ValueError(val)
-        out = kind(val)
-        if kind is float and not math.isfinite(out):
-            raise ValueError(val)
-        return out
-    except (TypeError, ValueError) as err:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {what}, got {val!r}") from err
-
-
-def _positive(cfg: dict, key: str) -> float:
-    val = _number(cfg[key], key)
-    if not val > 0:
-        raise ConfigError(f"{key} must be > 0")
-    return val
-
-
-def _flag(cfg: dict, key: str) -> bool:
-    """A switch from the config: JSON true or false, nothing else."""
-    val = cfg[key]
-    if not isinstance(val, bool):
-        raise ConfigError(f"{key} must be true or false, got {val!r}")
-    return val
-
-
-def _drive(val, key: str) -> float:
-    """A Rabi frequency from the config: a number >= 0."""
-    om = _number(val, key)
-    if not om >= 0:
-        raise ConfigError(f"{key} must be >= 0")
-    return om
-
-
-def _drives(cfg: dict, key: str) -> list[float]:
-    vals = cfg[key]
-    if not isinstance(vals, list) or not vals:
-        raise ConfigError(f"{key} must be a non-empty list")
-    return [_drive(v, key) for v in vals]
+    text = json.dumps(doc, sort_keys=True, indent=2, default=lambda v: v.value)
+    Path(out + ".json").write_text(text + "\n")
 
 
 def _s_grid(cfg) -> np.ndarray:
-    n = _number(cfg["s_points"], "s_points", int)
-    if n < 2:
-        raise ConfigError("s_points must be >= 2")
-    return np.logspace(math.log10(_positive(cfg, "s_min")), math.log10(_positive(cfg, "s_max")), n)
+    return np.logspace(math.log10(cfg["s_min"]), math.log10(cfg["s_max"]), cfg["s_points"])
 
 
 def cmd_saturation(cfg: dict, pset: ParameterSet) -> list[str]:
@@ -266,22 +300,18 @@ def cmd_linewidth(cfg: dict, pset: ParameterSet) -> list[str]:
 
 def cmd_rabi(cfg: dict, pset: ParameterSet) -> list[str]:
     params = pset.tls
-    n_samples = _number(cfg.get("samples") or _DEFAULTS["rabi"]["samples"], "samples", int)
-    if n_samples < 100:
-        raise ConfigError("samples must be >= 100")
-    omegas = _drives(cfg, "omegas")
-    pulse_ns = _positive(cfg, "pulse_ns")
-    t_end = _positive(cfg, "t_end_ns")
-    dt_cfg = _positive(cfg, "dt_ns") if cfg["dt_ns"] else None
+    omegas = cfg["omegas"]
     blocks = []
     rng = stream(cfg["seed"])
     streams = rng.spawn(len(omegas))
     for om, sub in zip(omegas, streams):
-        # a fiftieth of half a Rabi period, or of t2 for an undriven emitter
-        dt = dt_cfg or min(params.t2, math.pi / om if om > 0 else math.inf) / 50.0
-        pulse = DrivePulse.square(om, 0.0, pulse_ns)
-        coh = bloch.integrate(params, pulse, t_end, dt)
-        cha = bloch.chaotic_transient(params, pulse, t_end, dt, n_samples, sub)
+        dt = cfg["dt_ns"]
+        if dt is None:
+            # a fiftieth of half a Rabi period, or of t2 for an undriven emitter
+            dt = min(params.t2, math.pi / om if om > 0 else math.inf) / 50.0
+        pulse = DrivePulse.square(om, 0.0, cfg["pulse_ns"])
+        coh = bloch.integrate(params, pulse, cfg["t_end_ns"], dt)
+        cha = bloch.chaotic_transient(params, pulse, cfg["t_end_ns"], dt, cfg["samples"], sub)
         blocks.append([np.full(len(coh.times), om), coh.times, coh.rho11, cha.rho11, cha.stderr])
     columns = [np.concatenate(c) for c in zip(*blocks)]
     out = write_csv(cfg["out"], "omega,t_ns,coherent,chaotic_mean,chaotic_se", columns)
@@ -290,20 +320,13 @@ def cmd_rabi(cfg: dict, pset: ParameterSet) -> list[str]:
 
 def cmd_mollow(cfg: dict, pset: ParameterSet) -> list[str]:
     params = pset.tls
-    span = _positive(cfg, "span_ghz")
-    points = _number(cfg["grid_points"], "grid_points", int)
-    if points < 3:
-        raise ConfigError("grid_points must be >= 3")
-    freqs = np.linspace(-span, span, points)
+    freqs = np.linspace(-cfg["span_ghz"], cfg["span_ghz"], cfg["grid_points"])
     fpi = pset.instrument.fpi_fwhm_ghz
-    order = _number(cfg["quad_order"], "quad_order", int)
-    if order < 1:
-        raise ConfigError("quad_order must be >= 1")
     blocks = []
-    for om in _drives(cfg, "omegas"):
+    for om in cfg["omegas"]:
         coh = emission.qrt_spectrum(params, om, 0.0, freqs)
         coh_irf = emission.convolve_lorentzian(coh, fpi)
-        cha = emission.chaotic_spectrum(params, om, freqs, order=order)
+        cha = emission.chaotic_spectrum(params, om, freqs, order=cfg["quad_order"])
         cha_irf = emission.convolve_lorentzian(cha, fpi)
         spectra = [coh, coh_irf, cha, cha_irf]
         blocks.append([np.full(len(freqs), om), freqs] + [sp.incoherent for sp in spectra])
@@ -317,36 +340,25 @@ def cmd_mollow(cfg: dict, pset: ParameterSet) -> list[str]:
 
 
 def _blinking_from(cfg) -> tuple[float, float] | None:
-    beta = cfg.get("blinking_beta")
-    tau = cfg.get("blinking_tau_ns")
+    beta, tau = cfg["blinking_beta"], cfg["blinking_tau_ns"]
     if beta is None and tau is None:
         return None
     if beta is None or tau is None:
         raise ConfigError("blinking needs both blinking_beta and blinking_tau_ns")
-    beta = _number(beta, "blinking_beta")
-    if not 0.0 < beta <= 1.0:
-        raise ConfigError("blinking_beta must be in (0, 1]")
-    return beta, _positive(cfg, "blinking_tau_ns")
+    return beta, tau
 
 
 def cmd_g2(cfg: dict, pset: ParameterSet) -> list[str]:
     params = pset.tls
-    # g2 is a ratio to the steady emission, which needs a drive
-    om = _positive(cfg, "omega")
-    lag_max = _number(cfg["max_lag_ns"], "max_lag_ns")
-    lag_step = _positive(cfg, "lag_step_ns")
+    om, lag_max, lag_step = cfg["omega"], cfg["max_lag_ns"], cfg["lag_step_ns"]
     if lag_max < lag_step:
         raise ConfigError("max_lag_ns must be >= lag_step_ns")
-    bin_w = _positive(cfg, "bin_ns")
     lags = np.arange(0.0, lag_max + 0.5 * lag_step, lag_step)
     det_fwhm = pset.instrument.detector_fwhm_ns
     blink = _blinking_from(cfg)
-    with_mc = _flag(cfg, "mc")
-    if with_mc:
-        statistics = _statistics(cfg)
-        duration = _tag_duration(cfg, params, om, statistics, blink)
+    if cfg["mc"]:
+        duration = _tag_duration(cfg, params, om, blink)
 
-    with_chaotic = _flag(cfg, "chaotic")
     # detector convolution needs the lag grid to resolve the response;
     # on coarse grids the response is sub-bin and the raw curve stands in
     irf_resolved = lag_step <= det_fwhm / 5.0
@@ -354,7 +366,7 @@ def cmd_g2(cfg: dict, pset: ParameterSet) -> list[str]:
     analytic_irf = emission.convolve_gaussian(analytic, det_fwhm) if irf_resolved else analytic
     curves = [analytic, analytic_irf]
     header = "lag_ns,g2_coherent,g2_coherent_irf"
-    if with_chaotic:
+    if cfg["chaotic"]:
         chaotic = emission.chaotic_g2(params, om, lags)
         chaotic_irf = emission.convolve_gaussian(chaotic, det_fwhm) if irf_resolved else chaotic
         curves += [chaotic, chaotic_irf]
@@ -365,51 +377,33 @@ def cmd_g2(cfg: dict, pset: ParameterSet) -> list[str]:
     out = write_csv(cfg["out"], header, [curves[0].lags] + [c.values for c in curves])
     if out:
         outputs.append(out)
-    if with_mc:
+    if cfg["mc"]:
         rng = stream(cfg["seed"])
         sim_rng, det_rng = rng.spawn(2)
-        pulse = DrivePulse.cw(om, statistics=statistics)
-        tags = trajectory.simulate_tags(
-            params, pulse, duration, float(cfg["efficiency"]), sim_rng, blinking=blink
-        )
+        pulse = DrivePulse.cw(om, statistics=cfg["statistics"])
+        tags = trajectory.simulate_tags(params, pulse, duration, cfg["efficiency"], sim_rng, blinking=blink)
         tags = trajectory.apply_detector(tags, det_fwhm / math.sqrt(2.0), det_rng)
-        hist = trajectory.correlate(tags, bin_w, lag_max)
-        mc_out = hist.to_csv(str(cfg["out"]) + ".mc.csv" if cfg["out"] else None)
+        hist = trajectory.correlate(tags, cfg["bin_ns"], lag_max)
+        mc_out = hist.to_csv(None if cfg["out"] is None else cfg["out"] + ".mc.csv")
         if mc_out:
             outputs.append(mc_out)
     return outputs
 
 
-def _expected_rate(params, om, statistics, efficiency, blink) -> float:
-    if statistics is Statistics.CHAOTIC:
-        pop = bloch.chaotic_steady_state(params, om)
-    else:
-        pop = bloch.steady_state_population(params, om)
-    rate = efficiency * pop / params.t1
-    if blink:
-        rate *= blink[0]
-    return max(rate, 1e-12)
-
-
-def _statistics(cfg: dict) -> Statistics:
-    try:
-        return Statistics(cfg.get("statistics", "coherent"))
-    except ValueError as err:
-        raise ConfigError(f"statistics must be one of {[s.value for s in Statistics]}") from err
-
-
-def _tag_duration(cfg: dict, params, om, statistics, blink) -> float:
+def _tag_duration(cfg: dict, params, om, blink) -> float:
     """Length of the tag record: duration_ns, or, when `samples` is set,
     the length that yields that many detected tags at the expected
-    rate.  Checks the efficiency and the length that simulate_tags
-    accepts."""
-    efficiency = _number(cfg["efficiency"], "efficiency")
-    if not 0.0 < efficiency <= 1.0:
-        raise ConfigError("efficiency must be in (0, 1]")
-    duration = _number(cfg["duration_ns"], "duration_ns")
-    if cfg.get("samples"):
-        rate = _expected_rate(params, om, statistics, efficiency, blink)
-        duration = max(20.0 * params.t1, _number(cfg["samples"], "samples") / rate)
+    rate.  Checks the length that simulate_tags accepts."""
+    duration = cfg["duration_ns"]
+    if cfg["samples"] is not None:
+        if cfg["statistics"] is Statistics.CHAOTIC:
+            pop = bloch.chaotic_steady_state(params, om)
+        else:
+            pop = bloch.steady_state_population(params, om)
+        rate = cfg["efficiency"] * pop / params.t1 * (blink[0] if blink else 1.0)
+        if not rate > 0:
+            raise ConfigError("samples needs a nonzero expected tag rate, so a drive omega > 0")
+        duration = max(20.0 * params.t1, cfg["samples"] / rate)
     if not duration >= 10.0 * params.t1:
         raise ConfigError(f"duration_ns must be >= 10 t1 ({10.0 * params.t1:g} ns)")
     return duration
@@ -417,39 +411,31 @@ def _tag_duration(cfg: dict, params, om, statistics, blink) -> float:
 
 def cmd_tags(cfg: dict, pset: ParameterSet) -> list[str]:
     params = pset.tls
-    om = _drive(cfg["omega"], "omega")
-    statistics = _statistics(cfg)
+    om = cfg["omega"]
     blink = _blinking_from(cfg)
-    duration = _tag_duration(cfg, params, om, statistics, blink)
-    tau_corr = _positive(cfg, "tau_corr_ns")
-    rng = stream(cfg["seed"])
-    pulse = DrivePulse.cw(om, statistics=statistics)
+    duration = _tag_duration(cfg, params, om, blink)
+    pulse = DrivePulse.cw(om, statistics=cfg["statistics"])
     tags = trajectory.simulate_tags(
         params,
         pulse,
         duration,
-        float(cfg["efficiency"]),
-        rng,
+        cfg["efficiency"],
+        stream(cfg["seed"]),
         blinking=blink,
-        tau_corr=tau_corr,
+        tau_corr=cfg["tau_corr_ns"],
     )
     out = tags.to_csv(cfg["out"])
     return [out] if out else []
 
 
 def cmd_lamp(cfg: dict, pset: ParameterSet) -> list[str]:
-    tau_corr = _positive(cfg, "tau_corr_ns")
-    dt = _positive(cfg, "dt_ns") if cfg["dt_ns"] else tau_corr / 20.0
-    n_key = "samples" if cfg.get("samples") else "n"
-    n = _number(cfg[n_key], n_key, int)
-    if n < 2:
-        raise ConfigError(f"{n_key} must be >= 2")
-    max_lag = _positive(cfg, "max_lag_ns") if cfg["max_lag_ns"] else 3.0 * tau_corr
+    tau_corr = cfg["tau_corr_ns"]
+    dt = tau_corr / 20.0 if cfg["dt_ns"] is None else cfg["dt_ns"]
+    n = cfg["n"] if cfg["samples"] is None else cfg["samples"]
+    max_lag = 3.0 * tau_corr if cfg["max_lag_ns"] is None else cfg["max_lag_ns"]
     if max_lag < 2.0 * dt:
         raise ConfigError(f"max_lag_ns must be at least two sample steps, 2 x {dt:g} ns")
-    rows = max(_number(cfg["field_rows"], "field_rows", int), 0)
-    rng = stream(cfg["seed"])
-    trace = lamp.synthesize_field(tau_corr, dt, n, rng)
+    trace = lamp.synthesize_field(tau_corr, dt, n, stream(cfg["seed"]))
     g2 = lamp.estimate_g2(trace, max_lag)
     fit = lamp.fit_gaussian_g2(g2)
     outputs = []
@@ -457,8 +443,8 @@ def cmd_lamp(cfg: dict, pset: ParameterSet) -> list[str]:
     if out:
         outputs.append(out)
         # only the head of the trace is written; square just those rows
-        head = trace.amplitudes[:rows]
-        outputs.append(lamp._write_field_csv(str(cfg["out"]) + ".field.csv", trace.dt, head, np.abs(head) ** 2))
+        head = trace.amplitudes[: cfg["field_rows"]]
+        outputs.append(lamp._write_field_csv(out + ".field.csv", trace.dt, head, np.abs(head) ** 2))
         fit_doc = {
             "amplitude": fit.amplitude,
             "amplitude_err": fit.amplitude_err,
@@ -466,7 +452,7 @@ def cmd_lamp(cfg: dict, pset: ParameterSet) -> list[str]:
             "tau_corr_err_ns": fit.tau_corr_err,
             "identifiable": fit.identifiable,
         }
-        fit_path = str(cfg["out"]) + ".fit.json"
+        fit_path = out + ".fit.json"
         Path(fit_path).write_text(json.dumps(fit_doc, sort_keys=True, indent=2) + "\n")
         outputs.append(fit_path)
     else:
@@ -569,7 +555,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args.command, args)
         pset = _resolve_params(cfg)
         outputs = _COMMANDS[args.command](cfg, pset)
-        _write_sidecar(cfg.get("out"), args.command, cfg, pset, outputs)
+        _write_sidecar(cfg["out"], args.command, cfg, pset, outputs)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -224,9 +224,13 @@ def _drive_segments(pulse: DrivePulse, duration: float, tau_corr: float, rng) ->
         draws = None
     cuts = sorted(edges)
     segments = []
+    envelope = pulse.envelope
+    k = 0  # the envelope is sorted, so one walk finds the interval of each mid
     for a, b in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (a + b)
-        amp = pulse.amplitude_at(mid)
+        while k < len(envelope) and envelope[k][1] <= mid:
+            k += 1
+        amp = envelope[k][2] if k < len(envelope) and envelope[k][0] <= mid else 0.0
         if draws is None:
             om = pulse.rabi * amp
         else:

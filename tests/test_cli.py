@@ -8,10 +8,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tlsrf
 from tlsrf import cli, lamp
-from tlsrf.core import stream
+from tlsrf.core import ConfigError, stream
+
+
+MALFORMED = st.sampled_from([-1, 0, "x", None, True, False, 2.5, [], {}, math.nan, math.inf, -math.inf])
+
+# a config on which each command runs in well under a second
+SMALL = {
+    "saturation": {"s_points": 5},
+    "linewidth": {"s_points": 5},
+    "rabi": {"omegas": [5.2], "samples": 100, "t_end_ns": 0.5},
+    "mollow": {"omegas": [5.2], "grid_points": 101},
+    "g2": {"duration_ns": 2000.0, "max_lag_ns": 3.0, "lag_step_ns": 0.05},
+    "lamp": {"n": 4096, "field_rows": 10},
+    "tags": {"duration_ns": 1000.0},
+    "validate": {},
+}
+KEYS = [(command, key) for command, schema in cli._SCHEMA.items() for key in schema]
 
 
 def run(args):
@@ -105,12 +123,56 @@ class TestConfigHandling:
             ("g2", {"max_lag_ns": float("nan")}),
             ("g2", {"omega": True}),
             ("lamp", {"max_lag_ns": 2.5}),
+            # a falsy value is not read as unset
+            ("lamp", {"max_lag_ns": 0}),
+            ("lamp", {"max_lag_ns": False}),
+            ("lamp", {"dt_ns": 0}),
+            ("rabi", {"dt_ns": 0}),
+            ("rabi", {"samples": False}),
+            ("rabi", {"samples": None}),
+            # every key is checked, also where the command leaves it unused
+            ("g2", {"mc": False, "statistics": "bogus"}),
+            ("g2", {"mc": False, "efficiency": 0}),
+            ("g2", {"mc": False, "duration_ns": -1}),
+            ("g2", {"mc": False, "samples": -1}),
+            ("tags", {"samples": -1}),
+            ("lamp", {"field_rows": -1}),
+            ("saturation", {"samples": "x"}),
+            ("linewidth", {"samples": "x"}),
+            ("mollow", {"samples": "x"}),
+            ("validate", {"samples": 2.5}),
+            ("saturation", {"preset": []}),
+            ("saturation", {"out": []}),
+            ("saturation", {"params_file": 1}),
+            ("saturation", {"params_file": "no-such-registry.json"}),
+            # samples sets the record length by the expected rate, which
+            # is zero without a drive
+            ("tags", {"omega": 0, "samples": 10}),
+            ("tags", {"omega": 0, "statistics": "chaotic", "samples": 10}),
         ],
     )
     def test_malformed_value_is_exit_2(self, tmp_path, command, options):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(options))
         assert run([command, "--config", str(cfg)]) == 2
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pair=st.sampled_from(KEYS), value=MALFORMED)
+    def test_every_key_is_converted_before_the_command(self, tmp_path, monkeypatch, pair, value):
+        # one malformed value on a small config: no traceback, and a
+        # value that is not of the key's kind exits 2 whether or not the
+        # command reads the key
+        command, key = pair
+        monkeypatch.chdir(tmp_path)
+        Path("c.json").write_text(json.dumps({**SMALL[command], key: value}))
+        code = run([command, "--config", "c.json"])
+        assert code in (0, 2, 3)
+        default, kind = cli._SCHEMA[command][key]
+        if value is not None or default is not None:
+            try:
+                kind(key, value)
+            except ConfigError:
+                assert code == 2
 
     def test_negative_seed_flag_is_exit_2(self):
         assert run(["tags", "--seed", "-1"]) == 2
@@ -321,7 +383,7 @@ class TestLampCommand:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"n": 1 << 17, "field_rows": 300}))
         assert run(["lamp", "--config", str(cfg), "--seed", "9", "--out", str(out)]) == 0
-        tau_corr = cli._DEFAULTS["lamp"]["tau_corr_ns"]
+        tau_corr = cli._SCHEMA["lamp"]["tau_corr_ns"][0]
         trace = lamp.synthesize_field(tau_corr, tau_corr / 20.0, 1 << 17, stream(9))
         rows = read_rows(str(out) + ".field.csv")
         assert len(rows) == 300

@@ -13,7 +13,7 @@ from scipy.linalg import expm
 from scipy.optimize import curve_fit
 from scipy.stats import kstest
 
-from tlsrf import bloch, core, emission, trajectory
+from tlsrf import bloch, core, emission, photonstat, trajectory
 from tlsrf.core import DrivePulse, NumericalGuardError, Statistics
 
 
@@ -360,6 +360,29 @@ class TestRenewal:
         assert len(tags.times) > 1000
         cdf = interval_cdf(qd, pulse.detuning, segments, tags.times)
         assert kstest(cdf, "uniform").pvalue > 0.05
+
+
+class TestDriveSegments:
+    @pytest.mark.parametrize("statistics", [Statistics.COHERENT, Statistics.CHAOTIC])
+    def test_pulse_train_matches_amplitude_at(self, statistics):
+        # 300 pulses of cycling amplitude, every seventh touching the next
+        # and the last running past the end: each segment carries the
+        # amplitude that amplitude_at's scan finds at its middle
+        width = [37.0 if k % 7 == 0 else 5.0 for k in range(300)]
+        envelope = [(37.0 * k, 37.0 * k + width[k], (0.25, 0.5, 1.0)[k % 3]) for k in range(300)]
+        envelope[-1] = (envelope[-1][0], 2e4, envelope[-1][2])
+        pulse = DrivePulse(rabi=3.0, envelope=tuple(envelope), statistics=statistics)
+        duration, tau_corr = 37.0 * 300, bloch.LAMP_TAU_CORR
+        segments = trajectory._drive_segments(pulse, duration, tau_corr, core.stream(4))
+        n_blocks = math.ceil(duration / tau_corr)
+        draws = np.sqrt(photonstat.sample_chaotic_intensity(core.stream(4), pulse.rabi**2, size=n_blocks))
+        assert len(segments) > 500
+        for a, b, om in segments:
+            mid = 0.5 * (a + b)
+            scale = pulse.rabi
+            if statistics is Statistics.CHAOTIC:
+                scale = float(draws[min(int(mid / tau_corr), n_blocks - 1)])
+            assert om == scale * pulse.amplitude_at(mid)
 
 
 class TestApplyDetector:
