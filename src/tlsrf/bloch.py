@@ -241,6 +241,9 @@ def chaotic_steady_state_quadrature(
 # each run of equal amplitude has one constant map, and `orbit` fills a
 # uniform grid with it by doubling.
 
+_MAP_DEGREE = 12  # Taylor degree of an exact map
+_STEP_NORM = 0.11  # ||M dt||_1 up to which that map matches expm to rounding
+
 
 def augmented_generator(params: TlsParams, omegas, detuning: float = 0.0) -> np.ndarray:
     """M = [[A, b], [0, 0]] for x = (rho11, Re rho01, Im rho01), one per
@@ -282,10 +285,41 @@ def _rk4_step_map(m, dt):
     return np.eye(4) + taylor_increment(m, dt, 4)
 
 
+def expm_increment(m, dt):
+    """expm(M dt) - I for every generator in the stack m, to rounding.
+
+    The degree-12 Taylor map of M dt / 2^s, with s the fewest halvings
+    that bring ||M dt / 2^s||_1 to _STEP_NORM, squared back s times in
+    increment form, D <- 2 D + D D (scaling and squaring; Higham, SIAM
+    J. Matrix Anal. Appl. 26, 1179 (2005)), so a map close to I keeps
+    its slow modes.
+    """
+    norm = np.abs(m).sum(axis=-2).max(axis=-1) * abs(dt)
+    s = np.zeros(len(m), dtype=np.int64)
+    big = norm > _STEP_NORM
+    s[big] = np.ceil(np.log2(norm[big] / _STEP_NORM))
+    d = taylor_increment(m, (dt / 2.0**s)[:, None, None], _MAP_DEGREE)
+    for k in range(s.max(initial=0)):
+        d = np.where((s > k)[:, None, None], 2.0 * d + d @ d, d)
+    return d
+
+
+def doublings(maps, n, increments=False):
+    """The maps with which `orbit` fills n points from maps, T, T^2,
+    T^4, ..., or with increments D, 2 D + D D, ...: ceil(log2(n)) of
+    them, at least one, each of the shape of maps."""
+    out = [maps]
+    for _ in range((int(n) - 1).bit_length() - 1):
+        e = out[-1]
+        out.append(2.0 * e + e @ e if increments else e @ e)
+    return out
+
+
 def orbit(maps, x0, n, increments=False):
     """The first n points x0, T x0, T^2 x0, ... of the orbit of each
     state x0 (k, 4) under its map T in the stack maps (k, 4, 4), or one
-    map (4, 4) for all, as (k, 4, n).
+    map (4, 4) for all, as (k, 4, n).  maps may also be the list that
+    `doublings` returns for them, so that orbits under one map share it.
 
     With the first j points filled and E = T^j, the next j are E times
     them, then E <- E E: log2(n) batched matmuls.  With increments the
@@ -293,18 +327,19 @@ def orbit(maps, x0, n, increments=False):
     map close to I does not lose its slow modes to rounding on the way
     to a long orbit.
     """
+    if not isinstance(maps, list):
+        maps = doublings(maps, n, increments)
     x = np.empty((len(x0), 4, n))
     x[:, :, 0] = x0
-    e = maps
     k = 1
-    while k < n:
+    for e in maps:
+        if k >= n:
+            break
         fill = min(k, n - k)
+        new = x[:, :, k : k + fill]
+        np.matmul(e, x[:, :, :fill], out=new)
         if increments:
-            x[:, :, k : k + fill] = x[:, :, :fill] + e @ x[:, :, :fill]
-            e = 2.0 * e + e @ e
-        else:
-            x[:, :, k : k + fill] = e @ x[:, :, :fill]
-            e = e @ e
+            new += x[:, :, :fill]
         k += fill
     return x
 

@@ -10,8 +10,8 @@ config file < flags and converts every key once, before the command
 runs, so a malformed value is refused even where the command does not
 read it.  The commands check only the rules that tie keys together.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-guard
-failure, 4 validation failure.
+Exit codes: 0 success, 2 configuration error (an output that cannot
+be written included), 3 numerical-guard failure, 4 validation failure.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -235,6 +236,9 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
     for key, (default, kind) in schema.items():
         if cfg[key] is not None or default is not None:
             cfg[key] = kind(key, cfg[key])
+    out_dir = os.path.dirname(cfg["out"] or "") or "."
+    if not os.path.isdir(out_dir):
+        raise ConfigError(f"out: directory {out_dir!r} does not exist")
     return cfg
 
 
@@ -562,6 +566,9 @@ def main(argv=None) -> int:
     except NumericalGuardError as err:
         print(f"numerical guard: {err}", file=sys.stderr)
         return 3
+    except OSError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
+        return 2
     except SystemExit as err:
         return int(err.code or 0)
     return 0

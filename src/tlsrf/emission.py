@@ -268,15 +268,15 @@ def _conditional_population(params: TlsParams, omegas: np.ndarray, detuning: flo
 
     The state at the first lag is expm(M lags[0]) applied to the ground
     state, and `bloch.orbit` fills the rest with the exact map over one
-    lag step: two expm calls and log2(len(lags)) batched matmuls.
+    lag step, in increment form: two `bloch.expm_increment` maps and
+    log2(len(lags)) batched matmuls.
     """
-    # imported on first use, to keep it out of `import tlsrf`
-    from scipy.linalg import expm
-
     m = bloch.augmented_generator(params, omegas, detuning)
     n_lags = len(lags)
-    x0 = expm(m * lags[0])[:, :, 3]
-    x = bloch.orbit(expm(m * ((lags[-1] - lags[0]) / max(n_lags - 1, 1))), x0, n_lags)
+    x0 = bloch.expm_increment(m, lags[0])[:, :, 3]
+    x0[:, 3] += 1.0
+    step = bloch.expm_increment(m, (lags[-1] - lags[0]) / max(n_lags - 1, 1))
+    x = bloch.orbit(step, x0, n_lags, increments=True)
     return x[:, 0], _fixed_point(m)[:, 0]
 
 

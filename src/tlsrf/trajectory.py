@@ -12,24 +12,33 @@ with M'[3, 0] = -1/t1, whose last coordinate is P, started from
 (0, 0, 0, 1).
 
 Each interval draws one uniform target and ends where P falls to it,
-with no time-step discretization: a per-segment table of the orbit of
-M' brackets the root to one node, and a safeguarded Newton iteration on
-that node's Taylor polynomial of P finds it to 1e-14 ns, or to the
-rounding of P where that is coarser.  An interval in progress at a
-segment edge keeps its unnormalized state and its target, and that
-state is a second row of the next segment's table, so piecewise drives
-(pulse envelopes, quasi-static chaotic blocks) are handled without
-bias.
+with no time-step discretization: a table of the orbit of M' on a
+uniform grid of nodes brackets the root to one node, and a safeguarded
+Newton iteration on that node's Taylor polynomial of P finds it to
+1e-14 ns, or to the rounding of P where that is coarser.
+
+Intervals that start in the ground state do not depend on what came
+before them, so the sampler works in batch-then-walk order.  A batch of
+consecutive segments draws its targets in segment order, fills the
+ground-state tables of all its segments together, brackets every fresh
+interval and polishes them all in one Newton pass.  A walk over the
+segment edges, in order, then solves the one interval in progress at
+each edge: it keeps its unnormalized state and its target, gets a table
+of its own under the new segment's step maps, and the segment's fresh
+waits follow it.  Piecewise drives (pulse envelopes, quasi-static
+chaotic blocks) are so handled without bias.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bloch
+from .bloch import _MAP_DEGREE, _STEP_NORM
 from .core import DrivePulse, NumericalGuardError, Statistics, TlsParams, write_csv
 from .photonstat import sample_chaotic_intensity
 
@@ -79,77 +88,144 @@ class CoincidenceHistogram:
 # P(tau), the last component of the orbit of the conditional generator
 # M' from its start state: (0, 0, 0, 1) after a jump, the unnormalized
 # state of an interval carried over a segment edge.  A table of the
-# orbit on a uniform grid of nodes, one row per start state, brackets
-# each target u to one node, where P is the degree-9 Taylor polynomial
-# with coefficients (M'^j x)[3] / j! of the node's state x, and a
-# safeguarded Newton iteration on that polynomial finds the root.
+# orbit on a uniform grid of nodes brackets each target u to one node,
+# where P is the degree-9 Taylor polynomial with coefficients
+# (M'^j x)[3] / j! of the node's state x, and a safeguarded Newton
+# iteration on that polynomial finds the root.
+#
+# An interval that starts in the ground state does not depend on what
+# came before it, so consecutive segments are solved as one batch: their
+# generators, step maps and ground-state tables, the bracket of every
+# fresh interval and one Newton polish of them all.  A walk over the
+# segment edges, in order, then solves the one interval carried over
+# each edge on a table of its own and places the fresh waits after it.
 
 _GROUND = np.array([0.0, 0.0, 0.0, 1.0])  # the state after a jump
-_MAP_DEGREE = 12  # Taylor degree of the table's step map
-_STEP_NORM = 0.11  # ||M' h||_1 of a step: the map matches expm to rounding
 _P_DEGREE = 9  # degree of P's polynomial on a node
 _EXTRA_NODES = 512  # added to a table's estimated length for the transient
 _MAX_NODES = 1 << 16  # nodes per table; an interval past them is carried
+_MAX_TARGETS = 1 << 17  # targets a segment draws at a time
+_BATCH_TARGETS = 1 << 13  # targets of the segments solved as one batch
+_BATCH_NODES = 1 << 16  # estimated table nodes of the segments solved as one batch
 _XTOL = 1e-14  # ns, absolute tolerance of a waiting time
 _EPS = np.finfo(float).eps
 
 
-def _conditional_generator(params: TlsParams, om: float, det: float) -> np.ndarray:
+def _conditional_generator(params: TlsParams, om, det: float) -> np.ndarray:
     """M' of the Bloch equations without the radiative refill of the
-    ground state: its last coordinate, the trace, falls at rho11/t1."""
-    m = bloch.augmented_generator(params, om, det)[0]
-    m[3, 0] = -1.0 / params.t1
-    return m
+    ground state: its last coordinate, the trace, falls at rho11/t1.
+    One (4, 4) for a drive om, a stack (n, 4, 4) for an array of n."""
+    m = bloch.augmented_generator(params, om, det)
+    m[:, 3, 0] = -1.0 / params.t1
+    return m if np.ndim(om) else m[0]
 
 
-def _table(m, states, h, u_min, n_max):
-    """The orbit (k, 4, n) of each start state in states (k, 4) on nodes
-    j h, until every P is below u_min at the last node or the table has
-    n_max nodes.  The first length comes from the slowest decay rate of
-    M', and a table that falls short is doubled."""
-    d = bloch.taylor_increment(m, h, _MAP_DEGREE)
-    rate = -np.linalg.eigvals(m).real.max()
-    n = n_max
-    if rate > 0.0 and u_min > 0.0:
-        n = int(1.25 * math.log(1.0 / u_min) / (rate * h)) + _EXTRA_NODES
-    while True:
-        table = bloch.orbit(d, states, min(n, n_max), increments=True)
-        if n >= n_max or (table[:, 3, -1] < u_min).all():
-            return table
-        n *= 2
+class _Segments(NamedTuple):
+    """Stacked data of consecutive drive segments: M', the node spacing
+    h with ||M' h||_1 = _STEP_NORM, the slowest decay rate of M', and
+    the rows e3 M'^q / q!, q = 0 .. _P_DEGREE, that take a node's state
+    to the Taylor coefficients of P there."""
 
+    m: np.ndarray
+    h: np.ndarray
+    decay: np.ndarray
+    rows: np.ndarray
 
-def _waits(u, starts, m, table, h, t, seg_end):
-    """Waiting times of intervals started back to back at t from the
-    states table[starts, :, 0], for the targets u: inf past the table.
-
-    Every interval is bracketed first; only those up to the first whose
-    running sum of lower bracket ends reaches seg_end are polished, and
-    the rest are left inf, since they start past seg_end."""
-    n = table.shape[2]
-    surv = np.minimum.accumulate(table[:, 3], axis=1)  # monotone against rounding
-    k = np.empty(len(u), dtype=np.int64)
-    for state, p in enumerate(surv):
-        sel = starts == state
-        # the first node with P <= u; the one before it has P > u
-        k[sel] = np.searchsorted(-p, -u[sel], side="left")
-    lower = np.maximum(k - 1, 0) * h
-    keep = int(np.searchsorted(t + np.cumsum(lower), seg_end, side="left")) + 1
-    k, starts = k[:keep], starts[:keep]
-    # k = 0 is P(0) <= u: an interval that had ended before the segment
-    # edge, carried by rounding in t + cumsum(waits); it ends at once
-    waits = np.full(len(u), np.inf)
-    waits[:keep] = np.where(k > 0, np.inf, 0.0)
-    inner = np.flatnonzero((k > 0) & (k < n))
-    if len(inner):
-        j, st = k[inner] - 1, starts[inner]
-        rows = np.empty((_P_DEGREE + 1, 4))  # e3 M'^q / q!
-        rows[0] = _GROUND
+    @classmethod
+    def of(cls, m):
+        rows = np.empty((len(m), _P_DEGREE + 1, 4))
+        rows[:, 0] = _GROUND
         for q in range(1, _P_DEGREE + 1):
-            rows[q] = rows[q - 1] @ m / q
-        coef = rows @ table[st, :, j].T
-        waits[inner] = j * h + _newton(coef, u[inner], surv[st, j], surv[st, j + 1], h, j * h)
-    return waits
+            rows[:, q] = (rows[:, q - 1, None] @ m)[:, 0] / q
+        h = _STEP_NORM / np.abs(m).sum(axis=1).max(axis=1)
+        return cls(m, h, -np.linalg.eigvals(m).real.max(axis=1), rows)
+
+    def part(self, a, b):
+        return _Segments(*(x[a:b] for x in self))
+
+
+def _ground_tables(maps, segs, u_min, n_max):
+    """Orbit tables (4, n) from the ground state, one per segment of
+    segs, as a list, under the doubled step maps of the segments
+    (`bloch.doublings` of the stack D = T - I): each to where P at its
+    last node is below u_min, or to n_max nodes.
+
+    A table's first length comes from the slowest decay rate of M', and
+    a table that falls short is doubled.  Tables of about one length
+    (the same power of two) are filled together."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = 1.25 * np.log(1.0 / u_min) / (segs.decay * segs.h) + _EXTRA_NODES
+    n = np.where((segs.decay > 0.0) & (u_min > 0.0), np.minimum(est, n_max), n_max).astype(np.int64)
+    tables = [None] * len(n)
+    sizes = np.frexp(n)[1]
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        sub = maps if len(rows) == len(n) else [e[rows] for e in maps]
+        orbit = bloch.orbit(sub, np.tile(_GROUND, (len(rows), 1)), int(n[rows].max()), increments=True)
+        for i, r in enumerate(rows):
+            table = orbit[i, :, : n[r]]
+            while table.shape[1] < n_max[r] and table[3, -1] >= u_min[r]:
+                n[r] *= 2
+                table = bloch.orbit([e[r : r + 1] for e in maps], _GROUND[None], min(n[r], n_max[r]), increments=True)[0]
+            tables[r] = table
+    return tables
+
+
+def _carried_table(maps, x, u, n_max, out):
+    """The orbit table (4, n) of the state x of an interval carried into
+    a segment, under the segment's doubled step maps, as a view of the
+    buffer out (4, >= n_max): filled as `bloch.orbit` fills one, node
+    count by node count doubled, until P at the last node is below the
+    interval's target u, or to n_max nodes."""
+    out[:, 0] = x
+    k = 1
+    for e in maps:
+        if k >= n_max or out[3, k - 1] < u:
+            break
+        fill = min(k, n_max - k)
+        new = out[:, k : k + fill]
+        np.matmul(e, out[:, :fill], out=new)
+        new += out[:, :fill]
+        k += fill
+    return out[:, :k]
+
+
+def _bracket(table, u, h, t, seg_end):
+    """Bracket intervals started back to back at t from the state
+    table[:, 0] of an orbit table (4, n), for the targets u.
+
+    Node k of a target is the first where P, made monotone against
+    rounding, is at or below it (n past the table).  Every interval is
+    bracketed; only those up to the first whose running sum of lower
+    bracket ends (k - 1) h reaches seg_end are kept, since the rest
+    start past seg_end.  Returns k of the kept intervals, the indices of
+    those with 0 < k < n, and their `_waits` inputs: the node j = k - 1,
+    the state there and P at j and j + 1."""
+    p = np.minimum.accumulate(table[3])
+    k = np.searchsorted(-p, -u, side="left")
+    if seg_end < np.inf:
+        lower = np.maximum(k - 1, 0) * h
+        k = k[: int(np.searchsorted(t + np.cumsum(lower), seg_end, side="left")) + 1]
+    inner = np.flatnonzero((k > 0) & (k < len(p)))
+    j = k[inner] - 1
+    return k, inner, (j, table.T[j], p[j], p[j + 1])
+
+
+def _waits(u, j, x, p_lo, p_hi, segs, counts):
+    """Waiting times of intervals bracketed between the nodes j and
+    j + 1 of their table, for the targets u: j h + s, with s the root of
+    P's Taylor polynomial at the node state x (n, 4), where P falls from
+    p_lo to p_hi.  The intervals come in runs of counts[i], one run per
+    segment of segs; each run's coefficients are one matrix product, as
+    a batch of that run alone would have them."""
+    coef = np.empty((_P_DEGREE + 1, len(u)))
+    a = 0
+    for rows, c in zip(segs.rows, counts):
+        coef[:, a : a + c] = rows @ x[a : a + c].T
+        a += c
+    h = np.repeat(segs.h, counts)
+    tau0 = j * h
+    return tau0 + _newton(coef, u, p_lo, p_hi, h, tau0)
 
 
 def _newton(coef, u, p_lo, p_hi, h, tau0):
@@ -167,35 +243,37 @@ def _newton(coef, u, p_lo, p_hi, h, tau0):
     s = h * (p_lo - u) / (p_lo - p_hi)  # the chord
     dx = np.full(len(u), h)
     tol = _XTOL + 4.0 * _EPS * (tau0 + h)
-    while True:
-        p, dp = coef[-1].copy(), np.zeros(len(idx))  # Horner's rule for P and P'
-        for c in coef[-2::-1]:
-            dp *= s
-            dp += p
-            p *= s
-            p += c
-        f = p - u
-        above = f > 0.0
-        lo, hi = np.where(above, s, lo), np.where(above, hi, s)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            p, dp = coef[-1].copy(), np.zeros(len(idx))  # Horner's rule for P and P'
+            for c in coef[-2::-1]:
+                dp *= s
+                dp += p
+                p *= s
+                p += c
+            f = p - u
+            above = f > 0.0
+            np.copyto(lo, s, where=above)
+            np.copyto(hi, s, where=~above)
             step = f / dp
-        new = s - step
-        step = np.abs(step)
-        bisect = ~((new >= lo) & (new <= hi) & (step <= 0.5 * dx))
-        dx = np.where(bisect, 0.5 * (hi - lo), step)
-        s = np.where(bisect, 0.5 * (lo + hi), new)
-        done = dx <= tol
-        first = done & open_
-        out[idx[first]] = s[first]
-        open_ &= ~done
-        n_open = np.count_nonzero(open_)
-        if n_open == 0:
-            return out
-        if 2 * n_open <= len(idx):
-            keep = open_
-            idx, coef, u, s, lo, hi, dx, tol, open_ = (
-                idx[keep], coef[:, keep], u[keep], s[keep], lo[keep], hi[keep], dx[keep], tol[keep], open_[keep]
-            )
+            new = s - step
+            step = np.abs(step)
+            bisect = ~((new >= lo) & (new <= hi) & (step <= 0.5 * dx))
+            np.copyto(step, 0.5 * (hi - lo), where=bisect)
+            np.copyto(new, 0.5 * (lo + hi), where=bisect)
+            dx, s = step, new
+            done = dx <= tol
+            first = done & open_
+            out[idx[first]] = s[first]
+            open_ &= ~done
+            n_open = np.count_nonzero(open_)
+            if n_open == 0:
+                return out
+            if 2 * n_open <= len(idx):
+                keep = open_
+                idx, coef, u, s, lo, hi, dx, tol, open_ = (
+                    idx[keep], coef[:, keep], u[keep], s[keep], lo[keep], hi[keep], dx[keep], tol[keep], open_[keep]
+                )
 
 
 def _state_at(m, table, h, tau):
@@ -239,6 +317,119 @@ def _drive_segments(pulse: DrivePulse, duration: float, tau_corr: float, rng) ->
     return segments
 
 
+def _jump_times(params: TlsParams, det: float, segments, rng) -> np.ndarray:
+    """Radiative jump times over the drive segments, from the ground
+    state at t = 0, in batches of consecutive segments (`_batch`)."""
+    drive = (
+        np.array([a for a, _, _ in segments]),
+        np.array([b for _, b, _ in segments]),
+        [bloch.steady_state_population(params, om, det) / params.t1 for _, _, om in segments],
+        _Segments.of(_conditional_generator(params, np.array([om for _, _, om in segments]), det)),
+    )
+    emissions: list[np.ndarray] = []
+    seg, t, carried = 0, 0.0, None
+    while seg < len(segments):
+        seg, t, carried = _batch(drive, seg, t, carried, rng, emissions)
+    return np.concatenate(emissions) if emissions else np.empty(0)
+
+
+def _batch(drive, first, t, carried, rng, emissions):
+    """Solve the segments from first on as one batch, starting at t with
+    the interval carried = (state, target) in progress, or None; append
+    their jump times to emissions and return (segment, t, carried) where
+    the next batch starts.
+
+    Each segment draws one set of targets, in order: n_est = 1.4 x its
+    expected photons + 32, at most _MAX_TARGETS.  A batch takes segments
+    up to _BATCH_TARGETS targets or _BATCH_NODES estimated table nodes.
+    The fresh intervals of all of them are bracketed on their ground
+    tables, cut as if the carried interval took no time, and polished
+    together.  A walk over the edges then solves each carried interval
+    on a table of its own and places the fresh waits after it.  A
+    segment that runs out of targets, or whose interval in progress
+    runs past the end of its table, rewinds rng to just after its own
+    draw and goes on in the next batch."""
+    starts, ends, emit, all_segs = drive
+    jobs = []  # (t0, n_est, n_max) of each segment
+    n_targets = nodes = 0
+    while first + len(jobs) < len(starts) and n_targets < _BATCH_TARGETS and nodes < _BATCH_NODES:
+        s = first + len(jobs)
+        t0 = t if not jobs else starts[s]
+        n_est = int(min(max(64, 1.4 * (ends[s] - t0) * emit[s] + 32), float(_MAX_TARGETS)))
+        h, decay = all_segs.h[s], all_segs.decay[s]
+        n_max = min(_MAX_NODES, int((ends[s] - t0) / h) + 2)
+        nodes += n_max if decay <= 0.0 else min(n_max, int(1.25 * math.log(n_est + 1.0) / (decay * h)) + _EXTRA_NODES)
+        n_targets += n_est
+        jobs.append((t0, n_est, n_max))
+    segs = all_segs.part(first, first + len(jobs))
+    n_max = np.array([n for _, _, n in jobs])
+    maps = bloch.doublings(
+        bloch.taylor_increment(segs.m, segs.h[:, None, None], _MAP_DEGREE), int(n_max.max()), increments=True
+    )
+    own_maps = np.stack(maps, axis=1)  # each segment's doubled maps
+    carried_buf = np.empty((4, int(n_max.max())))  # one carried table at a time
+
+    # the fresh intervals of every segment; all but the first segment's
+    # open with the interval carried over their start edge
+    rewind = rng.bit_generator.state
+    targets = [rng.random(n_est) for _, n_est, _ in jobs]
+    fresh = [u[int(g > 0 or carried is not None) :] for g, u in enumerate(targets)]
+    tables = _ground_tables(maps, segs, np.array([u.min() for u in fresh]), n_max)
+    kept = [_bracket(tables[g], fresh[g], segs.h[g], jobs[g][0], ends[first + g]) for g in range(len(jobs))]
+    counts = [len(inner) for _, inner, _ in kept]
+    args = [np.concatenate(a) for a in zip(*(c for _, _, c in kept))]
+    u_in = np.concatenate([u[len(u) - len(f) + inner] for u, f, (_, inner, _) in zip(targets, fresh, kept)])
+    polished = np.split(_waits(u_in, *args, segs, counts), np.cumsum(counts)[:-1])
+
+    for g, (u, f, row, (_, inner, args), w) in enumerate(zip(targets, fresh, tables, kept, polished)):
+        s = first + g
+        h, seg_end = segs.h[g], ends[s]
+        inner = inner + len(u) - len(f)
+        waits = np.full(len(u), np.inf)
+        waits[inner] = w
+        carried_row = None
+        if carried is not None:
+            x, u[0] = carried
+            carried_row = _carried_table(own_maps[g], x, u[0], n_max[g], carried_buf)
+            kc, one, c_args = _bracket(carried_row, u[:1], h, t, np.inf)
+            # k = 0 is P(0) <= u: an interval that had ended before the
+            # edge, carried by rounding in t + cumsum(waits); it ends at once
+            waits[0] = 0.0 if kc[0] == 0 else np.inf
+            if len(one):
+                # polished in one run with the first fresh interval when
+                # the cut behind the carried one keeps it, as a segment
+                # solved on its own polishes both: a lone column of
+                # Taylor coefficients (a matrix-vector product) rounds
+                # differently from a column of a wider product
+                n = 1 + int(len(inner) > 0 and inner[0] == 1 and t + c_args[0][0] * h < seg_end)
+                c_args = [np.concatenate((a, b[: n - 1])) for a, b in zip(c_args, args)]
+                waits[:n] = _waits(u[:n], *c_args, segs.part(g, g + 1), [n])
+        jump_t = t + np.cumsum(waits)
+        inside = jump_t < seg_end
+        stop = int(np.argmin(inside)) if not inside.all() else len(u)
+        if stop > 0:
+            emissions.append(jump_t[:stop])
+            t = float(jump_t[stop - 1])
+        carried = None
+        if stop < len(u):
+            # interval `stop` is in progress at seg_end, or at the end of
+            # its table: carry it from there
+            table = carried_row if stop == 0 and carried_row is not None else row
+            edge = min(seg_end, t + (table.shape[1] - 1) * h)
+            carried = (_state_at(segs.m[g], table, h, edge - t), u[stop])
+            if edge < seg_end and (table[:, -1] == table[:, -2]).all():
+                edge = seg_end  # an orbit at rest (no drive, nothing left to decay) holds its state
+            t = edge
+        if t < seg_end:
+            # out of targets or past the table: the segment goes on in
+            # the next batch, with the draws that follow its own
+            if g + 1 < len(jobs):
+                rng.bit_generator.state = rewind
+                rng.random(sum(n_est for _, n_est, _ in jobs[: g + 1]))
+            return s, t, carried
+    return first + len(jobs), t, carried
+
+
 def simulate_tags(
     params: TlsParams,
     pulse: DrivePulse,
@@ -260,46 +451,8 @@ def simulate_tags(
         raise ValueError("duration must be long against t1")
     if not 0.0 < efficiency <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
-    det = pulse.detuning
     segments = _drive_segments(pulse, duration, tau_corr, rng)
-
-    emissions: list[np.ndarray] = []
-    carried = None  # (state, target) of an interval in progress at a segment edge
-
-    for seg_start, seg_end, om in segments:
-        m = _conditional_generator(params, om, det)
-        h = _STEP_NORM / np.abs(m).sum(axis=0).max()
-        rate = bloch.steady_state_population(params, om, det) / params.t1
-        t = seg_start
-        while t < seg_end:
-            n_est = int(min(max(64, 1.4 * (seg_end - t) * rate + 32), float(1 << 17)))
-            u = rng.random(n_est)
-            starts = np.zeros(n_est, dtype=np.int8)
-            states = _GROUND[None]
-            if carried is not None:
-                # the carried interval is the first, with its own start state
-                states = np.vstack([_GROUND, carried[0]])
-                starts[0], u[0] = 1, carried[1]
-                carried = None
-            n_max = min(_MAX_NODES, int((seg_end - t) / h) + 2)
-            table = _table(m, states, h, float(u.min()), n_max)
-            jump_t = t + np.cumsum(_waits(u, starts, m, table, h, t, seg_end))
-            inside = jump_t < seg_end
-            stop = int(np.argmin(inside)) if not inside.all() else n_est
-            if stop > 0:
-                emissions.append(jump_t[:stop])
-                t = float(jump_t[stop - 1])
-            if stop < n_est:
-                # interval `stop` is in progress at seg_end, or at the end
-                # of its table: carry it from there
-                row = table[starts[stop]]
-                edge = min(seg_end, t + (table.shape[2] - 1) * h)
-                carried = (_state_at(m, row, h, edge - t), u[stop])
-                if edge < seg_end and (row[:, -1] == row[:, -2]).all():
-                    edge = seg_end  # an orbit at rest (no drive, nothing left to decay) holds its state
-                t = edge
-
-    times = np.concatenate(emissions) if emissions else np.empty(0)
+    times = _jump_times(params, pulse.detuning, segments, rng)
     if len(times):
         if efficiency < 1.0:
             times = times[rng.random(len(times)) < efficiency]

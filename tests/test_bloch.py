@@ -90,6 +90,28 @@ class TestExp1:
             bloch.exp1(0.0)
 
 
+class TestExpmIncrement:
+    @pytest.mark.parametrize("dt", [0.0, 0.003, 0.1, 2.0, 37.0, 900.0])
+    def test_matches_expm(self, qd, dt):
+        # drives from dark to S ~ 3e3, detuned, from no halving of M dt
+        # to ~20 of them; the increment keeps the slow modes that
+        # expm - I loses to the I in front, so they are compared as maps
+        from scipy.linalg import expm
+
+        m = bloch.augmented_generator(qd, np.array([0.0, 0.3, 1.7, 7.2, 30.0]), 2.5)
+        d = bloch.expm_increment(m, dt)
+        ref = expm(m * dt)
+        assert np.all(np.abs(np.eye(4) + d - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    def test_slow_mode_to_full_precision(self):
+        # a decay rate of 1e-9 /ns over 1 ns: expm - I is -1e-9 to full
+        # relative precision, where I + D - I would keep ~7 digits
+        m = np.zeros((1, 4, 4))
+        m[0, 0, 0] = -1e-9
+        d = bloch.expm_increment(m, 1.0)
+        assert d[0, 0, 0] == pytest.approx(math.expm1(-1e-9), rel=1e-15)
+
+
 def _chaotic_quadrature_oracle(params, mean_omega, detuning=0.0):
     """Test-side oracle: direct adaptive quadrature of the intensity
     average of the saturation curve."""

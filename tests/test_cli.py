@@ -174,6 +174,36 @@ class TestConfigHandling:
             except ConfigError:
                 assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, options",
+        [("saturation", {"s_points": 3}), ("g2", {**SMALL["g2"], "mc": True})],
+        ids=["saturation", "g2-mc"],
+    )
+    def test_missing_output_directory_is_exit_2(self, tmp_path, capsys, command, options, monkeypatch):
+        # refused with the config, before the command computes anything
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(options))
+        ran = []
+        monkeypatch.setitem(cli._COMMANDS, command, lambda *a: ran.append(a))
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path / "missing" / "x.csv")]) == 2
+        assert not ran
+        assert capsys.readouterr().err.startswith("config error: out: directory")
+
+    @pytest.mark.parametrize(
+        "command, options, blocked",
+        [("saturation", {"s_points": 3}, "x.csv"), ("g2", {**SMALL["g2"], "mc": True}, "x.csv.mc.csv")],
+        ids=["saturation", "g2-mc"],
+    )
+    def test_unwritable_output_is_exit_2(self, tmp_path, capsys, command, options, blocked):
+        # a directory where an output file should go: g2 writes its CSV
+        # and then fails on the Monte Carlo histogram next to it
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(options))
+        (tmp_path / blocked).mkdir()
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output:") and err.count("\n") == 1
+
     def test_negative_seed_flag_is_exit_2(self):
         assert run(["tags", "--seed", "-1"]) == 2
 

@@ -41,15 +41,14 @@ def expm_increments(m, taus):
     return d
 
 
-def bisect_waits(u, starts, m, table, h, t, seg_end):
-    """Reference waiting times: 64 bisection steps on P(tau) > u over the
-    table's span, P the last component of expm(M' tau) x0 for the start
-    states x0 = table[starts, :, 0]; inf where P stays above u.  Each
-    midpoint is expm(M' span / 2^k) applied to the state at the lower
-    end.  Every interval is solved; t and seg_end are not used."""
-    taus = (table.shape[2] - 1) * h / 2.0 ** np.arange(65)
+def bisect_from(u, x0, m, span):
+    """Reference waiting times: 64 bisection steps on P(tau) > u over
+    [0, span], P the last component of expm(M' tau) x0; inf where P
+    stays above u.  Each midpoint is expm(M' span / 2^k) applied to the
+    state at the lower end."""
+    taus = span / 2.0 ** np.arange(65)
     d = expm_increments(m, taus)
-    x = table[starts, :, 0].copy()
+    x = np.tile(x0, (len(u), 1))
     end = x + x @ d[0].T
     lo = np.zeros(len(u))
     for k in range(1, 65):
@@ -58,6 +57,50 @@ def bisect_waits(u, starts, m, table, h, t, seg_end):
         x[above] = mid[above]
         lo[above] += taus[k]
     return np.where(end[:, 3] <= u, lo, np.inf)
+
+
+def bisect_waits(u, j, x, p_lo, p_hi, segs, counts):
+    """Drop-in for trajectory._waits: 64 bisection steps on P over each
+    interval's node step [j h, (j + 1) h], from the node state x by expm
+    of M'; p_lo and p_hi are not used."""
+    out = np.empty(len(u))
+    a = 0
+    for m, h, c in zip(segs.m, segs.h, counts):
+        taus = h / 2.0 ** np.arange(65)
+        d = expm_increments(m, taus)
+        xs, lo = x[a : a + c].copy(), np.zeros(c)
+        for k in range(1, 65):
+            mid = xs + xs @ d[k].T
+            above = mid[:, 3] > u[a : a + c]
+            xs[above] = mid[above]
+            lo[above] += taus[k]
+        out[a : a + c] = j[a : a + c] * h + lo
+        a += c
+    return out
+
+
+def one_segment(m):
+    """The sampler's data of one drive segment with generator m: its
+    stacked `_Segments` and the doubled step maps of its tables."""
+    segs = trajectory._Segments.of(m[None])
+    d = bloch.taylor_increment(segs.m, segs.h[:, None, None], bloch._MAP_DEGREE)
+    return segs, bloch.doublings(d, trajectory._MAX_NODES, increments=True)
+
+
+def solve(segs, maps, x0, u, n_max, seg_end=np.inf):
+    """The table of x0 and the waiting times of intervals started back to
+    back from it, through the sampler's table (a ground table, or the
+    table of an interval carried in), bracket and polish: inf past the
+    table and past the cut at seg_end."""
+    if x0 is trajectory._GROUND:
+        table = trajectory._ground_tables(maps, segs, np.array([u.min()]), np.array([n_max]))[0]
+    else:
+        table = trajectory._carried_table([e[0] for e in maps], x0, u.min(), n_max, np.empty((4, n_max)))
+    k, inner, args = trajectory._bracket(table, u, segs.h[0], 0.0, seg_end)
+    waits = np.full(len(u), np.inf)
+    waits[: len(k)][k == 0] = 0.0
+    waits[inner] = trajectory._waits(u[inner], *args, segs, [len(inner)])
+    return table, waits
 
 
 def conditional(log_s, ratio, det):
@@ -246,19 +289,18 @@ class TestLegSolver:
     def test_fresh_legs_match_bisection(self, case):
         log_s, ratio, det, bracket, seed = case
         m, h = conditional(log_s, ratio, det)
+        segs, maps = one_segment(m)
         rng = np.random.default_rng(seed)
         u = rng.random(400)
-        starts = np.zeros(400, dtype=np.int8)
         n_max = min(trajectory._MAX_NODES, int(bracket / h) + 2)
-        table = trajectory._table(m, trajectory._GROUND[None], h, u.min(), n_max)
-        got = trajectory._waits(u, starts, m, table, h, 0.0, np.inf)
-        ref = bisect_waits(u, starts, m, table, h, 0.0, np.inf)
+        table, got = solve(segs, maps, trajectory._GROUND, u, n_max)
+        ref = bisect_from(u, trajectory._GROUND, m, (table.shape[1] - 1) * h)
         assert np.array_equal(np.isinf(got), np.isinf(ref))
         finite = np.isfinite(ref)
         assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-10)
         # with the bracket as the segment end, every interval up to the
         # first that ends at or past it is solved, to the same bits
-        cut = trajectory._waits(u, starts, m, table, h, 0.0, bracket)
+        _, cut = solve(segs, maps, trajectory._GROUND, u, n_max, seg_end=bracket)
         need = int(np.searchsorted(np.cumsum(ref), bracket)) + 1
         assert np.array_equal(cut[:need], got[:need])
         assert np.all(np.isinf(cut[need:]) | (cut[need:] == got[need:]))
@@ -271,27 +313,23 @@ class TestLegSolver:
     def test_carried_legs_match_bisection(self, case, at_norm):
         # a carried state is an unnormalized density matrix that has lost
         # trace on its way to the edge, and its target lies below that
-        # trace; it is the first interval of a batch of fresh ones, and
-        # each example checks five such batches
+        # trace; it is solved on a table of its own, and each example
+        # checks five of them
         log_s, ratio, det, bracket, seed = case
         m, h = conditional(log_s, ratio, det)
+        segs, maps = one_segment(m)
         rng = np.random.default_rng(seed)
         n_max = min(trajectory._MAX_NODES, int(bracket / h) + 2)
         for batch in range(5):
             norm = rng.random()
             r11 = norm * rng.random()
             coh = math.sqrt(r11 * (norm - r11)) * rng.random() * np.exp(2j * math.pi * rng.random())
-            states = np.vstack([trajectory._GROUND, [r11, coh.real, coh.imag, norm]])
-            u = rng.random(400)
-            starts = np.zeros(400, dtype=np.int8)
-            starts[0], u[0] = 1, rng.random() * norm
-            if at_norm and batch == 0:
-                u[0] = norm
-            table = trajectory._table(m, states, h, u.min(), n_max)
+            state = np.array([r11, coh.real, coh.imag, norm])
+            u = np.array([norm if at_norm and batch == 0 else rng.random() * norm])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = trajectory._waits(u, starts, m, table, h, 0.0, np.inf)
-            ref = bisect_waits(u, starts, m, table, h, 0.0, np.inf)
+                table, got = solve(segs, maps, state, u, n_max)
+            ref = bisect_from(u, state, m, (table.shape[1] - 1) * h)
             assert np.array_equal(np.isinf(got), np.isinf(ref))
             finite = np.isfinite(ref)
             assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-10)
@@ -360,6 +398,124 @@ class TestRenewal:
         assert len(tags.times) > 1000
         cdf = interval_cdf(qd, pulse.detuning, segments, tags.times)
         assert kstest(cdf, "uniform").pvalue > 0.05
+
+
+# Test-side oracle: the segment-at-a-time sampler.  Each segment draws
+# its targets in batches; a batch tabulates the ground state and the
+# interval carried into it as two rows of one table, brackets and
+# polishes all of its intervals at once, and carries the one in progress
+# at the segment end.  simulate_tags solves the fresh intervals of many
+# segments in one batch and must reproduce it to the bit.
+
+
+def _loop_table(m, states, h, u_min, n_max):
+    d = bloch.taylor_increment(m, h, bloch._MAP_DEGREE)
+    rate = -np.linalg.eigvals(m).real.max()
+    n = n_max
+    if rate > 0.0 and u_min > 0.0:
+        n = int(1.25 * math.log(1.0 / u_min) / (rate * h)) + trajectory._EXTRA_NODES
+    while True:
+        table = bloch.orbit(d, states, min(n, n_max), increments=True)
+        if n >= n_max or (table[:, 3, -1] < u_min).all():
+            return table
+        n *= 2
+
+
+def _loop_waits(u, starts, m, table, h, t, seg_end):
+    n = table.shape[2]
+    surv = np.minimum.accumulate(table[:, 3], axis=1)
+    k = np.empty(len(u), dtype=np.int64)
+    for state, p in enumerate(surv):
+        sel = starts == state
+        k[sel] = np.searchsorted(-p, -u[sel], side="left")
+    lower = np.maximum(k - 1, 0) * h
+    keep = int(np.searchsorted(t + np.cumsum(lower), seg_end, side="left")) + 1
+    k, starts = k[:keep], starts[:keep]
+    waits = np.full(len(u), np.inf)
+    waits[:keep] = np.where(k > 0, np.inf, 0.0)
+    inner = np.flatnonzero((k > 0) & (k < n))
+    if len(inner):
+        j, st = k[inner] - 1, starts[inner]
+        rows = np.empty((trajectory._P_DEGREE + 1, 4))
+        rows[0] = trajectory._GROUND
+        for q in range(1, trajectory._P_DEGREE + 1):
+            rows[q] = rows[q - 1] @ m / q
+        coef = rows @ table[st, :, j].T
+        waits[inner] = j * h + trajectory._newton(coef, u[inner], surv[st, j], surv[st, j + 1], h, j * h)
+    return waits
+
+
+def segment_loop_tags(params, pulse, duration, rng):
+    """Tag times and channels of simulate_tags at efficiency 1, without
+    blinking, from the segment-at-a-time sampler."""
+    emissions, carried = [], None
+    for seg_start, seg_end, om in trajectory._drive_segments(pulse, duration, bloch.LAMP_TAU_CORR, rng):
+        m = trajectory._conditional_generator(params, om, pulse.detuning)
+        h = trajectory._STEP_NORM / np.abs(m).sum(axis=0).max()
+        rate = bloch.steady_state_population(params, om, pulse.detuning) / params.t1
+        t = seg_start
+        while t < seg_end:
+            n_est = int(min(max(64, 1.4 * (seg_end - t) * rate + 32), float(1 << 17)))
+            u = rng.random(n_est)
+            starts = np.zeros(n_est, dtype=np.int8)
+            states = trajectory._GROUND[None]
+            if carried is not None:
+                states = np.vstack([trajectory._GROUND, carried[0]])
+                starts[0], u[0] = 1, carried[1]
+                carried = None
+            n_max = min(trajectory._MAX_NODES, int((seg_end - t) / h) + 2)
+            table = _loop_table(m, states, h, float(u.min()), n_max)
+            jump_t = t + np.cumsum(_loop_waits(u, starts, m, table, h, t, seg_end))
+            inside = jump_t < seg_end
+            stop = int(np.argmin(inside)) if not inside.all() else n_est
+            if stop > 0:
+                emissions.append(jump_t[:stop])
+                t = float(jump_t[stop - 1])
+            if stop < n_est:
+                row = table[starts[stop]]
+                edge = min(seg_end, t + (table.shape[2] - 1) * h)
+                carried = (trajectory._state_at(m, row, h, edge - t), u[stop])
+                if edge < seg_end and (row[:, -1] == row[:, -2]).all():
+                    edge = seg_end
+                t = edge
+    times = np.concatenate(emissions) if emissions else np.empty(0)
+    return times, np.where(rng.random(len(times)) < 0.5, 1, 2).astype(np.int8)
+
+
+class TestBatches:
+    @pytest.mark.parametrize(
+        "pulse, duration, max_nodes",
+        [
+            (DrivePulse.cw(1.7, statistics=Statistics.CHAOTIC), 1e4, None),
+            (DrivePulse(rabi=7.2, envelope=tuple((10.0 * k, 10.0 * k + 2.0, 1.0) for k in range(800))), 8e3, None),
+            # tables of 2000 nodes, 64 ns, against 65 ns intervals: most
+            # are carried at the end of their table, and each such carry
+            # rewinds the targets drawn for later segments
+            (DrivePulse.cw(0.3), 1e5, 2000),
+            # the interval left from the pulse comes to rest in the dark
+            # and is carried straight to the end
+            (DrivePulse(rabi=7.2, envelope=((0.0, 2.0, 1.0),)), 1.00002e5, None),
+        ],
+        ids=["chaotic", "pulsed", "table-end", "dark-rest"],
+    )
+    def test_matches_segment_loop(self, qd, monkeypatch, pulse, duration, max_nodes):
+        if max_nodes is not None:
+            monkeypatch.setattr(trajectory, "_MAX_NODES", max_nodes)
+        tags = trajectory.simulate_tags(qd, pulse, duration, 1.0, core.stream(81))
+        times, channels = segment_loop_tags(qd, pulse, duration, core.stream(81))
+        assert np.array_equal(tags.times, times)
+        assert np.array_equal(tags.channels, channels)
+
+    def test_batches_split_long_drives(self, qd, monkeypatch):
+        # small batches: every segment edge of a chaotic drive is also a
+        # batch edge somewhere, and the draws still follow segment order
+        monkeypatch.setattr(trajectory, "_BATCH_TARGETS", 300)
+        pulse = DrivePulse.cw(1.7, statistics=Statistics.CHAOTIC)
+        tags = trajectory.simulate_tags(qd, pulse, 1e4, 1.0, core.stream(82))
+        times, channels = segment_loop_tags(qd, pulse, 1e4, core.stream(82))
+        assert len(times) > 1000
+        assert np.array_equal(tags.times, times)
+        assert np.array_equal(tags.channels, channels)
 
 
 class TestDriveSegments:
