@@ -495,8 +495,11 @@ class TestBatches:
             # the interval left from the pulse comes to rest in the dark
             # and is carried straight to the end
             (DrivePulse(rabi=7.2, envelope=((0.0, 2.0, 1.0),)), 1.00002e5, None),
+            # table-end carries in segments that share a batch with later
+            # ones: the draws of those are rewound and made again
+            (DrivePulse.cw(0.3, statistics=Statistics.CHAOTIC), 2e4, 2000),
         ],
-        ids=["chaotic", "pulsed", "table-end", "dark-rest"],
+        ids=["chaotic", "pulsed", "table-end", "dark-rest", "rewind"],
     )
     def test_matches_segment_loop(self, qd, monkeypatch, pulse, duration, max_nodes):
         if max_nodes is not None:
