@@ -361,8 +361,8 @@ def convolve_gaussian(g2: EmissionG2, fwhm: float) -> EmissionG2:
         raise NumericalGuardError(f"lag grid step {step} ns must be <= fwhm/5 ({fwhm/5.0} ns)")
     n = len(lags)
     sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    offsets = np.arange(-(n - 1), n) * step
-    kern = np.exp(-0.5 * (offsets / sigma) ** 2)
-    rowsum = np.convolve(np.ones(n), kern, mode="valid")
-    out = np.convolve(g2.values, kern, mode="valid") / rowsum
+    half = min(n - 1, math.ceil(12.0 * sigma / step))  # beyond 12 sigma the kernel is below exp(-72)
+    kern = np.exp(-0.5 * (np.arange(-half, half + 1) * step / sigma) ** 2)
+    rowsum = np.convolve(np.ones(n), kern)[half : half + n]
+    out = np.convolve(g2.values, kern)[half : half + n] / rowsum
     return EmissionG2(lags.copy(), np.maximum(out, 0.0))

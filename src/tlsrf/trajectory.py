@@ -25,8 +25,10 @@ interval and polishes them all in one Newton pass.  A walk over the
 segment edges, in order, then solves the one interval in progress at
 each edge: it keeps its unnormalized state and its target, gets a table
 of its own under the new segment's step maps, and the segment's fresh
-waits follow it.  Piecewise drives (pulse envelopes, quasi-static
-chaotic blocks) are so handled without bias.
+waits follow it.  The walk is sequential, since each edge state depends
+on where the interval before it ended, and an edge costs a few numpy
+calls and scalar arithmetic.  Piecewise drives (pulse envelopes,
+quasi-static chaotic blocks) are so handled without bias.
 """
 
 from __future__ import annotations
@@ -91,14 +93,8 @@ class CoincidenceHistogram:
 # orbit on a uniform grid of nodes brackets each target u to one node,
 # where P is the degree-9 Taylor polynomial with coefficients
 # (M'^j x)[3] / j! of the node's state x, and a safeguarded Newton
-# iteration on that polynomial finds the root.
-#
-# An interval that starts in the ground state does not depend on what
-# came before it, so consecutive segments are solved as one batch: their
-# generators, step maps and ground-state tables, the bracket of every
-# fresh interval and one Newton polish of them all.  A walk over the
-# segment edges, in order, then solves the one interval carried over
-# each edge on a table of its own and places the fresh waits after it.
+# iteration on that polynomial finds the root.  Segments are solved in
+# batches, then walked edge by edge (see the module docstring).
 
 _GROUND = np.array([0.0, 0.0, 0.0, 1.0])  # the state after a jump
 _P_DEGREE = 9  # degree of P's polynomial on a node
@@ -108,7 +104,7 @@ _MAX_TARGETS = 1 << 17  # targets a segment draws at a time
 _BATCH_TARGETS = 1 << 13  # targets of the segments solved as one batch
 _BATCH_NODES = 1 << 16  # estimated table nodes of the segments solved as one batch
 _XTOL = 1e-14  # ns, absolute tolerance of a waiting time
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 def _conditional_generator(params: TlsParams, om, det: float) -> np.ndarray:
@@ -203,9 +199,8 @@ def _bracket(table, u, h, t, seg_end):
     the state there and P at j and j + 1."""
     p = np.minimum.accumulate(table[3])
     k = np.searchsorted(-p, -u, side="left")
-    if seg_end < np.inf:
-        lower = np.maximum(k - 1, 0) * h
-        k = k[: int(np.searchsorted(t + np.cumsum(lower), seg_end, side="left")) + 1]
+    lower = np.maximum(k - 1, 0) * h
+    k = k[: int(np.searchsorted(t + np.cumsum(lower), seg_end, side="left")) + 1]
     inner = np.flatnonzero((k > 0) & (k < len(p)))
     j = k[inner] - 1
     return k, inner, (j, table.T[j], p[j], p[j + 1])
@@ -276,10 +271,53 @@ def _newton(coef, u, p_lo, p_hi, h, tau0):
                 )
 
 
-def _state_at(m, table, h, tau):
-    """The state (4,) of a table row (4, n) at tau within its nodes."""
+def _polish(coef, u, p_lo, p_hi, h, tau0):
+    """`_newton` for one interval on Python floats: the same operations in
+    the same order, so the same root to the bit.  P' = 0 steps to inf."""
+    lo, hi, dx = 0.0, h, h
+    s = h * (p_lo - u) / (p_lo - p_hi)
+    tol = _XTOL + 4.0 * _EPS * (tau0 + h)
+    while True:
+        p, dp = coef[-1], 0.0
+        for c in coef[-2::-1]:
+            dp = dp * s + p
+            p = p * s + c
+        f = p - u
+        lo, hi = (s, hi) if f > 0.0 else (lo, s)
+        step = f / dp if dp else math.inf
+        new, step = s - step, abs(step)
+        if not (lo <= new <= hi and step <= 0.5 * dx):
+            step, new = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        dx, s = step, new
+        if dx <= tol:
+            return s
+
+
+def _edge_waits(u, j, x, p_lo, p_hi, segs, g):
+    """`_waits` of the one or two intervals polished at an edge into
+    segment g of segs, by `_polish`: each argument a sequence over them."""
+    h = float(segs.h[g])
+    coef = (segs.rows[g] @ np.array(x).T).T.tolist()
+    u, j, p_lo, p_hi = (np.array(a).tolist() for a in (u, j, p_lo, p_hi))
+    return [k * h + _polish(c, v, a, b, h, k * h) for c, v, k, a, b in zip(coef, u, j, p_lo, p_hi)]
+
+
+def _map_terms(m):
+    """M'^q / q!, q = 1 .. _MAP_DEGREE, of a stack m (k, 4, 4) on axis 1,
+    for `_state_at`.  Their row 3 is not `_Segments.rows`, since a
+    row-vector product rounds unlike a matrix product."""
+    terms = [m]
+    for q in range(2, _MAP_DEGREE + 1):
+        terms.append(terms[-1] @ m / q)
+    return np.stack(terms, axis=1)
+
+
+def _state_at(terms, table, h, tau):
+    """The state (4,) of a table row (4, n) at tau within its nodes: the
+    node state x plus sum_q r^q terms[q - 1] x over the rest r."""
     j = min(int(tau / h), table.shape[1] - 1)
-    return table[:, j] + bloch.taylor_increment(m, tau - j * h, _MAP_DEGREE) @ table[:, j]
+    x = table[:, j]
+    return x + (tau - j * h) ** np.arange(1, len(terms) + 1) @ (terms @ x)
 
 
 def _drive_segments(pulse: DrivePulse, duration: float, tau_corr: float, rng) -> list[tuple[float, float, float]]:
@@ -367,46 +405,47 @@ def _batch(drive, first, t, carried, rng, emissions):
         bloch.taylor_increment(segs.m, segs.h[:, None, None], _MAP_DEGREE), int(n_max.max()), increments=True
     )
     own_maps = np.stack(maps, axis=1)  # each segment's doubled maps
+    terms = _map_terms(segs.m)
     carried_buf = np.empty((4, int(n_max.max())))  # one carried table at a time
 
     # the fresh intervals of every segment; all but the first segment's
-    # open with the interval carried over their start edge
+    # open with the interval carried over their start edge.  The targets
+    # and waits of segment g are the views [o[g], o[g + 1]) of flat arrays
     rewind = rng.bit_generator.state
-    targets = [rng.random(n_est) for _, n_est, _ in jobs]
-    fresh = [u[int(g > 0 or carried is not None) :] for g, u in enumerate(targets)]
-    tables = _ground_tables(maps, segs, np.array([u.min() for u in fresh]), n_max)
+    o = np.cumsum([0] + [n_est for _, n_est, _ in jobs]).tolist()
+    u_all = rng.random(o[-1])
+    fresh = [u_all[o[g] + int(g > 0 or carried is not None) : o[g + 1]] for g in range(len(jobs))]
+    tables = _ground_tables(maps, segs, np.array([f.min() for f in fresh]), n_max)
     kept = [_bracket(tables[g], fresh[g], segs.h[g], jobs[g][0], ends[first + g]) for g in range(len(jobs))]
-    counts = [len(inner) for _, inner, _ in kept]
     args = [np.concatenate(a) for a in zip(*(c for _, _, c in kept))]
-    u_in = np.concatenate([u[len(u) - len(f) + inner] for u, f, (_, inner, _) in zip(targets, fresh, kept)])
-    polished = np.split(_waits(u_in, *args, segs, counts), np.cumsum(counts)[:-1])
+    w = _waits(np.concatenate([f[inner] for f, (_, inner, _) in zip(fresh, kept)]), *args, segs, [len(i) for _, i, _ in kept])
+    waits_all = np.full(o[-1], np.inf)  # made after the polish, whose temporaries set the peak memory
+    waits_all[np.concatenate([o[g + 1] - len(f) + inner for g, (f, (_, inner, _)) in enumerate(zip(fresh, kept))])] = w
 
-    for g, (u, f, row, (_, inner, args), w) in enumerate(zip(targets, fresh, tables, kept, polished)):
+    for g, (row, (_, inner, args)) in enumerate(zip(tables, kept)):
         s = first + g
-        h, seg_end = segs.h[g], ends[s]
-        inner = inner + len(u) - len(f)
-        waits = np.full(len(u), np.inf)
-        waits[inner] = w
+        h, seg_end = float(segs.h[g]), float(ends[s])
+        u, waits = u_all[o[g] : o[g + 1]], waits_all[o[g] : o[g + 1]]
         carried_row = None
         if carried is not None:
             x, u[0] = carried
             carried_row = _carried_table(own_maps[g], x, u[0], n_max[g], carried_buf)
-            kc, one, c_args = _bracket(carried_row, u[:1], h, t, np.inf)
-            # k = 0 is P(0) <= u: an interval that had ended before the
-            # edge, carried by rounding in t + cumsum(waits); it ends at once
-            waits[0] = 0.0 if kc[0] == 0 else np.inf
-            if len(one):
-                # polished in one run with the first fresh interval when
-                # the cut behind the carried one keeps it, as a segment
-                # solved on its own polishes both: a lone column of
-                # Taylor coefficients (a matrix-vector product) rounds
-                # differently from a column of a wider product
-                n = 1 + int(len(inner) > 0 and inner[0] == 1 and t + c_args[0][0] * h < seg_end)
-                c_args = [np.concatenate((a, b[: n - 1])) for a, b in zip(c_args, args)]
-                waits[:n] = _waits(u[:n], *c_args, segs.part(g, g + 1), [n])
+            # node k as in `_bracket`; k = 0 is P(0) <= u: an interval that
+            # had ended before the edge, carried by rounding in
+            # t + cumsum(waits); it ends at once
+            p = np.minimum.accumulate(carried_row[3])
+            k = int(np.searchsorted(-p, -u[0]))
+            waits[0] = 0.0 if k == 0 else np.inf
+            if 0 < k < len(p):
+                # polished with the first fresh interval when the cut keeps
+                # it, as a segment solved on its own: the Taylor
+                # coefficients of one column round unlike those of two
+                run = [(u[0], k - 1, carried_row[:, k - 1], p[k - 1], p[k])]
+                if len(inner) and inner[0] == 0 and t + (k - 1) * h < seg_end:
+                    run.append((u[1], *(a[0] for a in args)))
+                waits[: len(run)] = _edge_waits(*zip(*run), segs, g)
         jump_t = t + np.cumsum(waits)
-        inside = jump_t < seg_end
-        stop = int(np.argmin(inside)) if not inside.all() else len(u)
+        stop = int(np.searchsorted(jump_t, seg_end))  # the first at or past seg_end
         if stop > 0:
             emissions.append(jump_t[:stop])
             t = float(jump_t[stop - 1])
@@ -416,7 +455,7 @@ def _batch(drive, first, t, carried, rng, emissions):
             # its table: carry it from there
             table = carried_row if stop == 0 and carried_row is not None else row
             edge = min(seg_end, t + (table.shape[1] - 1) * h)
-            carried = (_state_at(segs.m[g], table, h, edge - t), u[stop])
+            carried = (_state_at(terms[g], table, h, edge - t), u[stop])
             if edge < seg_end and (table[:, -1] == table[:, -2]).all():
                 edge = seg_end  # an orbit at rest (no drive, nothing left to decay) holds its state
             t = edge

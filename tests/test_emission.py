@@ -370,7 +370,26 @@ class TestBlinkingEnvelope:
             emission.blinking_envelope(g2, 0.5, -1.0)
 
 
+def full_kernel_gaussian(g2, fwhm):
+    """convolve_gaussian with the kernel of all 2n - 1 lag offsets."""
+    n, step = len(g2.lags), g2.lags[1] - g2.lags[0]
+    sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    kern = np.exp(-0.5 * (np.arange(-(n - 1), n) * step / sigma) ** 2)
+    rowsum = np.convolve(np.ones(n), kern, mode="valid")
+    return np.maximum(np.convolve(g2.values, kern, mode="valid") / rowsum, 0.0)
+
+
 class TestConvolveGaussian:
+    # the fig5 grid, 3001 lags, and one of 159 lags, shorter than the
+    # kernel's cut at 12 sigma (2 x 179 + 1 offsets at 0.01 ns)
+    @pytest.mark.parametrize("max_lag, n", [(15.0, 3001), (0.79, 159)])
+    def test_matches_full_kernel(self, qd, instrument, max_lag, n):
+        lags = np.arange(0.0, max_lag + 0.005, 0.01)
+        for g2 in (emission.qrt_g2(qd, 1.7, 0.0, lags), emission.chaotic_g2(qd, 1.7, lags)):
+            assert len(g2.lags) == n
+            out = emission.convolve_gaussian(g2, instrument.detector_fwhm_ns)
+            assert np.abs(out.values - full_kernel_gaussian(g2, instrument.detector_fwhm_ns)).max() <= 1e-15
+
     def test_constant_stays_constant(self):
         lags = np.arange(-5.0, 5.001, 0.01)
         g2 = emission.EmissionG2(lags, np.ones_like(lags))

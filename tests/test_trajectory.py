@@ -79,6 +79,20 @@ def bisect_waits(u, j, x, p_lo, p_hi, segs, counts):
     return out
 
 
+def bisect_edge_waits(u, j, x, p_lo, p_hi, segs, g):
+    """Drop-in for trajectory._edge_waits, by `bisect_waits`."""
+    return bisect_waits(np.array(u), np.array(j), np.array(x), p_lo, p_hi, segs.part(g, g + 1), [len(u)])
+
+
+def carried_state(rng):
+    """A state carried over an edge: an unnormalized density matrix that
+    has lost trace on its way there."""
+    norm = rng.random()
+    r11 = norm * rng.random()
+    coh = math.sqrt(r11 * (norm - r11)) * rng.random() * np.exp(2j * math.pi * rng.random())
+    return np.array([r11, coh.real, coh.imag, norm])
+
+
 def one_segment(m):
     """The sampler's data of one drive segment with generator m: its
     stacked `_Segments` and the doubled step maps of its tables."""
@@ -250,8 +264,13 @@ class TestSimulateTags:
         # kernel's batched RSS counters alone move the peak by up to
         # ~0.15 MB.  The calls run in a fresh interpreter and read its
         # VmHWM: ru_maxrss would start from this process's peak, which
-        # a child inherits
+        # a child inherits.  The peak also depends on the heap layout, so
+        # ten more calls under tracemalloc count the bytes still held
+        # after each, in blocks of 1 KB or more: numpy keeps freed
+        # buffers below 1 KB in a cache of its own, which moves the
+        # total by ~1 KB from call to call
         script = (
+            "import gc, tracemalloc\n"
             "from tlsrf import core, trajectory\n"
             "qd = core.PAPER_QD.tls\n"
             "pulse = core.DrivePulse.cw(core.omega_from_saturation(0.6, qd), statistics=core.Statistics.CHAOTIC)\n"
@@ -259,13 +278,20 @@ class TestSimulateTags:
             "    trajectory.simulate_tags(qd, pulse, 1e5, 1.0, core.stream(100))\n"
             "    status = open('/proc/self/status').read()\n"
             "    print(status.split('VmHWM:')[1].split()[0])\n"
+            "tracemalloc.start()\n"
+            "for _ in range(10):\n"
+            "    trajectory.simulate_tags(qd, pulse, 1e5, 1.0, core.stream(100))\n"
+            "    gc.collect()\n"
+            "    print(sum(t.size for t in tracemalloc.take_snapshot().traces if t.size >= 1024))\n"
         )
         src = os.path.dirname(os.path.dirname(trajectory.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-        peak_kb = [int(line) for line in out.stdout.split()]
-        assert len(peak_kb) == 10
+        lines = [int(line) for line in out.stdout.split()]
+        assert len(lines) == 20
+        peak_kb, traced = lines[:10], lines[10:]
         assert max(peak_kb[2:]) - peak_kb[2] <= 0.5 * 1024
+        assert max(traced[2:]) <= traced[2]
 
 
 # S = omega^2 t1 t2 over [0.01, 100], t2/t1 over (0.05, 2], detuning over
@@ -277,6 +303,40 @@ leg_cases = st.tuples(
     st.floats(0.1, 1000.0),
     st.integers(0, 2**32 - 1),
 )
+
+
+def polish_case(case, carried):
+    """The `_newton` inputs (coef, u, p_lo, p_hi, h, tau0) of the
+    intervals bracketed on a table of the sampler: 400 from the ground
+    state, or 20 from a carried one."""
+    log_s, ratio, det, bracket, seed = case
+    m, _ = conditional(log_s, ratio, det)
+    segs, maps = one_segment(m)
+    rng = np.random.default_rng(seed)
+    n_max = min(trajectory._MAX_NODES, int(bracket / segs.h[0]) + 2)
+    if carried:
+        x0 = carried_state(rng)
+        u = rng.random(20) * x0[3]
+        table = trajectory._carried_table([e[0] for e in maps], x0, u.min(), n_max, np.empty((4, n_max)))
+    else:
+        u = rng.random(400)
+        table = trajectory._ground_tables(maps, segs, np.array([u.min()]), np.array([n_max]))[0]
+    _, inner, (j, x, p_lo, p_hi) = trajectory._bracket(table, u, segs.h[0], 0.0, np.inf)
+    h = np.full(len(inner), segs.h[0])
+    return segs.rows[0] @ x.T, u[inner], p_lo, p_hi, h, j * h
+
+
+def poly_case(coefs, u, p_lo, p_hi, h, tau0):
+    """`_newton` inputs for given polynomials, one coefficient list per
+    interval, on one node step h at tau0."""
+    coef = np.zeros((trajectory._P_DEGREE + 1, len(coefs)))
+    for i, c in enumerate(coefs):
+        coef[: len(c), i] = c
+    n = len(coefs)
+    return coef, np.array(u), np.array(p_lo), np.array(p_hi), np.full(n, h), np.full(n, tau0)
+
+
+polish_cases = st.builds(polish_case, leg_cases, st.booleans())
 
 
 class TestLegSolver:
@@ -321,10 +381,8 @@ class TestLegSolver:
         rng = np.random.default_rng(seed)
         n_max = min(trajectory._MAX_NODES, int(bracket / h) + 2)
         for batch in range(5):
-            norm = rng.random()
-            r11 = norm * rng.random()
-            coh = math.sqrt(r11 * (norm - r11)) * rng.random() * np.exp(2j * math.pi * rng.random())
-            state = np.array([r11, coh.real, coh.imag, norm])
+            state = carried_state(rng)
+            norm = state[3]
             u = np.array([norm if at_norm and batch == 0 else rng.random() * norm])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -335,6 +393,54 @@ class TestLegSolver:
             assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-10)
             if u[0] == norm:
                 assert 0.0 <= got[0] <= h
+
+    @settings(max_examples=60, deadline=None)
+    @given(polish_cases)
+    @example(poly_case([[1.0, -4.0]], [0.5], [1.0], [0.0], 0.25, 0.0))  # f = 0 at the chord
+    # P = 1 - s^3: P' = -3e-6 at the chord, and Newton leaves the bracket
+    @example(poly_case([[1.0, 0.0, 0.0, -1.0]], [0.999], [1.0], [0.0], 1.0, 0.0))
+    # P' = 0 at the chord s = 1/2, with f < 0 and f = 0: numpy divides
+    # to -inf and nan, and both bisect
+    @example(
+        poly_case(
+            [[0.8125, -2.0, 4.5, -4.0, 1.0], [0.625, -0.75, 1.5, -1.0]],
+            [0.5625, 0.5], [0.8125, 0.625], [0.3125, 0.375], 1.0, 0.0,
+        )
+    )
+    # exp(-s) 1e7 ns into a table: the tolerance is 4 eps tau, ~9e-9 ns
+    @example(poly_case([[(-1.0) ** q / math.factorial(q) for q in range(10)]], [0.97], [1.0], [math.exp(-0.05)], 0.05, 1e7))
+    def test_polish_matches_newton(self, case):
+        # the walk polishes the one or two intervals at an edge on Python
+        # floats, and must find the roots of the batch polish to the bit
+        coef, u, p_lo, p_hi, h, tau0 = case
+        ref = trajectory._newton(coef, u, p_lo, p_hi, h, tau0)
+        got = [
+            trajectory._polish(c, *a)
+            for c, *a in zip(coef.T.tolist(), u.tolist(), p_lo.tolist(), p_hi.tolist(), h.tolist(), tau0.tolist())
+        ]
+        assert np.array(got).tobytes() == ref.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(leg_cases, st.booleans())
+    def test_state_at_matches_expm(self, case, carried):
+        # the state carried over an edge, at a random tau inside a table,
+        # on a node and at the last node.  segment_loop_tags calls the
+        # same _state_at, so TestBatches cannot see a wrong edge state.
+        # expm(M' tau) x is taken in the Van Loan increment form of the
+        # bisection reference: plain expm is itself off by up to ~4e-14
+        # of x over a 1000 ns table (against 40-digit arithmetic)
+        log_s, ratio, det, bracket, seed = case
+        m, _ = conditional(log_s, ratio, det)
+        segs, maps = one_segment(m)
+        h = segs.h[0]
+        rng = np.random.default_rng(seed)
+        x0 = carried_state(rng) if carried else trajectory._GROUND
+        table, _ = solve(segs, maps, x0, np.array([1e-6 * x0[3]]), min(trajectory._MAX_NODES, int(bracket / h) + 2))
+        n = table.shape[1]
+        for tau in (rng.random() * (n - 1) * h, rng.integers(n) * h, (n - 1) * h):
+            got = trajectory._state_at(trajectory._map_terms(segs.m)[0], table, h, tau)
+            ref = x0 + expm_increments(m, tau / 2.0 ** np.arange(65))[0] @ x0
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(x0).max()
 
     @pytest.mark.parametrize(
         "pulse, blinking",
@@ -353,6 +459,7 @@ class TestLegSolver:
         # amplifies when its new segment decays much slower than the old
         new = trajectory.simulate_tags(qd, pulse, 2e4, 1.0, core.stream(2024), blinking=blinking)
         monkeypatch.setattr(trajectory, "_waits", bisect_waits)
+        monkeypatch.setattr(trajectory, "_edge_waits", bisect_edge_waits)
         ref = trajectory.simulate_tags(qd, pulse, 2e4, 1.0, core.stream(2024), blinking=blinking)
         assert len(new.times) == len(ref.times) > 1000
         assert np.array_equal(new.channels, ref.channels)
@@ -452,6 +559,7 @@ def segment_loop_tags(params, pulse, duration, rng):
     for seg_start, seg_end, om in trajectory._drive_segments(pulse, duration, bloch.LAMP_TAU_CORR, rng):
         m = trajectory._conditional_generator(params, om, pulse.detuning)
         h = trajectory._STEP_NORM / np.abs(m).sum(axis=0).max()
+        terms = trajectory._map_terms(m[None])[0]
         rate = bloch.steady_state_population(params, om, pulse.detuning) / params.t1
         t = seg_start
         while t < seg_end:
@@ -474,7 +582,7 @@ def segment_loop_tags(params, pulse, duration, rng):
             if stop < n_est:
                 row = table[starts[stop]]
                 edge = min(seg_end, t + (table.shape[2] - 1) * h)
-                carried = (trajectory._state_at(m, row, h, edge - t), u[stop])
+                carried = (trajectory._state_at(terms, row, h, edge - t), u[stop])
                 if edge < seg_end and (row[:, -1] == row[:, -2]).all():
                     edge = seg_end
                 t = edge
