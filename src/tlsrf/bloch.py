@@ -350,8 +350,9 @@ def _runs(amp_steps):
     return zip(edges[:-1], edges[1:])
 
 
-def _rk4_ensemble(dt, amp_steps, omegas, params, det, mean, meansq, coh_re, coh_im):
-    """Lock-step RK4 over all ensemble members at once.
+def _rk4_ensemble(dt, amp_steps, omegas, params, det):
+    """Lock-step RK4 over all ensemble members at once; returns the sums
+    over members of rho11, u, v and rho11^2 at each step, (4, n + 1).
 
     Each run of equal envelope amplitude gets one step map per member
     (`_rk4_step_map`); a step is then one 3x3 matvec per member.  Only
@@ -360,6 +361,7 @@ def _rk4_ensemble(dt, amp_steps, omegas, params, det, mean, meansq, coh_re, coh_
     x = np.zeros((3, len(omegas)))
     nxt = np.empty_like(x)
     # x starts in the ground state, so the t = 0 sums are zero
+    sums = np.zeros((4, len(amp_steps) + 1))
     for start, stop in _runs(amp_steps):
         t = _rk4_step_map(augmented_generator(params, omegas * amp_steps[start], det), dt)
         # members on the last axis, as x
@@ -369,11 +371,9 @@ def _rk4_ensemble(dt, amp_steps, omegas, params, det, mean, meansq, coh_re, coh_
             np.einsum("ijn,jn->in", p, x, out=nxt)
             nxt += c
             x, nxt = nxt, x
-            sums = x.sum(axis=1)
-            mean[j + 1] += float(sums[0])
-            meansq[j + 1] += float((x[0] * x[0]).sum())
-            coh_re[j + 1] += float(sums[1])
-            coh_im[j + 1] += float(sums[2])
+            sums[:3, j + 1] = x.sum(axis=1)
+            sums[3, j + 1] = (x[0] * x[0]).sum()
+    return sums
 
 
 def _step_guard(params: TlsParams, omega_max: float, dt: float):
@@ -477,15 +477,7 @@ def chaotic_transient(
     w2 = sample_chaotic_intensity(rng, pulse.rabi**2, size=n_samples)
     omegas = np.sqrt(np.asarray(w2, dtype=float))
     amps = _amplitudes_per_step(pulse, n_steps, dt)
-    mean = np.zeros(n_steps + 1)
-    meansq = np.zeros(n_steps + 1)
-    coh_re = np.zeros(n_steps + 1)
-    coh_im = np.zeros(n_steps + 1)
-    _rk4_ensemble(dt, amps, omegas, params, pulse.detuning, mean, meansq, coh_re, coh_im)
-    mean /= n_samples
-    meansq /= n_samples
-    coh_re /= n_samples
-    coh_im /= n_samples
+    mean, coh_re, coh_im, meansq = _rk4_ensemble(dt, amps, omegas, params, pulse.detuning) / n_samples
     var = np.maximum(meansq - mean**2, 0.0) * n_samples / (n_samples - 1)
     stderr = np.sqrt(var / n_samples)
     return BlochTrace(0.0, dt, mean, coh_re, coh_im, stderr=stderr)

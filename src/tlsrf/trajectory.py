@@ -18,17 +18,21 @@ Newton iteration on that node's Taylor polynomial of P finds it to
 1e-14 ns, or to the rounding of P where that is coarser.
 
 Intervals that start in the ground state do not depend on what came
-before them, so the sampler works in batch-then-walk order.  A batch of
+before them, so the sampler works in batch-then-walk order.  The
+Taylor terms of every segment's M' are set up once.  A batch of
 consecutive segments draws its targets in segment order, fills the
-ground-state tables of all its segments together, brackets every fresh
-interval and polishes them all in one Newton pass.  A walk over the
-segment edges, in order, then solves the one interval in progress at
-each edge: it keeps its unnormalized state and its target, gets a table
-of its own under the new segment's step maps, and the segment's fresh
-waits follow it.  The walk is sequential, since each edge state depends
-on where the interval before it ended, and an edge costs a few numpy
-calls and scalar arithmetic.  Piecewise drives (pulse envelopes,
-quasi-static chaotic blocks) are so handled without bias.
+ground-state tables of all its segments together, each as long as the
+slowest decay rate of M' says its smallest target needs, brackets every
+fresh interval and polishes them all in one Newton pass.  A walk over
+the segment edges, in order, then solves the one interval in progress
+at each edge: it keeps its unnormalized state and its target, gets a
+table of its own under the new segment's step maps, and is polished
+alone; the segment's fresh waits from the batch follow it.  An
+interval that runs past the end of its table is carried from there as
+at an edge.  The walk is sequential, since each edge state depends on
+where the interval before it ended, and an edge costs a few numpy calls
+and scalar arithmetic.  Piecewise drives (pulse envelopes, quasi-static
+chaotic blocks) are so handled without bias.
 """
 
 from __future__ import annotations
@@ -118,23 +122,26 @@ def _conditional_generator(params: TlsParams, om, det: float) -> np.ndarray:
 
 class _Segments(NamedTuple):
     """Stacked data of consecutive drive segments: M', the node spacing
-    h with ||M' h||_1 = _STEP_NORM, the slowest decay rate of M', and
-    the rows e3 M'^q / q!, q = 0 .. _P_DEGREE, that take a node's state
-    to the Taylor coefficients of P there."""
+    h with ||M' h||_1 = _STEP_NORM, the slowest decay rate of M', the
+    Taylor terms M'^q / q!, q = 1 .. _MAP_DEGREE, on axis 1, and the
+    rows e3 M'^q / q!, q = 0 .. _P_DEGREE, that take a node's state to
+    the Taylor coefficients of P there: e3, then row 3 of the terms."""
 
     m: np.ndarray
     h: np.ndarray
     decay: np.ndarray
+    terms: np.ndarray
     rows: np.ndarray
 
     @classmethod
     def of(cls, m):
-        rows = np.empty((len(m), _P_DEGREE + 1, 4))
-        rows[:, 0] = _GROUND
-        for q in range(1, _P_DEGREE + 1):
-            rows[:, q] = (rows[:, q - 1, None] @ m)[:, 0] / q
+        terms = [m]
+        for q in range(2, _MAP_DEGREE + 1):
+            terms.append(terms[-1] @ m / q)
+        terms = np.stack(terms, axis=1)
+        rows = np.concatenate((np.tile(_GROUND, (len(m), 1, 1)), terms[:, :_P_DEGREE, 3]), axis=1)
         h = _STEP_NORM / np.abs(m).sum(axis=1).max(axis=1)
-        return cls(m, h, -np.linalg.eigvals(m).real.max(axis=1), rows)
+        return cls(m, h, -np.linalg.eigvals(m).real.max(axis=1), terms, rows)
 
     def part(self, a, b):
         return _Segments(*(x[a:b] for x in self))
@@ -143,12 +150,12 @@ class _Segments(NamedTuple):
 def _ground_tables(maps, segs, u_min, n_max):
     """Orbit tables (4, n) from the ground state, one per segment of
     segs, as a list, under the doubled step maps of the segments
-    (`bloch.doublings` of the stack D = T - I): each to where P at its
-    last node is below u_min, or to n_max nodes.
+    (`bloch.doublings` of the stack D = T - I).
 
-    A table's first length comes from the slowest decay rate of M', and
-    a table that falls short is doubled.  Tables of about one length
-    (the same power of two) are filled together."""
+    A table's length comes from the slowest decay rate of M', enough
+    for P at its last node to fall below u_min, capped at n_max nodes;
+    an interval past the end is carried there (see `_batch`).  Tables
+    of about one length (the same power of two) are filled together."""
     with np.errstate(divide="ignore", invalid="ignore"):
         est = 1.25 * np.log(1.0 / u_min) / (segs.decay * segs.h) + _EXTRA_NODES
     n = np.where((segs.decay > 0.0) & (u_min > 0.0), np.minimum(est, n_max), n_max).astype(np.int64)
@@ -159,11 +166,7 @@ def _ground_tables(maps, segs, u_min, n_max):
         sub = maps if len(rows) == len(n) else [e[rows] for e in maps]
         orbit = bloch.orbit(sub, np.tile(_GROUND, (len(rows), 1)), int(n[rows].max()), increments=True)
         for i, r in enumerate(rows):
-            table = orbit[i, :, : n[r]]
-            while table.shape[1] < n_max[r] and table[3, -1] >= u_min[r]:
-                n[r] *= 2
-                table = bloch.orbit([e[r : r + 1] for e in maps], _GROUND[None], min(n[r], n_max[r]), increments=True)[0]
-            tables[r] = table
+            tables[r] = orbit[i, :, : n[r]]
     return tables
 
 
@@ -293,23 +296,12 @@ def _polish(coef, u, p_lo, p_hi, h, tau0):
             return s
 
 
-def _edge_waits(u, j, x, p_lo, p_hi, segs, g):
-    """`_waits` of the one or two intervals polished at an edge into
-    segment g of segs, by `_polish`: each argument a sequence over them."""
+def _edge_wait(u, j, x, p_lo, p_hi, segs, g):
+    """`_waits` of the one interval polished at an edge into segment g
+    of segs, by `_polish`."""
     h = float(segs.h[g])
-    coef = (segs.rows[g] @ np.array(x).T).T.tolist()
-    u, j, p_lo, p_hi = (np.array(a).tolist() for a in (u, j, p_lo, p_hi))
-    return [k * h + _polish(c, v, a, b, h, k * h) for c, v, k, a, b in zip(coef, u, j, p_lo, p_hi)]
-
-
-def _map_terms(m):
-    """M'^q / q!, q = 1 .. _MAP_DEGREE, of a stack m (k, 4, 4) on axis 1,
-    for `_state_at`.  Their row 3 is not `_Segments.rows`, since a
-    row-vector product rounds unlike a matrix product."""
-    terms = [m]
-    for q in range(2, _MAP_DEGREE + 1):
-        terms.append(terms[-1] @ m / q)
-    return np.stack(terms, axis=1)
+    coef = (segs.rows[g] @ x).tolist()
+    return j * h + _polish(coef, float(u), float(p_lo), float(p_hi), h, j * h)
 
 
 def _state_at(terms, table, h, tau):
@@ -382,11 +374,11 @@ def _batch(drive, first, t, carried, rng, emissions):
     up to _BATCH_TARGETS targets or _BATCH_NODES estimated table nodes.
     The fresh intervals of all of them are bracketed on their ground
     tables, cut as if the carried interval took no time, and polished
-    together.  A walk over the edges then solves each carried interval
-    on a table of its own and places the fresh waits after it.  A
-    segment that runs out of targets, or whose interval in progress
-    runs past the end of its table, rewinds rng to just after its own
-    draw and goes on in the next batch."""
+    together.  A walk over the edges then polishes each carried interval
+    alone, on a table of its own, and places the fresh waits after it.
+    A segment that runs out of targets, or whose interval in progress
+    runs past the end of its table (ground or carried), rewinds rng to
+    just after its own draw and goes on in the next batch."""
     starts, ends, emit, all_segs = drive
     jobs = []  # (t0, n_est, n_max) of each segment
     n_targets = nodes = 0
@@ -405,7 +397,6 @@ def _batch(drive, first, t, carried, rng, emissions):
         bloch.taylor_increment(segs.m, segs.h[:, None, None], _MAP_DEGREE), int(n_max.max()), increments=True
     )
     own_maps = np.stack(maps, axis=1)  # each segment's doubled maps
-    terms = _map_terms(segs.m)
     carried_buf = np.empty((4, int(n_max.max())))  # one carried table at a time
 
     # the fresh intervals of every segment; all but the first segment's
@@ -417,12 +408,13 @@ def _batch(drive, first, t, carried, rng, emissions):
     fresh = [u_all[o[g] + int(g > 0 or carried is not None) : o[g + 1]] for g in range(len(jobs))]
     tables = _ground_tables(maps, segs, np.array([f.min() for f in fresh]), n_max)
     kept = [_bracket(tables[g], fresh[g], segs.h[g], jobs[g][0], ends[first + g]) for g in range(len(jobs))]
+    inner = [i for _, i, _ in kept]
     args = [np.concatenate(a) for a in zip(*(c for _, _, c in kept))]
-    w = _waits(np.concatenate([f[inner] for f, (_, inner, _) in zip(fresh, kept)]), *args, segs, [len(i) for _, i, _ in kept])
+    w = _waits(np.concatenate([f[i] for f, i in zip(fresh, inner)]), *args, segs, [len(i) for i in inner])
     waits_all = np.full(o[-1], np.inf)  # made after the polish, whose temporaries set the peak memory
-    waits_all[np.concatenate([o[g + 1] - len(f) + inner for g, (f, (_, inner, _)) in enumerate(zip(fresh, kept))])] = w
+    waits_all[np.concatenate([o[g + 1] - len(f) + i for g, (f, i) in enumerate(zip(fresh, inner))])] = w
 
-    for g, (row, (_, inner, args)) in enumerate(zip(tables, kept)):
+    for g, row in enumerate(tables):
         s = first + g
         h, seg_end = float(segs.h[g]), float(ends[s])
         u, waits = u_all[o[g] : o[g + 1]], waits_all[o[g] : o[g + 1]]
@@ -437,13 +429,7 @@ def _batch(drive, first, t, carried, rng, emissions):
             k = int(np.searchsorted(-p, -u[0]))
             waits[0] = 0.0 if k == 0 else np.inf
             if 0 < k < len(p):
-                # polished with the first fresh interval when the cut keeps
-                # it, as a segment solved on its own: the Taylor
-                # coefficients of one column round unlike those of two
-                run = [(u[0], k - 1, carried_row[:, k - 1], p[k - 1], p[k])]
-                if len(inner) and inner[0] == 0 and t + (k - 1) * h < seg_end:
-                    run.append((u[1], *(a[0] for a in args)))
-                waits[: len(run)] = _edge_waits(*zip(*run), segs, g)
+                waits[0] = _edge_wait(u[0], k - 1, carried_row[:, k - 1], p[k - 1], p[k], segs, g)
         jump_t = t + np.cumsum(waits)
         stop = int(np.searchsorted(jump_t, seg_end))  # the first at or past seg_end
         if stop > 0:
@@ -455,7 +441,7 @@ def _batch(drive, first, t, carried, rng, emissions):
             # its table: carry it from there
             table = carried_row if stop == 0 and carried_row is not None else row
             edge = min(seg_end, t + (table.shape[1] - 1) * h)
-            carried = (_state_at(terms[g], table, h, edge - t), u[stop])
+            carried = (_state_at(segs.terms[g], table, h, edge - t), u[stop])
             if edge < seg_end and (table[:, -1] == table[:, -2]).all():
                 edge = seg_end  # an orbit at rest (no drive, nothing left to decay) holds its state
             t = edge
@@ -490,18 +476,14 @@ def simulate_tags(
         raise ValueError("duration must be long against t1")
     if not 0.0 < efficiency <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
+    if blinking is not None and not (0.0 < blinking[0] <= 1.0 and blinking[1] > 0.0):
+        raise ValueError("blinking requires on_fraction in (0, 1] and tau_blink > 0")
     segments = _drive_segments(pulse, duration, tau_corr, rng)
     times = _jump_times(params, pulse.detuning, segments, rng)
-    if len(times):
-        if efficiency < 1.0:
-            times = times[rng.random(len(times)) < efficiency]
-    if blinking is not None and len(times):
-        beta, tau_blink = blinking
-        if not 0.0 < beta <= 1.0 or tau_blink <= 0:
-            raise ValueError("blinking requires on_fraction in (0, 1] and tau_blink > 0")
-        if beta < 1.0:
-            gate_on = _telegraph_gate(times, duration, beta, tau_blink, rng)
-            times = times[gate_on]
+    if efficiency < 1.0 and len(times):
+        times = times[rng.random(len(times)) < efficiency]
+    if blinking is not None and blinking[0] < 1.0 and len(times):
+        times = times[_telegraph_gate(times, duration, *blinking, rng)]
     channels = np.where(rng.random(len(times)) < 0.5, 1, 2).astype(np.int8)
     return TagStream(times, channels, duration)
 

@@ -79,9 +79,9 @@ def bisect_waits(u, j, x, p_lo, p_hi, segs, counts):
     return out
 
 
-def bisect_edge_waits(u, j, x, p_lo, p_hi, segs, g):
-    """Drop-in for trajectory._edge_waits, by `bisect_waits`."""
-    return bisect_waits(np.array(u), np.array(j), np.array(x), p_lo, p_hi, segs.part(g, g + 1), [len(u)])
+def bisect_edge_wait(u, j, x, p_lo, p_hi, segs, g):
+    """Drop-in for trajectory._edge_wait, by `bisect_waits`."""
+    return float(bisect_waits(np.array([u]), np.array([j]), x[None], p_lo, p_hi, segs.part(g, g + 1), [1])[0])
 
 
 def carried_state(rng):
@@ -228,6 +228,16 @@ class TestSimulateTags:
         with pytest.raises(ValueError):
             trajectory.simulate_tags(qd, DrivePulse.cw(1.0), 1e3, 0.0, core.stream(1))
 
+    @pytest.mark.parametrize("omega", [0.0, 1.0], ids=["dark", "driven"])
+    @pytest.mark.parametrize(
+        "blinking", [(2.0, 405.0), (0.5, -1.0), (0.5, math.nan)], ids=["on-fraction", "tau-blink", "tau-blink-nan"]
+    )
+    def test_blinking_guard(self, qd, omega, blinking):
+        # checked before any draw, so a dark emitter with no tags to gate
+        # rejects it as well; a nan tau_blink would gate every tag off
+        with pytest.raises(ValueError, match="blinking"):
+            trajectory.simulate_tags(qd, DrivePulse.cw(omega), 1e3, 1.0, core.stream(1), blinking=blinking)
+
     def test_reproducible(self, qd):
         om = core.omega_from_saturation(0.6, qd)
         a = trajectory.simulate_tags(qd, DrivePulse.cw(om), 1e4, 1.0, core.stream(11))
@@ -366,6 +376,22 @@ class TestLegSolver:
         assert np.all(np.isinf(cut[need:]) | (cut[need:] == got[need:]))
 
     @settings(max_examples=60, deadline=None)
+    @given(leg_cases)
+    def test_ground_table_reaches_smallest_target(self, case):
+        # a ground table is as long as its decay-rate estimate, capped at
+        # n_max, and an interval past its end is carried there; the
+        # estimate must not fall short, for the smallest of 400 targets
+        # and for one from 1e-7 to 1e-1
+        log_s, ratio, det, bracket, seed = case
+        m, h = conditional(log_s, ratio, det)
+        segs, maps = one_segment(m)
+        rng = np.random.default_rng(seed)
+        n_max = min(trajectory._MAX_NODES, int(bracket / h) + 2)
+        for u_min in (rng.random(400).min(), 10.0 ** -rng.uniform(1.0, 7.0)):
+            table = trajectory._ground_tables(maps, segs, np.array([u_min]), np.array([n_max]))[0]
+            assert table[3, -1] < u_min or table.shape[1] == n_max
+
+    @settings(max_examples=60, deadline=None)
     @given(leg_cases, st.booleans())
     # the target at the norm: rounding in t + cumsum(waits) can carry an
     # interval that has already ended, and it must end at once
@@ -410,7 +436,7 @@ class TestLegSolver:
     # exp(-s) 1e7 ns into a table: the tolerance is 4 eps tau, ~9e-9 ns
     @example(poly_case([[(-1.0) ** q / math.factorial(q) for q in range(10)]], [0.97], [1.0], [math.exp(-0.05)], 0.05, 1e7))
     def test_polish_matches_newton(self, case):
-        # the walk polishes the one or two intervals at an edge on Python
+        # the walk polishes the interval carried over an edge on Python
         # floats, and must find the roots of the batch polish to the bit
         coef, u, p_lo, p_hi, h, tau0 = case
         ref = trajectory._newton(coef, u, p_lo, p_hi, h, tau0)
@@ -438,7 +464,7 @@ class TestLegSolver:
         table, _ = solve(segs, maps, x0, np.array([1e-6 * x0[3]]), min(trajectory._MAX_NODES, int(bracket / h) + 2))
         n = table.shape[1]
         for tau in (rng.random() * (n - 1) * h, rng.integers(n) * h, (n - 1) * h):
-            got = trajectory._state_at(trajectory._map_terms(segs.m)[0], table, h, tau)
+            got = trajectory._state_at(segs.terms[0], table, h, tau)
             ref = x0 + expm_increments(m, tau / 2.0 ** np.arange(65))[0] @ x0
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(x0).max()
 
@@ -459,7 +485,7 @@ class TestLegSolver:
         # amplifies when its new segment decays much slower than the old
         new = trajectory.simulate_tags(qd, pulse, 2e4, 1.0, core.stream(2024), blinking=blinking)
         monkeypatch.setattr(trajectory, "_waits", bisect_waits)
-        monkeypatch.setattr(trajectory, "_edge_waits", bisect_edge_waits)
+        monkeypatch.setattr(trajectory, "_edge_wait", bisect_edge_wait)
         ref = trajectory.simulate_tags(qd, pulse, 2e4, 1.0, core.stream(2024), blinking=blinking)
         assert len(new.times) == len(ref.times) > 1000
         assert np.array_equal(new.channels, ref.channels)
@@ -509,9 +535,11 @@ class TestRenewal:
 
 # Test-side oracle: the segment-at-a-time sampler.  Each segment draws
 # its targets in batches; a batch tabulates the ground state and the
-# interval carried into it as two rows of one table, brackets and
-# polishes all of its intervals at once, and carries the one in progress
-# at the segment end.  simulate_tags solves the fresh intervals of many
+# interval carried into it as two rows of one table, as long as the
+# decay-rate estimate for its smallest target (never refilled), brackets
+# and polishes all of its intervals at once with its own row-vector
+# chain of Taylor rows, and carries the one in progress at the segment
+# end or at the end of the table.  simulate_tags solves the fresh intervals of many
 # segments in one batch and must reproduce it to the bit.
 
 
@@ -520,12 +548,8 @@ def _loop_table(m, states, h, u_min, n_max):
     rate = -np.linalg.eigvals(m).real.max()
     n = n_max
     if rate > 0.0 and u_min > 0.0:
-        n = int(1.25 * math.log(1.0 / u_min) / (rate * h)) + trajectory._EXTRA_NODES
-    while True:
-        table = bloch.orbit(d, states, min(n, n_max), increments=True)
-        if n >= n_max or (table[:, 3, -1] < u_min).all():
-            return table
-        n *= 2
+        n = min(int(1.25 * math.log(1.0 / u_min) / (rate * h)) + trajectory._EXTRA_NODES, n_max)
+    return bloch.orbit(d, states, n, increments=True)
 
 
 def _loop_waits(u, starts, m, table, h, t, seg_end):
@@ -559,7 +583,7 @@ def segment_loop_tags(params, pulse, duration, rng):
     for seg_start, seg_end, om in trajectory._drive_segments(pulse, duration, bloch.LAMP_TAU_CORR, rng):
         m = trajectory._conditional_generator(params, om, pulse.detuning)
         h = trajectory._STEP_NORM / np.abs(m).sum(axis=0).max()
-        terms = trajectory._map_terms(m[None])[0]
+        terms = trajectory._Segments.of(m[None]).terms[0]
         rate = bloch.steady_state_population(params, om, pulse.detuning) / params.t1
         t = seg_start
         while t < seg_end:
