@@ -15,6 +15,7 @@ squared Rabi frequency.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .photonstat import sample_chaotic_intensity
 _EULER_GAMMA = 0.5772156649015328606
 
 # Default correlation time [ns] of the chaotic source; drives the
-# quasi-static validity warning in chaotic_transient.
+# quasi-static validity warning of the chaotic transients.
 LAMP_TAU_CORR = 901.8
 
 
@@ -232,6 +233,61 @@ def chaotic_steady_state_quadrature(
     raise QuadratureError("chaotic steady-state quadrature did not converge under cutoff doubling")
 
 
+# Laguerre nodes per call of the averaged function: at most _NODE_CHUNK,
+# and at most _CHUNK_BUDGET row entries in all, so that the (nodes, row)
+# arrays stay bounded however long the rows are.
+_NODE_CHUNK = 32
+_CHUNK_BUDGET = 1 << 20
+
+
+@functools.lru_cache(maxsize=None)
+def _laguerre_nodes(order: int, alpha: float = 0.0):
+    """Generalized Gauss-Laguerre nodes and weights for the weight
+    x^alpha e^-x, without the nodes whose weights underflow to zero.
+    Where scipy's weights overflow (from order ~370 with scipy 1.17),
+    QuadratureError."""
+    # imported on first use, to keep it out of `import tlsrf`
+    from scipy.special import roots_genlaguerre
+
+    x, w = roots_genlaguerre(order, alpha)
+    if not np.all(np.isfinite(w)):
+        raise QuadratureError(f"Gauss-Laguerre weights of order {order} are not finite")
+    keep = w > 0.0
+    return x[keep], w[keep]
+
+
+def _chaotic_average(
+    f, mean_omega: float, order: int, rtol: float, row_len: int, alpha: float = 0.0
+) -> np.ndarray:
+    """Gauss-Laguerre expectation of f over the exponential intensity
+    law, where f maps an array of drives to one row of length row_len
+    per drive.  With alpha, the nodes and weights are those of the
+    weight x^alpha e^-x, x = (drive / mean_omega)^2, and the result is
+    the expectation of f x^alpha.
+
+    The average is taken at order and at 2*order; QuadratureError is
+    raised when the two differ anywhere by more than rtol times the
+    largest magnitude of the 2*order result.
+    """
+    size = max(1, min(_NODE_CHUNK, _CHUNK_BUDGET // row_len))
+
+    def run(n):
+        xs, ws = _laguerre_nodes(n, alpha)
+        oms = np.sqrt(xs) * mean_omega
+        chunks = [slice(i, i + size) for i in range(0, len(xs), size)]
+        return sum(ws[c] @ f(oms[c]) for c in chunks)
+
+    result, refined = run(order), run(2 * order)
+    scale = float(np.max(np.abs(refined))) or 1.0
+    worst = float(np.max(np.abs(result - refined)))
+    if worst > rtol * scale:
+        raise QuadratureError(
+            f"Gauss-Laguerre average not converged at order {order} "
+            f"(vs {2*order}: {worst/scale:.2e} relative)"
+        )
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Propagators, all from one batched generator: the augmented matrix
 # M = [[A, b], [0, 0]] of x' = A x + b acts linearly on (x, 1) (Van Loan,
@@ -315,11 +371,12 @@ def doublings(maps, n, increments=False):
     return out
 
 
-def orbit(maps, x0, n, increments=False):
+def orbit(maps, x0, n, increments=False, out=None):
     """The first n points x0, T x0, T^2 x0, ... of the orbit of each
     state x0 (k, 4) under its map T in the stack maps (k, 4, 4), or one
-    map (4, 4) for all, as (k, 4, n).  maps may also be the list that
-    `doublings` returns for them, so that orbits under one map share it.
+    map (4, 4) for all, as (k, 4, n), written into out when it is given.
+    maps may also be the list that `doublings` returns for them, so that
+    orbits under one map share it.
 
     With the first j points filled and E = T^j, the next j are E times
     them, then E <- E E: log2(n) batched matmuls.  With increments the
@@ -329,7 +386,7 @@ def orbit(maps, x0, n, increments=False):
     """
     if not isinstance(maps, list):
         maps = doublings(maps, n, increments)
-    x = np.empty((len(x0), 4, n))
+    x = np.empty((len(x0), 4, n)) if out is None else out
     x[:, :, 0] = x0
     k = 1
     for e in maps:
@@ -436,6 +493,70 @@ def integrate(
     return BlochTrace(0.0, dt, x[0], x[1], x[2])
 
 
+def _warn_quasi_static(pulse: DrivePulse, tau_corr: float):
+    """Warn when the driven span of the pulse is not small against the
+    source correlation time (above tau_corr/10), where a drive held
+    fixed over the pulse no longer describes the chaotic source."""
+    spans = [(start, stop) for start, stop, amp in pulse.envelope if amp > 0]
+    if spans:
+        span = max(s for _, s in spans) - min(s for s, _ in spans)
+        if span > tau_corr / 10.0:
+            warnings.warn(
+                f"pulse span {span} ns is not small against the source correlation "
+                f"time {tau_corr} ns; the quasi-static approximation degrades",
+                stacklevel=3,
+            )
+
+
+def chaotic_mean_transient(
+    params: TlsParams, pulse: DrivePulse, t_end: float, dt: float, order: int = 96
+) -> BlochTrace:
+    """Exact mean transient under quasi-static chaotic drive.
+
+    The mean of rho11, u and v over the exponential intensity law of the
+    squared Rabi frequency, by Gauss-Laguerre quadrature with the
+    order-doubling check of `_chaotic_average`.  Each node is the RK4
+    trace of `integrate` at its drive, filled by `orbit` over each run
+    of equal envelope amplitude from the increment form of the step
+    map, so the mean is the node average of `integrate`'s own
+    discretization.  Nothing is sampled, so the trace has no stderr.
+    The node chunks bound memory for any number of steps.  Where the
+    nodes cannot resolve the Rabi phase over the transient, the check
+    raises QuadratureError (for paper-qd and the fig3 pulse at order
+    96, above a mean drive of ~16 rad/ns).  Same step guard and
+    quasi-static warning as `chaotic_transient`.
+    """
+    if t_end <= 0:
+        raise ValueError("t_end must be positive")
+    _warn_quasi_static(pulse, LAMP_TAU_CORR)
+    _step_guard(params, 2.0 * pulse.rabi * pulse.max_amplitude(), dt)
+    n = _n_steps(t_end, dt) + 1
+    if pulse.rabi == 0.0:
+        return BlochTrace(0.0, dt, np.zeros(n), np.zeros(n), np.zeros(n))
+    amps = _amplitudes_per_step(pulse, n - 1, dt)
+    runs = list(_runs(amps))
+
+    def orbits(oms):
+        x = np.empty((len(oms), 4, n))
+        x[:, :, 0] = (0.0, 0.0, 0.0, 1.0)
+        for start, stop in runs:
+            d = taylor_increment(augmented_generator(params, oms * amps[start], pulse.detuning), dt, 4)
+            orbit(d, x[:, :, start], stop + 1 - start, increments=True, out=x[:, :, start : stop + 1])
+        return x[:, :3]
+
+    def coherence(oms):
+        return (orbits(oms)[:, 1:] / oms[:, None, None]).reshape(len(oms), -1)
+
+    rho11 = _chaotic_average(lambda oms: orbits(oms)[:, 0], pulse.rabi, order, 1e-6, n)
+    # u and v are odd in the drive: the Bloch equations, and the RK4 map,
+    # keep their form under (omega, u, v) -> (-omega, -u, -v).  So they
+    # are sqrt(x) times a smooth function of x, on which the plain rule
+    # converges only algebraically; that function, (u, v) / omega, is
+    # averaged with the weight sqrt(x) e^-x instead.
+    coh = _chaotic_average(coherence, pulse.rabi, order, 1e-6, 2 * n, alpha=0.5) * pulse.rabi
+    return BlochTrace(0.0, dt, rho11, coh[:n], coh[n:])
+
+
 def chaotic_transient(
     params: TlsParams,
     pulse: DrivePulse,
@@ -445,7 +566,9 @@ def chaotic_transient(
     rng: np.random.Generator,
     tau_corr: float = LAMP_TAU_CORR,
 ) -> BlochTrace:
-    """Ensemble-averaged transient under quasi-static chaotic drive.
+    """Ensemble-averaged transient under quasi-static chaotic drive: the
+    stochastic path to the mean that `chaotic_mean_transient` takes
+    exactly.
 
     Each member draws a squared Rabi frequency from the exponential
     intensity law and is integrated with the shared envelope; the
@@ -459,15 +582,7 @@ def chaotic_transient(
     """
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    spans = [(start, stop) for start, stop, amp in pulse.envelope if amp > 0]
-    if spans:
-        span = max(s for _, s in spans) - min(s for s, _ in spans)
-        if span > tau_corr / 10.0:
-            warnings.warn(
-                f"pulse span {span} ns is not small against the source correlation "
-                f"time {tau_corr} ns; the quasi-static approximation degrades",
-                stacklevel=2,
-            )
+    _warn_quasi_static(pulse, tau_corr)
     om_max = pulse.rabi * pulse.max_amplitude()
     # drawn intensities can exceed the mean; guard with a factor that
     # covers all but the exponential tail (whose members stay stable,

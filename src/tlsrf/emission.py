@@ -13,7 +13,6 @@ on chunks of nodes.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch
-from .core import NumericalGuardError, QuadratureError, TlsParams, TWO_PI, write_csv
+from .core import NumericalGuardError, TlsParams, TWO_PI, write_csv
 
 
 @dataclass
@@ -155,46 +154,6 @@ def qrt_spectrum(params: TlsParams, omega: float, detuning: float, freqs: np.nda
     return Spectrum(freqs, dens[0], float(cw[0]), float(ip[0]))
 
 
-# Laguerre nodes per kernel call: bounds the (nodes, grid) arrays.
-_NODE_CHUNK = 32
-
-
-@functools.lru_cache(maxsize=None)
-def _laguerre_nodes(order: int):
-    # imported on first use, to keep it out of `import tlsrf`
-    from scipy.special import roots_laguerre
-
-    x, w = roots_laguerre(order)
-    keep = w > 0.0
-    return x[keep], w[keep]
-
-
-def _chaotic_average(f, mean_omega: float, order: int, rtol: float) -> np.ndarray:
-    """Gauss-Laguerre expectation of f over the exponential intensity
-    law, where f maps an array of drives to one row per drive.
-
-    The average is taken at order and at 2*order; QuadratureError is
-    raised when the two differ anywhere by more than rtol times the
-    largest magnitude of the 2*order result.
-    """
-
-    def run(n):
-        xs, ws = _laguerre_nodes(n)
-        oms = np.sqrt(xs) * mean_omega
-        chunks = [slice(i, i + _NODE_CHUNK) for i in range(0, len(xs), _NODE_CHUNK)]
-        return sum(ws[c] @ f(oms[c]) for c in chunks)
-
-    result, refined = run(order), run(2 * order)
-    scale = float(np.max(np.abs(refined))) or 1.0
-    worst = float(np.max(np.abs(result - refined)))
-    if worst > rtol * scale:
-        raise QuadratureError(
-            f"Gauss-Laguerre average not converged at order {order} "
-            f"(vs {2*order}: {worst/scale:.2e} relative)"
-        )
-    return result
-
-
 def chaotic_spectrum(params: TlsParams, mean_omega: float, freqs: np.ndarray, order: int = 96) -> Spectrum:
     """Emission spectrum averaged over chaotic intensity fluctuations."""
     freqs = np.asarray(freqs, dtype=float)
@@ -205,7 +164,7 @@ def chaotic_spectrum(params: TlsParams, mean_omega: float, freqs: np.ndarray, or
         dens, cw, ip = _spectrum_rows(params, oms, 0.0, freqs)
         return np.column_stack([dens, cw, ip])
 
-    avg = _chaotic_average(rows, mean_omega, order, rtol=1e-4)
+    avg = bloch._chaotic_average(rows, mean_omega, order, rtol=1e-4, row_len=len(freqs) + 2)
     return Spectrum(freqs, np.maximum(avg[:-2], 0.0), float(avg[-2]), float(avg[-1]))
 
 
@@ -328,7 +287,7 @@ def chaotic_g2(
         # intensity rss times the conditional population, then intensity
         return np.column_stack([rss[:, None] * np.maximum(r11, 0.0), rss])
 
-    avg = _chaotic_average(rows, mean_omega, order, rtol=1e-4)
+    avg = bloch._chaotic_average(rows, mean_omega, order, rtol=1e-4, row_len=len(lags) + 1)
     return _mirrored(lags, np.maximum(avg[:-1], 0.0) / avg[-1] ** 2)
 
 

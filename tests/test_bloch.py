@@ -396,3 +396,101 @@ class TestChaoticTransient:
         path = tmp_path / "ens.csv"
         trace.to_csv(path)
         assert path.read_text().splitlines()[0].endswith(",stderr")
+
+
+def _node_mean(qd, pulse, t_end, dt, order=96):
+    """Test-side oracle: the quadrature sums over `integrate` runs, one
+    per Gauss-Laguerre node.  rho11 is summed with the weight e^-x; u
+    and v, odd in the drive, as sqrt(x) times (u, v) / sqrt(x) with the
+    weight sqrt(x) e^-x."""
+    cols = []
+    for alpha, names in ((0.0, ("rho11",)), (0.5, ("rho01_re", "rho01_im"))):
+        xs, ws = bloch._laguerre_nodes(order, alpha)
+        for name in names:
+            rows = []
+            for x in xs:
+                node = DrivePulse(pulse.rabi * math.sqrt(x), pulse.detuning, pulse.envelope)
+                rows.append(getattr(bloch.integrate(qd, node, t_end, dt), name) / x**alpha)
+            cols.append(ws @ np.array(rows))
+    return cols
+
+
+class TestChaoticMeanTransient:
+    def test_is_node_sum_of_integrations(self, qd, monkeypatch):
+        # the detuned drive exercises the u-v coupling, the two-level
+        # envelope a change between two nonzero amplitudes; integrate's
+        # own step guard would refuse the drives of the nodes above
+        # x = 25, whose weights are below e^-25
+        square = ((0.0, 1.0, 1.0),)
+        two_level = ((0.0, 0.5, 1.0), (0.5, 1.0, 0.4))
+        shapes = ((0.0, square), (1.3, square), (0.0, two_level))
+        cases = [DrivePulse(5.0, det, env, Statistics.CHAOTIC) for det, env in shapes]
+        means = [bloch.chaotic_mean_transient(qd, pulse, 1.5, 0.005) for pulse in cases]
+        monkeypatch.setattr(bloch, "_step_guard", lambda *args: None)
+        for pulse, mean in zip(cases, means):
+            ref = _node_mean(qd, pulse, 1.5, 0.005)
+            for got, want in zip((mean.rho11, mean.rho01_re, mean.rho01_im), ref):
+                assert np.abs(got - want).max() <= 1e-12
+            assert mean.stderr is None
+
+    def test_ensemble_within_4_se(self, qd):
+        # the acceptance clause-4 pulse, seed and size, at every sample
+        pulse = DrivePulse.square(7.2, 0.0, 2.0, statistics=Statistics.CHAOTIC)
+        dt = min(qd.t2, 2.0 * math.pi / 14.4) / 50.0
+        ens = bloch.chaotic_transient(qd, pulse, 2.0, dt, 10_000, core.stream(424242))
+        mean = bloch.chaotic_mean_transient(qd, pulse, 2.0, dt)
+        assert ens.rho11[0] == mean.rho11[0] == 0.0
+        assert np.all(np.abs(ens.rho11[1:] - mean.rho11[1:]) < 4.0 * ens.stderr[1:])
+
+    def test_overshoot_of_the_washout(self, qd):
+        # the fact behind acceptance clause 4b's strict xfail: the exact
+        # mean rises past its plateau once, by 0.026, near the first
+        # coherent maximum (pi / 7.2 = 0.44 ns), then settles
+        pulse = DrivePulse.square(7.2, 0.0, 2.0, statistics=Statistics.CHAOTIC)
+        dt = min(qd.t2, 2.0 * math.pi / 14.4) / 50.0
+        mean = bloch.chaotic_mean_transient(qd, pulse, 2.0, dt)
+        peak = int(np.argmax(mean.rho11))
+        plateau = bloch.chaotic_steady_state(qd, 7.2)
+        assert mean.rho11[peak] - plateau == pytest.approx(0.026, abs=1e-3)
+        assert mean.times[peak] == pytest.approx(0.42, abs=0.01)
+        assert mean.rho11[-1] == pytest.approx(plateau, abs=1e-4)
+
+    def test_zero_drive_is_exactly_dark(self, qd):
+        pulse = DrivePulse.square(0.0, 0.0, 2.0, statistics=Statistics.CHAOTIC)
+        mean = bloch.chaotic_mean_transient(qd, pulse, 2.0, 0.005)
+        for col in (mean.rho11, mean.rho01_re, mean.rho01_im):
+            assert np.all(col == 0.0)
+
+    def test_sample_times_match_integrate(self, qd):
+        # 1.3 / 0.0065 lands a hair above 200 in floating point
+        pulse = DrivePulse.square(5.2, 0.0, 1.0)
+        coh = bloch.integrate(qd, pulse, 1.3, 0.0065)
+        mean = bloch.chaotic_mean_transient(qd, pulse, 1.3, 0.0065)
+        assert np.array_equal(mean.times, coh.times)
+
+    def test_quasi_static_warning(self, qd):
+        pulse = DrivePulse.square(2.0, 0.0, 100.0, statistics=Statistics.CHAOTIC)
+        with pytest.warns(UserWarning, match="quasi-static"):
+            bloch.chaotic_mean_transient(qd, pulse, 100.0, 0.005)
+
+    def test_unresolved_phase_raises(self, qd):
+        # at 20 rad/ns the 96 nodes cannot follow the Rabi phase over the
+        # pulse, and the order-doubling check says so
+        pulse = DrivePulse.square(20.0, 0.0, 2.0, statistics=Statistics.CHAOTIC)
+        with pytest.raises(core.QuadratureError, match="order 96"):
+            bloch.chaotic_mean_transient(qd, pulse, 3.5, min(qd.t2, math.pi / 20.0) / 50.0)
+
+    def test_long_trace_memory_is_bounded(self, qd):
+        # 2e5 steps: 32 nodes of (4, 2e5 + 1) orbits would take 205 MB;
+        # the chunks are sized so that one holds about 2^20 row entries
+        pulse = DrivePulse.square(2.0, 0.0, 2.0, statistics=Statistics.CHAOTIC)
+        for order, alpha in ((16, 0.0), (32, 0.0), (16, 0.5), (32, 0.5)):
+            bloch._laguerre_nodes(order, alpha)  # scipy's import and tables stay out of the peak
+        tracemalloc.start()
+        try:
+            mean = bloch.chaotic_mean_transient(qd, pulse, 1000.0, 0.005, order=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(mean.rho11) == 200_001
+        assert peak < 64e6

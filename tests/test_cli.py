@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tlsrf
-from tlsrf import cli, lamp
+from tlsrf import PAPER_QD, DrivePulse, bloch, cli, lamp
 from tlsrf.core import ConfigError, stream
 
 
@@ -101,7 +101,7 @@ class TestConfigHandling:
             ("mollow", {"omegas": 7.2}),
             ("lamp", {"field_rows": "all"}),
             ("saturation", {"seed": "abc"}),
-            ("rabi", {"samples": 10}),
+            ("rabi", {"samples": 0}),
             ("g2", {"omega": 0}),
             ("g2", {"omega": 0, "statistics": "chaotic"}),
             ("mollow", {"grid_points": 0}),
@@ -129,7 +129,7 @@ class TestConfigHandling:
             ("lamp", {"dt_ns": 0}),
             ("rabi", {"dt_ns": 0}),
             ("rabi", {"samples": False}),
-            ("rabi", {"samples": None}),
+            ("rabi", {"pulse_ns": None}),
             # every key is checked, also where the command leaves it unused
             ("g2", {"mc": False, "statistics": "bogus"}),
             ("g2", {"mc": False, "efficiency": 0}),
@@ -311,7 +311,8 @@ class TestRabiCommand:
 
     def test_fig3_traces(self, tmp_path):
         out = tmp_path / "fig3.csv"
-        assert run(["rabi", "--preset", "fig3", "--out", str(out), "--samples", "400"]) == 0
+        assert run(["rabi", "--preset", "fig3", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "omega,t_ns,coherent,chaotic_mean"
         rows = read_rows(out)
         omegas = sorted({float(r["omega"]) for r in rows})
         assert omegas == [5.2, 6.6, 7.2]
@@ -319,11 +320,23 @@ class TestRabiCommand:
         t = np.array([float(r["t_ns"]) for r in sub])
         coh = np.array([float(r["coherent"]) for r in sub])
         cha = np.array([float(r["chaotic_mean"]) for r in sub])
-        se = np.array([float(r["chaotic_se"]) for r in sub])
         peaks = np.where((coh[1:-1] > coh[:-2]) & (coh[1:-1] > coh[2:]))[0] + 1
         assert len(peaks[(t[peaks] > 0) & (t[peaks] < 2.0)]) >= 2
-        assert np.all(se[1:] > 0)
+        # the chaotic column is the exact mean, written to the last bit
+        qd = PAPER_QD.tls
+        dt = min(qd.t2, math.pi / 7.2) / 50.0
+        mean = bloch.chaotic_mean_transient(qd, DrivePulse.square(7.2, 0.0, 2.0), 3.5, dt)
+        assert np.array_equal(cha, mean.rho11)
         assert cha.max() < coh.max()
+
+    def test_output_ignores_seed_and_samples(self, tmp_path):
+        # nothing in rabi is sampled; `samples` is checked and unused
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(SMALL["rabi"]))
+        assert run(["rabi", "--config", str(cfg), "--seed", "1", "--out", str(a)]) == 0
+        assert run(["rabi", "--config", str(cfg), "--seed", "2", "--samples", "7", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestG2Command:

@@ -187,6 +187,12 @@ class TestChaoticSpectrum:
         with pytest.raises(QuadratureError, match="not converged at order 8"):
             emission.chaotic_spectrum(qd, 7.2, fine_grid(3.0, 2001), order=8)
 
+    def test_overflowing_nodes_are_refused(self, qd):
+        # scipy's weights at order 400 overflow to nan: a numerical-guard
+        # error, where an average over no nodes would be a TypeError
+        with np.errstate(all="ignore"), pytest.raises(QuadratureError, match="order 400 are not finite"):
+            emission.chaotic_spectrum(qd, 5.2, fine_grid(3.0, 101), order=200)
+
 
 class TestConvolveLorentzian:
     def test_delta_becomes_instrument_line(self, qd, instrument):
