@@ -233,59 +233,85 @@ def chaotic_steady_state_quadrature(
     raise QuadratureError("chaotic steady-state quadrature did not converge under cutoff doubling")
 
 
-# Laguerre nodes per call of the averaged function: at most _NODE_CHUNK,
-# and at most _CHUNK_BUDGET row entries in all, so that the (nodes, row)
-# arrays stay bounded however long the rows are.
+# Nodes per call of the averaged function: at most _NODE_CHUNK, and at
+# most _CHUNK_BUDGET entries in all of the arrays that it works on per
+# node (its row_len), so that they stay bounded however long the rows are.
 _NODE_CHUNK = 32
 _CHUNK_BUDGET = 1 << 20
 
+# The composite rule in y = drive / mean drive: Gauss-Legendre panels of
+# _PANEL_NODES nodes over [0, _Y_SPAN], beyond which the law of y holds
+# e^-36 of its mass, below rounding.
+_PANEL_NODES = 16
+_Y_SPAN = 6.0
+
 
 @functools.lru_cache(maxsize=None)
-def _laguerre_nodes(order: int, alpha: float = 0.0):
-    """Generalized Gauss-Laguerre nodes and weights for the weight
-    x^alpha e^-x, without the nodes whose weights underflow to zero.
-    Where scipy's weights overflow (from order ~370 with scipy 1.17),
-    QuadratureError."""
+def _laguerre_nodes(order: int):
+    """Gauss-Laguerre rule of the given order in x = (drive / mean)^2,
+    as the drives in units of the mean, sqrt(x), and the weights, without
+    the nodes whose weights underflow to zero.  Where scipy's weights
+    overflow (from order ~370 with scipy 1.17), QuadratureError."""
     # imported on first use, to keep it out of `import tlsrf`
-    from scipy.special import roots_genlaguerre
+    from scipy.special import roots_laguerre
 
-    x, w = roots_genlaguerre(order, alpha)
+    x, w = roots_laguerre(order)
     if not np.all(np.isfinite(w)):
         raise QuadratureError(f"Gauss-Laguerre weights of order {order} are not finite")
     keep = w > 0.0
-    return x[keep], w[keep]
+    return np.sqrt(x[keep]), w[keep]
+
+
+@functools.lru_cache(maxsize=None)
+def _panel_nodes(panels: int):
+    """Composite Gauss-Legendre rule of `panels` equal panels over
+    y = drive / mean in [0, _Y_SPAN], for the law of y under the
+    exponential intensity law, density 2 y e^(-y^2): the drives in units
+    of the mean and the weights.  A Rabi phase linear in y takes nodes in
+    proportion to it here, where the Gauss-Laguerre rule in x = y^2 takes
+    them in proportion to its square."""
+    g, gw = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    h = _Y_SPAN / panels
+    y = (np.arange(panels)[:, None] + 0.5 * (g + 1.0)) * h
+    w = h * gw * y * np.exp(-y * y)
+    return y.ravel(), w.ravel()
 
 
 def _chaotic_average(
-    f, mean_omega: float, order: int, rtol: float, row_len: int, alpha: float = 0.0
+    f, mean_omega: float, order: int, rtol: float, row_len: int, nodes=_laguerre_nodes, max_order: int = 0
 ) -> np.ndarray:
-    """Gauss-Laguerre expectation of f over the exponential intensity
-    law, where f maps an array of drives to one row of length row_len
-    per drive.  With alpha, the nodes and weights are those of the
-    weight x^alpha e^-x, x = (drive / mean_omega)^2, and the result is
-    the expectation of f x^alpha.
+    """Expectation of f over the exponential intensity law, where f maps
+    an array of drives to one row per drive and works on row_len entries
+    per drive.  nodes(order) is the rule: the drives in units of
+    mean_omega and their weights, by default Gauss-Laguerre.
 
-    The average is taken at order and at 2*order; QuadratureError is
-    raised when the two differ anywhere by more than rtol times the
-    largest magnitude of the 2*order result.
+    The average is taken at order and at 2*order.  Where the two differ
+    anywhere by more than rtol times the largest magnitude of the 2*order
+    result, the order doubles while it is below max_order, and
+    QuadratureError is raised once it is not.  The result is the
+    average at the order that passed.
     """
     size = max(1, min(_NODE_CHUNK, _CHUNK_BUDGET // row_len))
 
     def run(n):
-        xs, ws = _laguerre_nodes(n, alpha)
-        oms = np.sqrt(xs) * mean_omega
-        chunks = [slice(i, i + size) for i in range(0, len(xs), size)]
+        ys, ws = nodes(n)
+        oms = ys * mean_omega
+        chunks = [slice(i, i + size) for i in range(0, len(ys), size)]
         return sum(ws[c] @ f(oms[c]) for c in chunks)
 
-    result, refined = run(order), run(2 * order)
-    scale = float(np.max(np.abs(refined))) or 1.0
-    worst = float(np.max(np.abs(result - refined)))
-    if worst > rtol * scale:
-        raise QuadratureError(
-            f"Gauss-Laguerre average not converged at order {order} "
-            f"(vs {2*order}: {worst/scale:.2e} relative)"
-        )
-    return result
+    result = run(order)
+    while True:
+        refined = run(2 * order)
+        scale = float(np.max(np.abs(refined))) or 1.0
+        worst = float(np.max(np.abs(result - refined)))
+        if worst <= rtol * scale:
+            return result
+        if order >= max_order:
+            raise QuadratureError(
+                f"chaotic average not converged at order {order} "
+                f"(vs {2*order}: {worst/scale:.2e} relative)"
+            )
+        order, result = 2 * order, refined
 
 
 # ---------------------------------------------------------------------------
@@ -509,22 +535,25 @@ def _warn_quasi_static(pulse: DrivePulse, tau_corr: float):
 
 
 def chaotic_mean_transient(
-    params: TlsParams, pulse: DrivePulse, t_end: float, dt: float, order: int = 96
+    params: TlsParams, pulse: DrivePulse, t_end: float, dt: float, panels: int = 2
 ) -> BlochTrace:
     """Exact mean transient under quasi-static chaotic drive.
 
     The mean of rho11, u and v over the exponential intensity law of the
-    squared Rabi frequency, by Gauss-Laguerre quadrature with the
-    order-doubling check of `_chaotic_average`.  Each node is the RK4
-    trace of `integrate` at its drive, filled by `orbit` over each run
-    of equal envelope amplitude from the increment form of the step
-    map, so the mean is the node average of `integrate`'s own
+    squared Rabi frequency, taken over y = drive / mean drive with the
+    composite rule `_panel_nodes` through `_chaotic_average`: from
+    `panels` panels, the count doubles until two counts agree to 1e-6
+    of the largest value.
+    The Rabi phase at a sample is linear in y, at a rate of at most the
+    mean pulse area A up to t_end; panels that each span two periods of
+    it, A * _Y_SPAN / (4 pi) of them, resolve it with no help from the
+    damping, and the doubling stops there at the latest.  Each node is
+    the RK4 trace of `integrate` at its drive, filled by `orbit` over
+    each run of equal envelope amplitude from the increment form of the
+    step map, so the mean is the node average of `integrate`'s own
     discretization.  Nothing is sampled, so the trace has no stderr.
-    The node chunks bound memory for any number of steps.  Where the
-    nodes cannot resolve the Rabi phase over the transient, the check
-    raises QuadratureError (for paper-qd and the fig3 pulse at order
-    96, above a mean drive of ~16 rad/ns).  Same step guard and
-    quasi-static warning as `chaotic_transient`.
+    The node chunks bound memory for any number of steps.  Same step
+    guard and quasi-static warning as `chaotic_transient`.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -535,6 +564,7 @@ def chaotic_mean_transient(
         return BlochTrace(0.0, dt, np.zeros(n), np.zeros(n), np.zeros(n))
     amps = _amplitudes_per_step(pulse, n - 1, dt)
     runs = list(_runs(amps))
+    area = pulse.rabi * dt * float(np.abs(amps).sum())
 
     def orbits(oms):
         x = np.empty((len(oms), 4, n))
@@ -542,19 +572,11 @@ def chaotic_mean_transient(
         for start, stop in runs:
             d = taylor_increment(augmented_generator(params, oms * amps[start], pulse.detuning), dt, 4)
             orbit(d, x[:, :, start], stop + 1 - start, increments=True, out=x[:, :, start : stop + 1])
-        return x[:, :3]
+        return x[:, :3].reshape(len(oms), 3 * n)
 
-    def coherence(oms):
-        return (orbits(oms)[:, 1:] / oms[:, None, None]).reshape(len(oms), -1)
-
-    rho11 = _chaotic_average(lambda oms: orbits(oms)[:, 0], pulse.rabi, order, 1e-6, n)
-    # u and v are odd in the drive: the Bloch equations, and the RK4 map,
-    # keep their form under (omega, u, v) -> (-omega, -u, -v).  So they
-    # are sqrt(x) times a smooth function of x, on which the plain rule
-    # converges only algebraically; that function, (u, v) / omega, is
-    # averaged with the weight sqrt(x) e^-x instead.
-    coh = _chaotic_average(coherence, pulse.rabi, order, 1e-6, 2 * n, alpha=0.5) * pulse.rabi
-    return BlochTrace(0.0, dt, rho11, coh[:n], coh[n:])
+    resolved = math.ceil(area * _Y_SPAN / (4.0 * math.pi))
+    mean = _chaotic_average(orbits, pulse.rabi, panels, 1e-6, 4 * n, _panel_nodes, resolved)
+    return BlochTrace(0.0, dt, mean[:n], mean[n : 2 * n], mean[2 * n :])
 
 
 def chaotic_transient(

@@ -398,40 +398,41 @@ class TestChaoticTransient:
         assert path.read_text().splitlines()[0].endswith(",stderr")
 
 
-def _node_mean(qd, pulse, t_end, dt, order=96):
+def _node_mean(qd, pulse, t_end, dt, panels):
     """Test-side oracle: the quadrature sums over `integrate` runs, one
-    per Gauss-Laguerre node.  rho11 is summed with the weight e^-x; u
-    and v, odd in the drive, as sqrt(x) times (u, v) / sqrt(x) with the
-    weight sqrt(x) e^-x."""
-    cols = []
-    for alpha, names in ((0.0, ("rho11",)), (0.5, ("rho01_re", "rho01_im"))):
-        xs, ws = bloch._laguerre_nodes(order, alpha)
-        for name in names:
-            rows = []
-            for x in xs:
-                node = DrivePulse(pulse.rabi * math.sqrt(x), pulse.detuning, pulse.envelope)
-                rows.append(getattr(bloch.integrate(qd, node, t_end, dt), name) / x**alpha)
-            cols.append(ws @ np.array(rows))
-    return cols
+    per node of the composite rule in y = drive / mean drive."""
+    ys, ws = bloch._panel_nodes(panels)
+    traces = [bloch.integrate(qd, DrivePulse(pulse.rabi * y, pulse.detuning, pulse.envelope), t_end, dt) for y in ys]
+    return [ws @ np.array([getattr(tr, name) for tr in traces]) for name in ("rho11", "rho01_re", "rho01_im")]
 
 
 class TestChaoticMeanTransient:
     def test_is_node_sum_of_integrations(self, qd, monkeypatch):
         # the detuned drive exercises the u-v coupling, the two-level
-        # envelope a change between two nonzero amplitudes; integrate's
-        # own step guard would refuse the drives of the nodes above
-        # x = 25, whose weights are below e^-25
+        # envelope a change between two nonzero amplitudes; 4 panels
+        # pass the doubling check here, so they are the panels used.
+        # integrate's own step guard would refuse the nodes above twice
+        # the mean drive, whose weights are below e^-4
         square = ((0.0, 1.0, 1.0),)
         two_level = ((0.0, 0.5, 1.0), (0.5, 1.0, 0.4))
         shapes = ((0.0, square), (1.3, square), (0.0, two_level))
         cases = [DrivePulse(5.0, det, env, Statistics.CHAOTIC) for det, env in shapes]
-        means = [bloch.chaotic_mean_transient(qd, pulse, 1.5, 0.005) for pulse in cases]
+        means = [bloch.chaotic_mean_transient(qd, pulse, 1.5, 0.005, panels=4) for pulse in cases]
         monkeypatch.setattr(bloch, "_step_guard", lambda *args: None)
         for pulse, mean in zip(cases, means):
-            ref = _node_mean(qd, pulse, 1.5, 0.005)
+            ref = _node_mean(qd, pulse, 1.5, 0.005, 4)
             for got, want in zip((mean.rho11, mean.rho01_re, mean.rho01_im), ref):
                 assert np.abs(got - want).max() <= 1e-12
             assert mean.stderr is None
+
+    def test_panel_rule_is_the_exponential_law(self):
+        # weights 2 y e^-y^2 dy: total mass 1 and mean y^2 = <x> = 1 up to
+        # the e^-36 beyond the span; odd moments need no special rule in y
+        for panels in (2, 4, 64):
+            ys, ws = bloch._panel_nodes(panels)
+            assert ws.sum() == pytest.approx(1.0, abs=1e-14)
+            assert ws @ ys**2 == pytest.approx(1.0, abs=1e-13)
+            assert ws @ ys == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-14)
 
     def test_ensemble_within_4_se(self, qd):
         # the acceptance clause-4 pulse, seed and size, at every sample
@@ -473,24 +474,50 @@ class TestChaoticMeanTransient:
         with pytest.warns(UserWarning, match="quasi-static"):
             bloch.chaotic_mean_transient(qd, pulse, 100.0, 0.005)
 
-    def test_unresolved_phase_raises(self, qd):
-        # at 20 rad/ns the 96 nodes cannot follow the Rabi phase over the
-        # pulse, and the order-doubling check says so
-        pulse = DrivePulse.square(20.0, 0.0, 2.0, statistics=Statistics.CHAOTIC)
-        with pytest.raises(core.QuadratureError, match="order 96"):
-            bloch.chaotic_mean_transient(qd, pulse, 3.5, min(qd.t2, math.pi / 20.0) / 50.0)
+    @pytest.mark.parametrize("omega", [20.0, 30.0, 50.0])
+    def test_strong_drive_converges(self, qd, omega):
+        # the Rabi phase over the fig3 pulse at drives where 96 and 192
+        # Gauss-Laguerre nodes in x disagree (by 1.0e-2 at 20 rad/ns)
+        pulse = DrivePulse.square(omega, 0.0, 2.0, statistics=Statistics.CHAOTIC)
+        dt = min(qd.t2, math.pi / omega) / 50.0
+        mean = bloch.chaotic_mean_transient(qd, pulse, 3.5, dt)
+        fine = bloch.chaotic_mean_transient(qd, pulse, 3.5, dt, panels=128)
+        for got, want in zip((mean.rho11, mean.rho01_re, mean.rho01_im), (fine.rho11, fine.rho01_re, fine.rho01_im)):
+            assert np.abs(got - want).max() < 1e-6
+
+    def test_long_lived_emitter_converges(self):
+        # t2 = 2 t1 = 10 ns: the Rabi oscillation outlasts a 5 ns pulse at
+        # 20 rad/ns, so the panels double to 32 and 64, far past fig3's 4
+        params = core.TlsParams(t1=5.0, t2=10.0)
+        pulse = DrivePulse.square(20.0, 0.0, 5.0, statistics=Statistics.CHAOTIC)
+        dt = math.pi / 20.0 / 50.0
+        mean = bloch.chaotic_mean_transient(params, pulse, 5.0, dt)
+        fine = bloch.chaotic_mean_transient(params, pulse, 5.0, dt, panels=128)
+        assert np.abs(mean.rho11 - fine.rho11).max() < 1e-6
+
+    def test_unresolved_average_raises(self):
+        # cos(40 y) over y in [0, 6] is ~38 periods: 2 and 4 panels of
+        # 16 nodes cannot follow it, and with no doubling left the check
+        # says so
+        ys, ws = bloch._panel_nodes(64)
+        exact = ws @ np.cos(40.0 * ys)
+        with pytest.raises(core.QuadratureError, match="not converged at order 2"):
+            bloch._chaotic_average(lambda y: np.cos(40.0 * y)[:, None], 1.0, 2, 1e-6, 1, bloch._panel_nodes)
+        got = bloch._chaotic_average(lambda y: np.cos(40.0 * y)[:, None], 1.0, 2, 1e-6, 1, bloch._panel_nodes, 64)
+        assert got[0] == pytest.approx(exact, abs=1e-10)
 
     def test_long_trace_memory_is_bounded(self, qd):
         # 2e5 steps: 32 nodes of (4, 2e5 + 1) orbits would take 205 MB;
-        # the chunks are sized so that one holds about 2^20 row entries
+        # the chunks are sized so that the orbits of one hold about 2^20
+        # entries
         pulse = DrivePulse.square(2.0, 0.0, 2.0, statistics=Statistics.CHAOTIC)
-        for order, alpha in ((16, 0.0), (32, 0.0), (16, 0.5), (32, 0.5)):
-            bloch._laguerre_nodes(order, alpha)  # scipy's import and tables stay out of the peak
+        for panels in (2, 4, 8):
+            bloch._panel_nodes(panels)  # numpy.polynomial's import stays out of the peak
         tracemalloc.start()
         try:
-            mean = bloch.chaotic_mean_transient(qd, pulse, 1000.0, 0.005, order=16)
+            mean = bloch.chaotic_mean_transient(qd, pulse, 1000.0, 0.005)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(mean.rho11) == 200_001
-        assert peak < 64e6
+        assert peak < 40e6

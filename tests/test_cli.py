@@ -338,6 +338,17 @@ class TestRabiCommand:
         assert run(["rabi", "--config", str(cfg), "--seed", "2", "--samples", "7", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_strong_drives_run(self, tmp_path):
+        # drives whose Rabi phase over the fig3 pulse 96 Gauss-Laguerre
+        # nodes in x could not resolve; the composite rule in y does
+        out, cfg = tmp_path / "strong.csv", tmp_path / "c.json"
+        cfg.write_text(json.dumps({"omegas": [20.0, 30.0]}))
+        assert run(["rabi", "--preset", "fig3", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert sorted({float(r["omega"]) for r in rows}) == [20.0, 30.0]
+        cha = np.array([float(r["chaotic_mean"]) for r in rows])
+        assert np.all((cha >= 0.0) & (cha < 1.0))
+
 
 class TestG2Command:
     def test_fig5_columns(self, tmp_path):
