@@ -178,6 +178,100 @@ def exp1_scaled(x: float) -> float:
     return _exp1_cf_scaled(x)
 
 
+# e^z E1(z) of a complex array takes one of three methods per entry: the
+# asymptotic series from |z| = _ASYMPTOTIC_RADIUS, where its smallest
+# term is below rounding; the power series where |z| + Re z is at most
+# _SERIES_LOSS, that is near 0 or near the negative real axis, where the
+# continued fraction converges slowly (at -12 + 2i it is off by 1e-7
+# after 200 terms) and the series terms cancel to at most e^_SERIES_LOSS
+# of their sum; and the continued fraction elsewhere.
+_ASYMPTOTIC_RADIUS = 40.0
+_SERIES_LOSS = 4.0
+_CF_TERMS = 1000
+
+
+def _expn_cf_scaled(z, n) -> np.ndarray:
+    """e^z E_n(z) for each entry of the 1-d arrays z and n, by the
+    modified-Lentz continued fraction of `_exp1_cf_scaled` (Numerical
+    Recipes' expint).  Only the entries still short of convergence
+    iterate."""
+    n = np.broadcast_to(np.asarray(n, dtype=float), np.shape(z))
+    b = z + n
+    c = np.full_like(b, 1e300)
+    d = 1.0 / b
+    f = d.copy()
+    left = np.arange(len(b))
+    for k in range(1, _CF_TERMS):
+        a = -k * (n[left] - 1.0 + k)
+        b = b + 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        c[c == 0.0] = 1e-300
+        delta = c * d
+        f[left] *= delta
+        going = np.abs(delta - 1.0) >= 1e-15
+        if not going.any():
+            break
+        left, b, c, d = left[going], b[going], c[going], d[going]
+    return f
+
+
+def exp1_scaled_complex(z) -> np.ndarray:
+    """e^z E1(z) for an array of complex z off the negative real axis,
+    the principal branch: E[1 / (x + z)] under the exponential law of x.
+    Relative error is at the 1e-14 level, ~1e-13 next to the negative
+    real axis (see _SERIES_LOSS)."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
+    r = np.abs(z)
+    asymptotic = r >= _ASYMPTOTIC_RADIUS
+    series = ~asymptotic & (r + z.real <= _SERIES_LOSS)
+    fraction = ~(asymptotic | series)
+
+    za = z[asymptotic]
+    term = 1.0 / za
+    total = term.copy()
+    # sum_k (-1)^k k! / z^(k+1); its terms fall while k < |z|
+    for k in range(1, int(_ASYMPTOTIC_RADIUS)):
+        term *= -k / za
+        total += term
+        if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
+            break
+    out[asymptotic] = total
+
+    zs = z[series]
+    minus_z = -zs
+    term = np.ones_like(zs)
+    total = np.zeros_like(zs)
+    # E1(z) = -gamma - log z - sum_k (-z)^k / (k k!), checked every 8 terms
+    for k in range(1, 200):
+        term *= minus_z
+        term *= 1.0 / k
+        total += term * (1.0 / k)
+        if k % 8 == 0 and np.all(np.abs(term) <= 1e-17 * k * np.abs(total)):
+            break
+    out[series] = np.exp(zs) * (-_EULER_GAMMA - np.log(zs) - total)
+
+    out[fraction] = _expn_cf_scaled(z[fraction], 1)
+    return out
+
+
+def _scaled_moments(a: float, count: int) -> np.ndarray:
+    """m_n = E[(1 + x/a)^-n] = a e^a E_n(a), n = 1..count, under the
+    exponential law of x, for real a > 0.  Up to a = 2 by the recurrence
+    m_(n+1) = (a/n) (1 - m_n) from m_1 = a e^a E1(a) (integration by
+    parts), which amplifies the error of m_n by a m_n / (n m_(n+1)), at
+    most 3x over all n there; above, where the recurrence loses a/n per
+    step, each m_n from its own continued fraction."""
+    if a > 2.0:
+        return a * _expn_cf_scaled(np.full(count, a), np.arange(1.0, count + 1))
+    m = np.empty(count)
+    m[0] = a * exp1_scaled(a)
+    for k in range(1, count):
+        m[k] = (a / k) * (1.0 - m[k - 1])
+    return m
+
+
 def _mean_inverse_saturation(params: TlsParams, mean_omega: float, detuning: float) -> float:
     d = detuning**2 + 1.0 / params.t2**2
     c = d * params.t2 / params.t1  # rho_ss = X / (2 (X + c)) with X = omega^2
@@ -247,22 +341,6 @@ _Y_SPAN = 6.0
 
 
 @functools.lru_cache(maxsize=None)
-def _laguerre_nodes(order: int):
-    """Gauss-Laguerre rule of the given order in x = (drive / mean)^2,
-    as the drives in units of the mean, sqrt(x), and the weights, without
-    the nodes whose weights underflow to zero.  Where scipy's weights
-    overflow (from order ~370 with scipy 1.17), QuadratureError."""
-    # imported on first use, to keep it out of `import tlsrf`
-    from scipy.special import roots_laguerre
-
-    x, w = roots_laguerre(order)
-    if not np.all(np.isfinite(w)):
-        raise QuadratureError(f"Gauss-Laguerre weights of order {order} are not finite")
-    keep = w > 0.0
-    return np.sqrt(x[keep]), w[keep]
-
-
-@functools.lru_cache(maxsize=None)
 def _panel_nodes(panels: int):
     """Composite Gauss-Legendre rule of `panels` equal panels over
     y = drive / mean in [0, _Y_SPAN], for the law of y under the
@@ -277,13 +355,10 @@ def _panel_nodes(panels: int):
     return y.ravel(), w.ravel()
 
 
-def _chaotic_average(
-    f, mean_omega: float, order: int, rtol: float, row_len: int, nodes=_laguerre_nodes, max_order: int = 0
-) -> np.ndarray:
+def _chaotic_average(f, mean_omega: float, order: int, rtol: float, row_len: int, max_order: int = 0) -> np.ndarray:
     """Expectation of f over the exponential intensity law, where f maps
     an array of drives to one row per drive and works on row_len entries
-    per drive.  nodes(order) is the rule: the drives in units of
-    mean_omega and their weights, by default Gauss-Laguerre.
+    per drive, on the composite rule `_panel_nodes` of `order` panels.
 
     The average is taken at order and at 2*order.  Where the two differ
     anywhere by more than rtol times the largest magnitude of the 2*order
@@ -294,7 +369,7 @@ def _chaotic_average(
     size = max(1, min(_NODE_CHUNK, _CHUNK_BUDGET // row_len))
 
     def run(n):
-        ys, ws = nodes(n)
+        ys, ws = _panel_nodes(n)
         oms = ys * mean_omega
         chunks = [slice(i, i + size) for i in range(0, len(ys), size)]
         return sum(ws[c] @ f(oms[c]) for c in chunks)
@@ -575,7 +650,7 @@ def chaotic_mean_transient(
         return x[:, :3].reshape(len(oms), 3 * n)
 
     resolved = math.ceil(area * _Y_SPAN / (4.0 * math.pi))
-    mean = _chaotic_average(orbits, pulse.rabi, panels, 1e-6, 4 * n, _panel_nodes, resolved)
+    mean = _chaotic_average(orbits, pulse.rabi, panels, 1e-6, 4 * n, resolved)
     return BlochTrace(0.0, dt, mean[:n], mean[n : 2 * n], mean[2 * n :])
 
 

@@ -84,7 +84,7 @@ def synthesize_field(tau_corr: float, dt: float, n: int, rng: np.random.Generato
         raise NumericalGuardError(f"dt={dt} must be <= tau_corr/20 ({tau_corr/20.0})")
     if n * dt < 50.0 * tau_corr:
         raise NumericalGuardError("trace must span at least 50 correlation times")
-    # scipy.fft pulls in scipy.special, so it is imported only here
+    # scipy.fft is imported only here, to keep it out of `import tlsrf`
     from scipy import fft
 
     discard = int(math.ceil(5.0 * tau_corr / dt))

@@ -40,6 +40,9 @@ class PhotonDistribution:
         return int(math.log(tail) / math.log(mu / (1.0 + mu))) + 2
 
 
+_log_gamma = np.vectorize(math.lgamma, otypes=[float])
+
+
 def pmf(dist: PhotonDistribution, n) -> np.ndarray | float:
     """Probability of observing n photons.
 
@@ -56,10 +59,7 @@ def pmf(dist: PhotonDistribution, n) -> np.ndarray | float:
         out = np.where(nf == 0, 1.0, 0.0)
         return out if out.shape else float(out)
     if dist.kind is DistributionKind.POISSON:
-        # imported on first use, to keep it out of `import tlsrf`
-        from scipy.special import gammaln
-
-        logp = nf * math.log(mu) - mu - gammaln(nf + 1.0)
+        logp = nf * math.log(mu) - mu - _log_gamma(nf + 1.0)
     else:
         logp = nf * math.log(mu) - (nf + 1.0) * math.log1p(mu)
     out = np.exp(logp)

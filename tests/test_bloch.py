@@ -90,6 +90,42 @@ class TestExp1:
             bloch.exp1(0.0)
 
 
+class TestExp1ScaledComplex:
+    def test_against_scipy_on_polar_grid(self):
+        # |a| from 1e-3 to 1e3 and arg a up to +-pi, on both sides of the
+        # negative real axis; scipy's e^a E1(a) is formed where both
+        # factors are finite.  Next to the negative axis the power series
+        # (ours and scipy's) loses up to ~2 digits, and scipy's own series
+        # is off by up to 3e-13 near |a| = 4.5
+        r = np.logspace(-3, 3, 61)
+        arg = np.concatenate([np.linspace(-math.pi, math.pi, 73)[1:-1], [math.pi - 1e-9, 1e-9 - math.pi]])
+        a = (r[:, None] * np.exp(1j * arg[None, :])).ravel()
+        a = a[np.abs(a.real) <= 600.0]
+        want = np.exp(a) * scipy_special.exp1(a)
+        got = bloch.exp1_scaled_complex(a)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_fig4_argument(self):
+        # where the continued fraction alone is off by 1e-7 after 200 terms
+        a = np.array([-12.1 + 2.2j, -12.1 - 2.2j, -23.0 + 0.5j])
+        want = np.exp(a) * scipy_special.exp1(a)
+        assert np.all(np.abs(bloch.exp1_scaled_complex(a) - want) <= 1e-13 * np.abs(want))
+
+    def test_real_axis_matches_exp1_scaled(self):
+        for x in (1e-3, 0.5, 1.0, 3.0, 39.0, 41.0, 1e3):
+            got = bloch.exp1_scaled_complex(np.array([x]))[0]
+            assert got.imag == 0.0
+            assert got.real == pytest.approx(bloch.exp1_scaled(x), rel=1e-14)
+
+    @pytest.mark.parametrize("a", [1e-3, 0.3, 2.0, 2.5, 40.0, 6240.0])
+    def test_scaled_moments_are_the_expectations(self, a):
+        # m_n = E[(1 + x/a)^-n] under the exponential law, by quadrature
+        m = bloch._scaled_moments(a, 30)
+        for n in (1, 2, 3, 10, 30):
+            want, _ = scipy_integrate.quad(lambda x: math.exp(-x) * (1.0 + x / a) ** -n, 0.0, np.inf, epsabs=0.0, epsrel=1e-13)
+            assert m[n - 1] == pytest.approx(want, rel=1e-12)
+
+
 class TestExpmIncrement:
     @pytest.mark.parametrize("dt", [0.0, 0.003, 0.1, 2.0, 37.0, 900.0])
     def test_matches_expm(self, qd, dt):
@@ -502,8 +538,8 @@ class TestChaoticMeanTransient:
         ys, ws = bloch._panel_nodes(64)
         exact = ws @ np.cos(40.0 * ys)
         with pytest.raises(core.QuadratureError, match="not converged at order 2"):
-            bloch._chaotic_average(lambda y: np.cos(40.0 * y)[:, None], 1.0, 2, 1e-6, 1, bloch._panel_nodes)
-        got = bloch._chaotic_average(lambda y: np.cos(40.0 * y)[:, None], 1.0, 2, 1e-6, 1, bloch._panel_nodes, 64)
+            bloch._chaotic_average(lambda y: np.cos(40.0 * y)[:, None], 1.0, 2, 1e-6, 1)
+        got = bloch._chaotic_average(lambda y: np.cos(40.0 * y)[:, None], 1.0, 2, 1e-6, 1, 64)
         assert got[0] == pytest.approx(exact, abs=1e-10)
 
     def test_long_trace_memory_is_bounded(self, qd):

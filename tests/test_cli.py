@@ -207,10 +207,17 @@ class TestConfigHandling:
     def test_negative_seed_flag_is_exit_2(self):
         assert run(["tags", "--seed", "-1"]) == 2
 
-    def test_unconverged_quadrature_is_exit_3(self, tmp_path):
+    def test_unconverged_quadrature_is_exit_3(self, tmp_path, monkeypatch):
+        # a midpoint rule in place of the panels converges too slowly for
+        # the doubling check of chaotic g2, up to its cap of 13 panels
+        def midpoint(panels):
+            y = (np.arange(panels) + 0.5) * (bloch._Y_SPAN / panels)
+            return y, (bloch._Y_SPAN / panels) * 2.0 * y * np.exp(-y * y)
+
+        monkeypatch.setattr(bloch, "_panel_nodes", midpoint)
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"quad_order": 8}))
-        assert run(["mollow", "--config", str(cfg)]) == 3
+        cfg.write_text(json.dumps({"mc": False}))
+        assert run(["g2", "--config", str(cfg)]) == 3
 
     def test_cli_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -350,7 +357,39 @@ class TestRabiCommand:
         assert np.all((cha >= 0.0) & (cha < 1.0))
 
 
+class TestMollowCommand:
+    def test_quad_order_is_ignored(self, tmp_path):
+        # the chaotic spectrum is in closed form; quad_order is still a
+        # checked key, so configs that set it keep running
+        outs = []
+        for order in (8, 96):
+            cfg, out = tmp_path / f"c{order}.json", tmp_path / f"m{order}.csv"
+            cfg.write_text(json.dumps({"omegas": [5.2, 7.2], "quad_order": order}))
+            assert run(["mollow", "--config", str(cfg), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_strong_drive_runs(self, tmp_path):
+        # 96 and 192 Gauss-Laguerre nodes disagreed here by 1.7e-3, and
+        # 384 overflowed
+        out, cfg = tmp_path / "strong.csv", tmp_path / "c.json"
+        cfg.write_text(json.dumps({"omegas": [20], "span_ghz": 8, "grid_points": 4001}))
+        assert run(["mollow", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_rows(out)
+        cha = np.array([float(r["chaotic_inc"]) for r in rows])
+        assert len(cha) == 4001 and np.all(np.isfinite(cha)) and np.all(cha >= 0.0)
+
+
 class TestG2Command:
+    def test_strong_chaotic_drive_runs(self, tmp_path):
+        out, cfg = tmp_path / "strong.csv", tmp_path / "c.json"
+        cfg.write_text(json.dumps({"omega": 20, "mc": False}))
+        assert run(["g2", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_rows(out)
+        cha = np.array([float(r["g2_chaotic"]) for r in rows])
+        assert cha[np.argmin(np.abs([float(r["lag_ns"]) for r in rows]))] == 0.0
+        assert np.all(np.isfinite(cha)) and cha[-1] == pytest.approx(1.0, abs=0.05)
+
     def test_fig5_columns(self, tmp_path):
         out = tmp_path / "fig5.csv"
         cfg = tmp_path / "c.json"
@@ -505,3 +544,21 @@ def test_import_leaves_optional_scipy_modules_out():
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_chaotic_presets_load_no_scipy(tmp_path):
+    # the chaotic spectrum is in closed form and chaotic g2 averages on
+    # Gauss-Legendre panels, so neither preset imports any scipy module
+    src = str(Path(tlsrf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps({"duration_ns": 2e4}))
+    for args in (["mollow", "--preset", "fig4"], ["g2", "--preset", "fig5", "--config", str(cfg)]):
+        code = (
+            "import sys; from tlsrf import cli; "
+            f"code = cli.main({args + ['--out', str(tmp_path / 'x.csv')]!r}); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "0 []", args

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate as scipy_integrate
 from scipy.linalg import expm
 from scipy.signal import argrelmax
 
 from tlsrf import bloch, core, emission
-from tlsrf.core import NumericalGuardError, QuadratureError, TWO_PI
+from tlsrf.core import NumericalGuardError, TWO_PI
 
 
 def fine_grid(span=4.0, n=4001):
@@ -177,21 +178,42 @@ class TestChaoticSpectrum:
     def test_power_matches_chaotic_average(self, qd):
         sp = emission.chaotic_spectrum(qd, 7.2, fine_grid())
         assert sp.total_power() == pytest.approx(
-            bloch.chaotic_steady_state(qd, 7.2) / qd.t1, rel=1e-4
+            bloch.chaotic_steady_state(qd, 7.2) / qd.t1, rel=1e-12
         )
 
-    def test_convergence_check_runs(self, qd):
-        emission.chaotic_spectrum(qd, 5.2, fine_grid(3.0, 2001), order=96)
+    @pytest.mark.parametrize("t1, t2", [(0.641, 0.325), (1.0, 2.0), (0.641, 0.1), (5.0, 10.0)])
+    @pytest.mark.parametrize("mean_omega", [0.05, 1.0, 5.2, 7.2, 20.0, 50.0])
+    def test_matches_adaptive_quadrature(self, t1, t2, mean_omega):
+        # per-frequency adaptive quadrature of the coherent-drive density
+        # over the exponential law of x = drive^2 / mean^2, at nu = 0, its
+        # neighbours (where the closed form switches to its series) and
+        # across the span; and the coherent weight and incoherent power
+        params = core.TlsParams(t1, t2)
+        span = max(4.0, 3.0 * mean_omega / TWO_PI)
+        linewidth = 2.0 / t2 / TWO_PI
+        freqs = fine_grid(span, max(4001, 2 * math.ceil(5.0 * span / linewidth) + 1))
+        sp = emission.chaotic_spectrum(params, mean_omega, freqs)
+        peak = sp.incoherent.max()
 
-    def test_low_order_fails_convergence_check(self, qd):
-        with pytest.raises(QuadratureError, match="not converged at order 8"):
-            emission.chaotic_spectrum(qd, 7.2, fine_grid(3.0, 2001), order=8)
+        def average(row, pair, scale):
+            # _spectrum_rows at one drive, on the two-point grid pair
+            def f(x):
+                dens, cw, ip = emission._spectrum_rows(params, np.array([mean_omega * math.sqrt(x)]), 0.0, pair)
+                return (dens[0, 0], cw[0], ip[0])[row] * math.exp(-x)
 
-    def test_overflowing_nodes_are_refused(self, qd):
-        # scipy's weights at order 400 overflow to nan: a numerical-guard
-        # error, where an average over no nodes would be a TypeError
-        with np.errstate(all="ignore"), pytest.raises(QuadratureError, match="order 400 are not finite"):
-            emission.chaotic_spectrum(qd, 5.2, fine_grid(3.0, 101), order=200)
+            # the Mollow sidebands pass pair[0] where the drive is 2 pi |nu|;
+            # beyond x = 60 the law holds e^-60 of its mass
+            x_s = (TWO_PI * pair[0] / mean_omega) ** 2
+            points = [x_s] if 0.0 < x_s < 60.0 else None
+            val, _ = scipy_integrate.quad(f, 0.0, 60.0, points=points, limit=400, epsabs=1e-12 * scale, epsrel=1e-10)
+            return val
+
+        mid = len(freqs) // 2
+        for j in (mid, mid + 1, mid - 1, mid + 7, mid + 400, mid + 1100, 0):
+            assert abs(sp.incoherent[j] - average(0, freqs[j : j + 2], peak)) <= 1e-10 * peak, freqs[j]
+        power = sp.total_power()
+        assert sp.coherent_weight == pytest.approx(average(1, freqs[:2], power), rel=1e-10, abs=1e-12 * power)
+        assert sp.incoherent_power == pytest.approx(average(2, freqs[:2], power), rel=1e-10, abs=1e-12 * power)
 
 
 class TestConvolveLorentzian:
