@@ -79,9 +79,6 @@ class BlochTrace:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(self.rho11))
 
-    def state(self, i: int) -> BlochState:
-        return BlochState(float(self.rho11[i]), float(self.rho01_re[i]), float(self.rho01_im[i]))
-
     def to_csv(self, path):
         cols = [self.times, self.rho11, self.rho01_re, self.rho01_im]
         header = "t_ns,rho11,rho01_re,rho01_im"
@@ -355,10 +352,20 @@ def _panel_nodes(panels: int):
     return y.ravel(), w.ravel()
 
 
+def _node_sum(f, drives, weights, row_len: int) -> np.ndarray:
+    """sum_i weights[i] f(drives)[i], where f maps an array of drives to
+    one row per drive and works on row_len entries per drive, called on
+    chunks of the drives so that memory is bounded by one chunk."""
+    size = max(1, min(_NODE_CHUNK, _CHUNK_BUDGET // row_len))
+    chunks = [slice(i, i + size) for i in range(0, len(drives), size)]
+    return sum(weights[c] @ f(drives[c]) for c in chunks)
+
+
 def _chaotic_average(f, mean_omega: float, order: int, rtol: float, row_len: int, max_order: int = 0) -> np.ndarray:
     """Expectation of f over the exponential intensity law, where f maps
     an array of drives to one row per drive and works on row_len entries
-    per drive, on the composite rule `_panel_nodes` of `order` panels.
+    per drive, on the composite rule `_panel_nodes` of `order` panels,
+    summed by `_node_sum`.
 
     The average is taken at order and at 2*order.  Where the two differ
     anywhere by more than rtol times the largest magnitude of the 2*order
@@ -366,13 +373,10 @@ def _chaotic_average(f, mean_omega: float, order: int, rtol: float, row_len: int
     QuadratureError is raised once it is not.  The result is the
     average at the order that passed.
     """
-    size = max(1, min(_NODE_CHUNK, _CHUNK_BUDGET // row_len))
 
     def run(n):
         ys, ws = _panel_nodes(n)
-        oms = ys * mean_omega
-        chunks = [slice(i, i + size) for i in range(0, len(ys), size)]
-        return sum(ws[c] @ f(oms[c]) for c in chunks)
+        return _node_sum(f, ys * mean_omega, ws, row_len)
 
     result = run(order)
     while True:
@@ -429,17 +433,6 @@ def taylor_increment(m, dt, degree):
         t /= k
         t += eye
     return z @ t
-
-
-def _rk4_step_map(m, dt):
-    """One classical RK4 step of (x, 1)' = M (x, 1) for every generator
-    in the stack m, as the map (x, 1) <- T (x, 1).
-
-    On a constant affine system RK4 is exactly the degree-4 Taylor
-    polynomial of Z = M dt; its top-left block is the linear part P and
-    its last column (c, 1).
-    """
-    return np.eye(4) + taylor_increment(m, dt, 4)
 
 
 def expm_increment(m, dt):
@@ -508,30 +501,20 @@ def _runs(amp_steps):
     return zip(edges[:-1], edges[1:])
 
 
-def _rk4_ensemble(dt, amp_steps, omegas, params, det):
-    """Lock-step RK4 over all ensemble members at once; returns the sums
-    over members of rho11, u, v and rho11^2 at each step, (4, n + 1).
+def _rk4_orbits(params: TlsParams, omegas, amps, dt: float, detuning: float, x0) -> np.ndarray:
+    """RK4 traces (k, 4, n + 1) of x = (rho11, u, v, 1) from x0 for the
+    k drives omegas under the per-step envelope amps (n steps).
 
-    Each run of equal envelope amplitude gets one step map per member
-    (`_rk4_step_map`); a step is then one 3x3 matvec per member.  Only
-    the current run's map is held, so memory is O(members).
+    On a constant affine system the RK4 step is exactly the degree-4
+    Taylor polynomial of M dt, so each run of equal amplitude is the
+    `orbit` of its first state under that step in increment form.
     """
-    x = np.zeros((3, len(omegas)))
-    nxt = np.empty_like(x)
-    # x starts in the ground state, so the t = 0 sums are zero
-    sums = np.zeros((4, len(amp_steps) + 1))
-    for start, stop in _runs(amp_steps):
-        t = _rk4_step_map(augmented_generator(params, omegas * amp_steps[start], det), dt)
-        # members on the last axis, as x
-        p = np.ascontiguousarray(t[:, :3, :3].transpose(1, 2, 0))
-        c = np.ascontiguousarray(t[:, :3, 3].T)
-        for j in range(start, stop):
-            np.einsum("ijn,jn->in", p, x, out=nxt)
-            nxt += c
-            x, nxt = nxt, x
-            sums[:3, j + 1] = x.sum(axis=1)
-            sums[3, j + 1] = (x[0] * x[0]).sum()
-    return sums
+    x = np.empty((len(omegas), 4, len(amps) + 1))
+    x[:, :, 0] = x0
+    for start, stop in _runs(amps):
+        d = taylor_increment(augmented_generator(params, omegas * amps[start], detuning), dt, 4)
+        orbit(d, x[:, :, start], stop + 1 - start, increments=True, out=x[:, :, start : stop + 1])
+    return x
 
 
 def _step_guard(params: TlsParams, omega_max: float, dt: float):
@@ -573,8 +556,8 @@ def integrate(
     """Fixed-step RK4 trace of the Bloch equations from t = 0 to t_end.
 
     The envelope is piecewise constant per step, so each run of equal
-    amplitude is the orbit of its first state under one RK4 step map
-    (`_rk4_step_map`), filled by doubling (`orbit`).  Halving dt moves
+    amplitude is the orbit of its first state under one RK4 step,
+    filled by doubling (`_rk4_orbits` with one drive).  Halving dt moves
     any sample by less than 1e-6 at the guard-allowed resolution
     (4th-order convergence); a step-size guard enforces
     dt <= min(t2, 2*pi/omega)/50.
@@ -586,25 +569,23 @@ def integrate(
     n_steps = _n_steps(t_end, dt)
     state0 = initial or BlochState.ground()
     amps = _amplitudes_per_step(pulse, n_steps, dt)
-    x = np.empty((4, n_steps + 1))
-    x[:, 0] = (state0.rho11, state0.rho01_re, state0.rho01_im, 1.0)
-    for start, stop in _runs(amps):
-        t = _rk4_step_map(augmented_generator(params, pulse.rabi * amps[start], pulse.detuning), dt)
-        x[:, start : stop + 1] = orbit(t, x[None, :, start], stop + 1 - start)[0]
+    x0 = (state0.rho11, state0.rho01_re, state0.rho01_im, 1.0)
+    x = _rk4_orbits(params, np.array([pulse.rabi]), amps, dt, pulse.detuning, x0)[0]
     return BlochTrace(0.0, dt, x[0], x[1], x[2])
 
 
-def _warn_quasi_static(pulse: DrivePulse, tau_corr: float):
+def _warn_quasi_static(pulse: DrivePulse):
     """Warn when the driven span of the pulse is not small against the
-    source correlation time (above tau_corr/10), where a drive held
-    fixed over the pulse no longer describes the chaotic source."""
+    source correlation time LAMP_TAU_CORR (above a tenth of it), where a
+    drive held fixed over the pulse no longer describes the chaotic
+    source."""
     spans = [(start, stop) for start, stop, amp in pulse.envelope if amp > 0]
     if spans:
         span = max(s for _, s in spans) - min(s for s, _ in spans)
-        if span > tau_corr / 10.0:
+        if span > LAMP_TAU_CORR / 10.0:
             warnings.warn(
                 f"pulse span {span} ns is not small against the source correlation "
-                f"time {tau_corr} ns; the quasi-static approximation degrades",
+                f"time {LAMP_TAU_CORR} ns; the quasi-static approximation degrades",
                 stacklevel=3,
             )
 
@@ -623,34 +604,30 @@ def chaotic_mean_transient(
     mean pulse area A up to t_end; panels that each span two periods of
     it, A * _Y_SPAN / (4 pi) of them, resolve it with no help from the
     damping, and the doubling stops there at the latest.  Each node is
-    the RK4 trace of `integrate` at its drive, filled by `orbit` over
-    each run of equal envelope amplitude from the increment form of the
-    step map, so the mean is the node average of `integrate`'s own
+    the RK4 trace of `integrate` at its drive, from the same kernel
+    `_rk4_orbits`, so the mean is the node average of `integrate`'s own
     discretization.  Nothing is sampled, so the trace has no stderr.
     The node chunks bound memory for any number of steps.  Same step
     guard and quasi-static warning as `chaotic_transient`.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-    _warn_quasi_static(pulse, LAMP_TAU_CORR)
+    _warn_quasi_static(pulse)
     _step_guard(params, 2.0 * pulse.rabi * pulse.max_amplitude(), dt)
     n = _n_steps(t_end, dt) + 1
     if pulse.rabi == 0.0:
         return BlochTrace(0.0, dt, np.zeros(n), np.zeros(n), np.zeros(n))
     amps = _amplitudes_per_step(pulse, n - 1, dt)
-    runs = list(_runs(amps))
     area = pulse.rabi * dt * float(np.abs(amps).sum())
 
-    def orbits(oms):
-        x = np.empty((len(oms), 4, n))
-        x[:, :, 0] = (0.0, 0.0, 0.0, 1.0)
-        for start, stop in runs:
-            d = taylor_increment(augmented_generator(params, oms * amps[start], pulse.detuning), dt, 4)
-            orbit(d, x[:, :, start], stop + 1 - start, increments=True, out=x[:, :, start : stop + 1])
+    def rows(oms):
+        # the affine row is left out: its weight sum, ~1, would become the
+        # scale of the doubling check
+        x = _rk4_orbits(params, oms, amps, dt, pulse.detuning, (0.0, 0.0, 0.0, 1.0))
         return x[:, :3].reshape(len(oms), 3 * n)
 
     resolved = math.ceil(area * _Y_SPAN / (4.0 * math.pi))
-    mean = _chaotic_average(orbits, pulse.rabi, panels, 1e-6, 4 * n, resolved)
+    mean = _chaotic_average(rows, pulse.rabi, panels, 1e-6, 4 * n, resolved)
     return BlochTrace(0.0, dt, mean[:n], mean[n : 2 * n], mean[2 * n :])
 
 
@@ -661,7 +638,6 @@ def chaotic_transient(
     dt: float,
     n_samples: int,
     rng: np.random.Generator,
-    tau_corr: float = LAMP_TAU_CORR,
 ) -> BlochTrace:
     """Ensemble-averaged transient under quasi-static chaotic drive: the
     stochastic path to the mean that `chaotic_mean_transient` takes
@@ -670,26 +646,36 @@ def chaotic_transient(
     Each member draws a squared Rabi frequency from the exponential
     intensity law and is integrated with the shared envelope; the
     returned trace is the pointwise mean with the standard error of
-    rho11.  Members are stepped in lock step with the RK4 step map of
-    their drive, the map whose powers `integrate` takes (the two agree
-    to rounding): one 3x3 matvec per member-step, with the maps rebuilt
-    at each change of envelope amplitude, so memory is
-    O(n_samples + steps).  Valid while the pulse is much shorter
-    than the source correlation time (warned above tau_corr/10).
+    rho11.  The members are the orbits of `integrate`'s kernel
+    `_rk4_orbits` at the drawn drives, summed with unit weights by
+    `_node_sum`, so memory is O(n_samples + one node chunk of orbits).
+    Valid while the pulse is much shorter than the source correlation
+    time (warned above LAMP_TAU_CORR/10).
     """
+    if t_end <= 0:
+        raise ValueError("t_end must be positive")
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    _warn_quasi_static(pulse, tau_corr)
+    _warn_quasi_static(pulse)
     om_max = pulse.rabi * pulse.max_amplitude()
     # drawn intensities can exceed the mean; guard with a factor that
     # covers all but the exponential tail (whose members stay stable,
     # merely less accurate, and are statistically negligible)
     _step_guard(params, 2.0 * om_max, dt)
-    n_steps = _n_steps(t_end, dt)
+    n = _n_steps(t_end, dt) + 1
     w2 = sample_chaotic_intensity(rng, pulse.rabi**2, size=n_samples)
     omegas = np.sqrt(np.asarray(w2, dtype=float))
-    amps = _amplitudes_per_step(pulse, n_steps, dt)
-    mean, coh_re, coh_im, meansq = _rk4_ensemble(dt, amps, omegas, params, pulse.detuning) / n_samples
+    amps = _amplitudes_per_step(pulse, n - 1, dt)
+
+    def rows(oms):
+        # rho11^2 takes the affine coordinate's slot, and the reshape of
+        # the contiguous orbits makes no copy
+        x = _rk4_orbits(params, oms, amps, dt, pulse.detuning, (0.0, 0.0, 0.0, 1.0))
+        np.square(x[:, 0], out=x[:, 3])
+        return x.reshape(len(oms), 4 * n)
+
+    sums = _node_sum(rows, omegas, np.ones(n_samples), 4 * n)
+    mean, coh_re, coh_im, meansq = sums.reshape(4, n) / n_samples
     var = np.maximum(meansq - mean**2, 0.0) * n_samples / (n_samples - 1)
     stderr = np.sqrt(var / n_samples)
     return BlochTrace(0.0, dt, mean, coh_re, coh_im, stderr=stderr)

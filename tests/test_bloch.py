@@ -337,6 +337,21 @@ class TestIntegrate:
         assert header == "t_ns,rho11,rho01_re,rho01_im"
 
 
+_TRANSIENTS = {
+    "integrate": lambda qd, pulse, t_end: bloch.integrate(qd, pulse, t_end, 0.005),
+    "chaotic_mean_transient": lambda qd, pulse, t_end: bloch.chaotic_mean_transient(qd, pulse, t_end, 0.005),
+    "chaotic_transient": lambda qd, pulse, t_end: bloch.chaotic_transient(qd, pulse, t_end, 0.005, 100, core.stream(1)),
+}
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1.0])
+@pytest.mark.parametrize("transient", list(_TRANSIENTS))
+def test_non_positive_t_end_rejected(qd, transient, t_end):
+    pulse = DrivePulse.square(5.0, 0.0, 1.0, statistics=Statistics.CHAOTIC)
+    with pytest.raises(ValueError, match="t_end must be positive"):
+        _TRANSIENTS[transient](qd, pulse, t_end)
+
+
 class TestChaoticTransient:
     def test_sample_times_match_integrate(self, qd):
         # 1.3 / 0.0065 lands a hair above 200 in floating point; both
@@ -411,9 +426,9 @@ class TestChaoticTransient:
             assert np.abs(ens.stderr - stderr).max() <= 1e-12
 
     def test_staircase_memory_is_bounded(self, qd):
-        # 64 amplitude levels over 10k members: the kernel holds one
-        # level's step map at a time, where caching every level's map
-        # would need ~60 MB
+        # 64 amplitude levels over 10k members: the ensemble holds the
+        # orbits of one node chunk of members at a time, where holding
+        # every member's orbit would need ~80 MB
         levels = np.linspace(1.0, 0.05, 64)
         envelope = tuple((0.02 * k, 0.02 * (k + 1), float(a)) for k, a in enumerate(levels))
         pulse = DrivePulse(5.0, 0.0, envelope, Statistics.CHAOTIC)
