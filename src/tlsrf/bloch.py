@@ -124,57 +124,6 @@ def steady_state(params: TlsParams, omega: float, detuning: float = 0.0) -> Bloc
     return BlochState(0.5 * x / (d + x), scale * detuning, scale / params.t2)
 
 
-def _exp1_cf_scaled(x: float) -> float:
-    """Modified-Lentz continued fraction for e^x E1(x), x > 1."""
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for k in range(1, 200):
-        a = -k * k
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return f
-
-
-def exp1(x: float) -> float:
-    """Exponential integral E1(x) for x > 0.
-
-    Power series below x = 1, modified-Lentz continued fraction above;
-    relative error is at the 1e-14 level across the domain.
-    """
-    if x <= 0:
-        raise ValueError("exp1 requires x > 0")
-    if x <= 1.0:
-        total = -_EULER_GAMMA - math.log(x)
-        term = 1.0
-        for k in range(1, 64):
-            term *= -x / k
-            contrib = -term / k
-            total += contrib
-            if abs(contrib) < 1e-17 * max(abs(total), 1e-300):
-                break
-        return total
-    return _exp1_cf_scaled(x) * math.exp(-x)
-
-
-def exp1_scaled(x: float) -> float:
-    """e^x E1(x), stable for arbitrarily large x (tends to 1/x)."""
-    if x <= 0:
-        raise ValueError("exp1_scaled requires x > 0")
-    if x <= 1.0:
-        return math.exp(x) * exp1(x)
-    return _exp1_cf_scaled(x)
-
-
 # e^z E1(z) of a complex array takes one of three methods per entry: the
 # asymptotic series from |z| = _ASYMPTOTIC_RADIUS, where its smallest
 # term is below rounding; the power series where |z| + Re z is at most
@@ -189,9 +138,8 @@ _CF_TERMS = 1000
 
 def _expn_cf_scaled(z, n) -> np.ndarray:
     """e^z E_n(z) for each entry of the 1-d arrays z and n, by the
-    modified-Lentz continued fraction of `_exp1_cf_scaled` (Numerical
-    Recipes' expint).  Only the entries still short of convergence
-    iterate."""
+    modified-Lentz continued fraction of Numerical Recipes' expint.
+    Only the entries still short of convergence iterate."""
     n = np.broadcast_to(np.asarray(n, dtype=float), np.shape(z))
     b = z + n
     c = np.full_like(b, 1e300)
@@ -216,8 +164,10 @@ def _expn_cf_scaled(z, n) -> np.ndarray:
 def exp1_scaled_complex(z) -> np.ndarray:
     """e^z E1(z) for an array of complex z off the negative real axis,
     the principal branch: E[1 / (x + z)] under the exponential law of x.
-    Relative error is at the 1e-14 level, ~1e-13 next to the negative
-    real axis (see _SERIES_LOSS)."""
+    On the positive real axis the result is real: this is also the
+    package's real exponential integral.  Relative error is at the
+    1e-14 level, ~1e-13 next to the negative real axis (see
+    _SERIES_LOSS)."""
     z = np.asarray(z, dtype=complex)
     out = np.empty_like(z)
     r = np.abs(z)
@@ -257,13 +207,14 @@ def _scaled_moments(a: float, count: int) -> np.ndarray:
     """m_n = E[(1 + x/a)^-n] = a e^a E_n(a), n = 1..count, under the
     exponential law of x, for real a > 0.  Up to a = 2 by the recurrence
     m_(n+1) = (a/n) (1 - m_n) from m_1 = a e^a E1(a) (integration by
-    parts), which amplifies the error of m_n by a m_n / (n m_(n+1)), at
-    most 3x over all n there; above, where the recurrence loses a/n per
-    step, each m_n from its own continued fraction."""
+    parts; e^a E1(a) from the power series of `exp1_scaled_complex`),
+    which amplifies the error of m_n by a m_n / (n m_(n+1)), at most 3x
+    over all n there; above, where the recurrence loses a/n per step,
+    each m_n from its own continued fraction."""
     if a > 2.0:
         return a * _expn_cf_scaled(np.full(count, a), np.arange(1.0, count + 1))
     m = np.empty(count)
-    m[0] = a * exp1_scaled(a)
+    m[0] = a * exp1_scaled_complex([a])[0].real
     for k in range(1, count):
         m[k] = (a / k) * (1.0 - m[k - 1])
     return m
@@ -278,16 +229,21 @@ def _mean_inverse_saturation(params: TlsParams, mean_omega: float, detuning: flo
 def chaotic_steady_state(params: TlsParams, mean_omega: float, detuning: float = 0.0) -> float:
     """Steady population averaged over exponential intensity fluctuations.
 
-    Closed form 0.5 * (1 - a * e^a * E1(a)) with a = 1/S_bar on
-    resonance; off resonance a generalizes to (det^2 + 1/t2^2) t2 /
-    (t1 * mean_omega^2).  Always below the coherent-drive value.
+    Closed form 0.5 * (1 - a e^a E1(a)) with a = 1/S_bar on resonance;
+    off resonance a generalizes to (det^2 + 1/t2^2) t2 /
+    (t1 * mean_omega^2).  Since E2(a) = e^-a - a E1(a) (Abramowitz &
+    Stegun 5.1.14), it equals 0.5 e^a E2(a) = 0.5 m_2 / a with the
+    moment m_2 of `_scaled_moments`, which at weak drive (large a) is a
+    continued fraction of its own and so keeps its digits, where
+    1 - a e^a E1(a) would cancel to O(1/a).  Always below the
+    coherent-drive value.
     """
     if mean_omega < 0:
         raise ValueError("mean_omega must be >= 0")
     if mean_omega == 0.0:
         return 0.0
     a = _mean_inverse_saturation(params, mean_omega, detuning)
-    return 0.5 * (1.0 - a * exp1_scaled(a))
+    return 0.5 * _scaled_moments(a, 2)[1] / a
 
 
 def chaotic_steady_state_quadrature(
@@ -574,12 +530,16 @@ def integrate(
     return BlochTrace(0.0, dt, x[0], x[1], x[2])
 
 
-def _warn_quasi_static(pulse: DrivePulse):
-    """Warn when the driven span of the pulse is not small against the
-    source correlation time LAMP_TAU_CORR (above a tenth of it), where a
-    drive held fixed over the pulse no longer describes the chaotic
-    source."""
-    spans = [(start, stop) for start, stop, amp in pulse.envelope if amp > 0]
+def _warn_quasi_static(pulse: DrivePulse, t_end: float):
+    """Warn when the driven span of the pulse within [0, t_end] is not
+    small against the source correlation time LAMP_TAU_CORR (above a
+    tenth of it), where a drive held fixed over the trace no longer
+    describes the chaotic source."""
+    spans = [
+        (max(start, 0.0), min(stop, t_end))
+        for start, stop, amp in pulse.envelope
+        if amp > 0 and start < t_end and stop > 0.0
+    ]
     if spans:
         span = max(s for _, s in spans) - min(s for s, _ in spans)
         if span > LAMP_TAU_CORR / 10.0:
@@ -612,7 +572,7 @@ def chaotic_mean_transient(
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-    _warn_quasi_static(pulse)
+    _warn_quasi_static(pulse, t_end)
     _step_guard(params, 2.0 * pulse.rabi * pulse.max_amplitude(), dt)
     n = _n_steps(t_end, dt) + 1
     if pulse.rabi == 0.0:
@@ -656,7 +616,7 @@ def chaotic_transient(
         raise ValueError("t_end must be positive")
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    _warn_quasi_static(pulse)
+    _warn_quasi_static(pulse, t_end)
     om_max = pulse.rabi * pulse.max_amplitude()
     # drawn intensities can exceed the mean; guard with a factor that
     # covers all but the exponential tail (whose members stay stable,

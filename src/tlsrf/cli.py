@@ -355,6 +355,8 @@ def cmd_g2(cfg: dict, pset: ParameterSet) -> list[str]:
     om, lag_max, lag_step = cfg["omega"], cfg["max_lag_ns"], cfg["lag_step_ns"]
     if lag_max < lag_step:
         raise ConfigError("max_lag_ns must be >= lag_step_ns")
+    if cfg["mc"] and cfg["bin_ns"] > lag_max:
+        raise ConfigError("bin_ns must be <= max_lag_ns: the histogram needs two whole bins")
     lags = np.arange(0.0, lag_max + 0.5 * lag_step, lag_step)
     det_fwhm = pset.instrument.detector_fwhm_ns
     blink = _blinking_from(cfg)

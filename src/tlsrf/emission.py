@@ -189,8 +189,9 @@ def chaotic_spectrum(params: TlsParams, mean_omega: float, freqs: np.ndarray) ->
     Nothing is sampled in x.
 
     The coherent weight is t2/(4 t1^2) (m_1 - m_2), the average of
-    |rho01|^2 / t1, and the incoherent power the rest of
-    `bloch.chaotic_steady_state` / t1.  At weak drive the terms of the
+    |rho01|^2 / t1, and the incoherent power the rest of the total
+    0.5 m_2 / (a t1), which is `bloch.chaotic_steady_state` / t1 taken
+    from the same moments.  At weak drive the terms of the
     density cancel to O(1/a) of their size, so ~log10(a) digits are
     lost there.
     """
@@ -219,7 +220,7 @@ def chaotic_spectrum(params: TlsParams, mean_omega: float, freqs: np.ndarray) ->
     mean = 1.0 + r0 * f3 + r1 * f2 + r2 * f1
     dens = np.maximum(-0.5 / t1 * np.real(mean / (s - 1.0 / t2)), 0.0)
     coherent = t2 / (4.0 * t1 * t1) * (m[0] - m[1])
-    total = bloch.chaotic_steady_state(params, mean_omega) / t1
+    total = 0.5 * m[1] / (a * t1)
     return Spectrum(freqs, dens, coherent, total - coherent)
 
 

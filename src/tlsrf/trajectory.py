@@ -572,10 +572,14 @@ def _add_bins(counts, pieces):
 def correlate(stream: TagStream, bin_w: float, max_lag: float) -> CoincidenceHistogram:
     """Cross-correlate channel 1 starts against channel 2 stops.
 
-    Counts c(tau) over lag bins in [-max_lag, max_lag) are normalized
-    by the channel rate product and by the overlap T - |tau| over which
-    a lag tau can be seen, c * T^2 / (N1 * N2 * w * (T - |tau|)), so
-    that uncorrelated Poisson streams read one at every lag.
+    Counts c(tau) in the whole bins of width bin_w from -max_lag that
+    end by max_lag: 2 max_lag / bin_w of them, rounded down after a
+    relative 1e-9 allowance, so that float noise in a whole ratio
+    (2 * 15 / 0.1) drops no bin, and a partial last bin, which would see
+    only some of its lags, is left out.  They are normalized by the
+    channel rate product and by the overlap T - |tau| over which a lag
+    tau can be seen, c * T^2 / (N1 * N2 * w * (T - |tau|)), so that
+    uncorrelated Poisson streams read one at every lag.
 
     Costs O(pairs) time and O(chunk + bins) memory, with chunk = 100k
     start tags, so dense wide windows need no pair array.
@@ -588,7 +592,7 @@ def correlate(stream: TagStream, bin_w: float, max_lag: float) -> CoincidenceHis
     t2 = stream.channel_times(2)
     if len(t1) == 0 or len(t2) == 0:
         raise ValueError("both channels need at least one tag")
-    nb = int(round(2.0 * max_lag / bin_w))
+    nb = math.floor(2.0 * max_lag / bin_w * (1.0 + 1e-9))
     if nb < 2:
         raise ValueError("fewer than two lag bins")
     counts = np.zeros(nb, dtype=np.int64)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,8 @@ class TestConfigHandling:
             # is zero without a drive
             ("tags", {"omega": 0, "samples": 10}),
             ("tags", {"omega": 0, "statistics": "chaotic", "samples": 10}),
+            # fewer than two whole histogram bins
+            ("g2", {"max_lag_ns": 0.3, "bin_ns": 0.4, "lag_step_ns": 0.05}),
         ],
     )
     def test_malformed_value_is_exit_2(self, tmp_path, command, options):
@@ -344,6 +347,16 @@ class TestRabiCommand:
         assert run(["rabi", "--config", str(cfg), "--seed", "1", "--out", str(a)]) == 0
         assert run(["rabi", "--config", str(cfg), "--seed", "2", "--samples", "7", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_long_pulse_beyond_trace_is_silent(self, tmp_path):
+        # the 500 ns pulse outlasts the 0.5 ns trace, which alone is
+        # averaged quasi-statically
+        out, cfg = tmp_path / "long.csv", tmp_path / "c.json"
+        cfg.write_text(json.dumps(dict(SMALL["rabi"], pulse_ns=500)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["rabi", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [str(w.message) for w in caught] == []
 
     def test_strong_drives_run(self, tmp_path):
         # drives whose Rabi phase over the fig3 pulse 96 Gauss-Laguerre

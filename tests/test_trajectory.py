@@ -739,6 +739,17 @@ class TestCorrelate:
         se = edge.std(axis=0, ddof=1) / math.sqrt(len(edge))
         assert np.all(np.abs(edge.mean(axis=0) - 1.0) < 3.0 * se)
 
+    @pytest.mark.parametrize("bin_w, max_lag, bins", [(0.3, 1.0, 6), (0.35, 1.0, 5), (0.1, 15.0, 300)])
+    def test_only_whole_bins(self, bin_w, max_lag, bins):
+        # where bin_w does not divide 2 max_lag, a last bin reaching past
+        # max_lag, where no lag is counted, would read ~0.67 (0.3 ns) or
+        # ~0.72 (0.35 ns) if it were normalized as a whole bin; 2 * 15 /
+        # 0.1 is 299.99999999999994 in floating point and keeps 300
+        hist = trajectory.correlate(poisson_pair(0.1, 2e6, core.stream(78)), bin_w, max_lag)
+        assert len(hist.lags) == bins
+        assert hist.lags[-1] + 0.5 * bin_w <= max_lag * (1.0 + 1e-12)
+        assert np.all(np.abs(hist.c_norm - 1.0) < 5.0 * hist.stderr)
+
     def test_matches_regression_correlation(self, qd):
         # ensemble consistency of the unraveling: the coincidence
         # histogram reproduces the conditional-evolution correlation
