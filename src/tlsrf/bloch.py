@@ -102,9 +102,10 @@ def steady_state_population(params: TlsParams, omega: float, detuning: float = 0
     return steady_state(params, omega, detuning).rho11
 
 
-def steady_state_from_saturation(s: float) -> float:
-    """Resonant steady-state population as a function of S alone."""
-    if s < 0:
+def steady_state_from_saturation(s):
+    """Resonant steady-state population as a function of S alone, for a
+    float or elementwise over an array of S."""
+    if np.any(np.asarray(s) < 0):
         raise ValueError("s must be >= 0")
     return 0.5 * s / (1.0 + s)
 
@@ -203,31 +204,41 @@ def exp1_scaled_complex(z) -> np.ndarray:
     return out
 
 
-def _scaled_moments(a: float, count: int) -> np.ndarray:
+def _scaled_moments(a, count: int) -> np.ndarray:
     """m_n = E[(1 + x/a)^-n] = a e^a E_n(a), n = 1..count, under the
-    exponential law of x, for real a > 0.  Up to a = 2 by the recurrence
-    m_(n+1) = (a/n) (1 - m_n) from m_1 = a e^a E1(a) (integration by
-    parts; e^a E1(a) from the power series of `exp1_scaled_complex`),
-    which amplifies the error of m_n by a m_n / (n m_(n+1)), at most 3x
-    over all n there; above, where the recurrence loses a/n per step,
-    each m_n from its own continued fraction."""
-    if a > 2.0:
-        return a * _expn_cf_scaled(np.full(count, a), np.arange(1.0, count + 1))
-    m = np.empty(count)
-    m[0] = a * exp1_scaled_complex([a])[0].real
+    exponential law of x, for each entry of a float or 1-d array a > 0:
+    shape (len(a), count), one row per entry.  Up to a = 2 by the
+    recurrence m_(n+1) = (a/n) (1 - m_n) from m_1 = a e^a E1(a)
+    (integration by parts; e^a E1(a) from the power series of
+    `exp1_scaled_complex`), which amplifies the error of m_n by
+    a m_n / (n m_(n+1)), at most 3x over all n there; above, where the
+    recurrence loses a/n per step, each m_n from its own continued
+    fraction.  Every step is elementwise, so a row does not depend on
+    the other entries."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    m = np.empty((len(a), count))
+    far = a > 2.0
+    af = a[far]
+    cf = _expn_cf_scaled(np.repeat(af, count), np.tile(np.arange(1.0, count + 1), len(af)))
+    m[far] = af[:, None] * cf.reshape(len(af), count)
+    an = a[~far]
+    near = np.empty((len(an), count))
+    near[:, 0] = an * exp1_scaled_complex(an).real
     for k in range(1, count):
-        m[k] = (a / k) * (1.0 - m[k - 1])
+        near[:, k] = (an / k) * (1.0 - near[:, k - 1])
+    m[~far] = near
     return m
 
 
-def _mean_inverse_saturation(params: TlsParams, mean_omega: float, detuning: float) -> float:
+def _mean_inverse_saturation(params: TlsParams, mean_omega, detuning: float):
     d = detuning**2 + 1.0 / params.t2**2
     c = d * params.t2 / params.t1  # rho_ss = X / (2 (X + c)) with X = omega^2
     return c / mean_omega**2
 
 
-def chaotic_steady_state(params: TlsParams, mean_omega: float, detuning: float = 0.0) -> float:
-    """Steady population averaged over exponential intensity fluctuations.
+def chaotic_steady_state(params: TlsParams, mean_omega, detuning: float = 0.0):
+    """Steady population averaged over exponential intensity fluctuations,
+    for a float or elementwise over a 1-d array of mean drives.
 
     Closed form 0.5 * (1 - a e^a E1(a)) with a = 1/S_bar on resonance;
     off resonance a generalizes to (det^2 + 1/t2^2) t2 /
@@ -236,48 +247,33 @@ def chaotic_steady_state(params: TlsParams, mean_omega: float, detuning: float =
     moment m_2 of `_scaled_moments`, which at weak drive (large a) is a
     continued fraction of its own and so keeps its digits, where
     1 - a e^a E1(a) would cancel to O(1/a).  Always below the
-    coherent-drive value.
+    coherent-drive value.  A float is an array of one entry.
     """
+    w = np.atleast_1d(np.asarray(mean_omega, dtype=float))
+    if (w < 0).any():
+        raise ValueError("mean_omega must be >= 0")
+    pop = np.zeros(len(w))
+    on = w > 0.0
+    a = _mean_inverse_saturation(params, w[on], detuning)
+    pop[on] = 0.5 * _scaled_moments(a, 2)[:, 1] / a
+    return pop if np.ndim(mean_omega) else pop[0]
+
+
+def chaotic_steady_state_quadrature(params: TlsParams, mean_omega: float, detuning: float = 0.0) -> float:
+    """Reference evaluation of the chaotic average with no exponential
+    integral in it: the coherent population 0.5 / (1 + c / omega^2) of
+    each node drive, averaged by `_chaotic_average` on the panel rule
+    `_panel_nodes` from 2 panels, the count doubling until two counts
+    agree to 1e-9, at most to 4096 panels."""
     if mean_omega < 0:
         raise ValueError("mean_omega must be >= 0")
     if mean_omega == 0.0:
         return 0.0
-    a = _mean_inverse_saturation(params, mean_omega, detuning)
-    return 0.5 * _scaled_moments(a, 2)[1] / a
 
+    def rows(oms):
+        return (0.5 / (1.0 + _mean_inverse_saturation(params, oms, detuning)))[:, None]
 
-def chaotic_steady_state_quadrature(
-    params: TlsParams, mean_omega: float, detuning: float = 0.0, rtol: float = 1e-9
-) -> float:
-    """Reference evaluation of the chaotic average by adaptive quadrature.
-
-    Integrates the saturation curve against the exponential intensity
-    weight over squared Rabi frequency up to 50x the mean, doubling the
-    cutoff until the result is stable to rtol.
-    """
-    if mean_omega < 0:
-        raise ValueError("mean_omega must be >= 0")
-    if mean_omega == 0.0:
-        return 0.0
-    w2 = mean_omega**2
-    d = detuning**2 + 1.0 / params.t2**2
-    ratio = params.t1 / params.t2
-
-    def f(x):
-        return 0.5 * x * ratio / (d + x * ratio) * math.exp(-x / w2) / w2
-
-    # imported on first use, to keep it out of `import tlsrf`
-    from scipy.integrate import quad
-
-    cutoff = 50.0 * w2
-    prev = None
-    for _ in range(12):
-        val, _err = quad(f, 0.0, cutoff, limit=500, epsabs=1e-15, epsrel=1e-13)
-        if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-300):
-            return val
-        prev = val
-        cutoff *= 2.0
-    raise QuadratureError("chaotic steady-state quadrature did not converge under cutoff doubling")
+    return float(_chaotic_average(rows, mean_omega, 2, 1e-9, 1, 4096)[0])
 
 
 # Nodes per call of the averaged function: at most _NODE_CHUNK, and at

@@ -289,8 +289,9 @@ def _s_grid(cfg) -> np.ndarray:
 
 def cmd_saturation(cfg: dict, pset: ParameterSet) -> list[str]:
     s_grid = _s_grid(cfg)
-    coh = [bloch.steady_state_from_saturation(float(s)) for s in s_grid]
-    cha = [bloch.chaotic_steady_state(pset.tls, omega_from_saturation(float(s), pset.tls)) for s in s_grid]
+    coh = bloch.steady_state_from_saturation(s_grid)
+    oms = np.array([omega_from_saturation(float(s), pset.tls) for s in s_grid])
+    cha = bloch.chaotic_steady_state(pset.tls, oms)
     out = write_csv(cfg["out"], "s,coherent,chaotic", [s_grid, coh, cha])
     return [out] if out else []
 

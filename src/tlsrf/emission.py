@@ -201,7 +201,7 @@ def chaotic_spectrum(params: TlsParams, mean_omega: float, freqs: np.ndarray) ->
     _grid_guard(params, freqs)
     t1, t2 = params.t1, params.t2
     a = bloch._mean_inverse_saturation(params, mean_omega, 0.0)
-    m = bloch._scaled_moments(a, _NEAR_TERMS + 2)
+    m = bloch._scaled_moments(a, _NEAR_TERMS + 2)[0]
     s = 1j * TWO_PI * freqs
     t = s * (s - 1.0 / t1 - 1.0 / t2) * (t1 * t2)
     q = (2.0 - t2 / t1) * (1.0 + t)
@@ -312,21 +312,15 @@ def qrt_g2(params: TlsParams, omega: float, detuning: float, lags: np.ndarray) -
     return _mirrored(lags, np.maximum(r11[0] / rss[0], 0.0))
 
 
-def chaotic_g2(
-    params: TlsParams,
-    mean_omega: float,
-    lags: np.ndarray,
-    panels: int = 4,
-    tau_corr: float = bloch.LAMP_TAU_CORR,
-) -> EmissionG2:
+def chaotic_g2(params: TlsParams, mean_omega: float, lags: np.ndarray) -> EmissionG2:
     """Intensity correlation under quasi-static chaotic drive.
 
     Pair rates weight each intensity twice, so the average is
     <I(om)^2 g2_om(tau)> / <I(om)>^2 over the exponential intensity
     law.  <I> is `bloch.chaotic_steady_state`, in closed form.  The
     numerator is taken with the composite rule in y = drive / mean
-    drive of `bloch.chaotic_mean_transient`: from `panels` panels, the
-    count doubles until two counts agree to 1e-10 of the largest value,
+    drive of `bloch.chaotic_mean_transient`: from 4 panels, the count
+    doubles until two counts agree to 1e-10 of the largest value,
     at most to the count whose panels each span two periods of the
     undamped Rabi phase mean_omega * y * tau at the largest lag.  The
     count that passes is the one returned, and the convergence is
@@ -334,12 +328,14 @@ def chaotic_g2(
     close enough to pass against 4, and 4 panels agree with a converged
     rule to 2e-14, so the count starts at 4.  Lags must be non-negative
     and uniformly spaced.  Valid only for lags well below the source
-    correlation time tau_corr (beyond it the drive decorrelates and the
-    true curve relaxes to one, which this average does not describe).
+    correlation time `bloch.LAMP_TAU_CORR` (beyond it the drive
+    decorrelates and the true curve relaxes to one, which this average
+    does not describe).
     """
     lags = _uniform_lags(lags)
     if mean_omega <= 0:
         raise ValueError("no emission at zero mean drive")
+    tau_corr = bloch.LAMP_TAU_CORR
     if lags.max() > tau_corr / 5.0:
         warnings.warn(
             f"lags extend to {lags.max()} ns, not small against the source "
@@ -353,7 +349,7 @@ def chaotic_g2(
         return rss[:, None] * np.maximum(r11, 0.0)
 
     resolved = math.ceil(mean_omega * lags[-1] * bloch._Y_SPAN / (4.0 * math.pi))
-    avg = bloch._chaotic_average(rows, mean_omega, panels, 1e-10, len(lags), resolved)
+    avg = bloch._chaotic_average(rows, mean_omega, 4, 1e-10, len(lags), resolved)
     return _mirrored(lags, np.maximum(avg, 0.0) / bloch.chaotic_steady_state(params, mean_omega) ** 2)
 
 

@@ -119,21 +119,10 @@ def synthesize_field(tau_corr: float, dt: float, n: int, rng: np.random.Generato
     return FieldTrace(dt, shaped[discard : discard + n])
 
 
-def _autocorr_lags(z: np.ndarray, n_lags: int) -> np.ndarray:
-    n = len(z)
-    out = np.empty(n_lags, dtype=complex)
-    zc = np.conj(z)
-    for m in range(n_lags):
-        out[m] = np.dot(zc[: n - m], z[m:]) / n
-    return out
-
-
-def _intensity_corr(ii: np.ndarray, n_lags: int) -> np.ndarray:
-    n = len(ii)
-    out = np.empty(n_lags)
-    for m in range(n_lags):
-        out[m] = np.dot(ii[: n - m], ii[m:]) / (n - m)
-    return out
+def _lag_sums(x: np.ndarray, y: np.ndarray, n_lags: int) -> np.ndarray:
+    """sum_i x[i] y[i + m] for each lag m < n_lags."""
+    n = len(y)
+    return np.array([np.dot(x[: n - m], y[m:]) for m in range(n_lags)])
 
 
 def _lag_count(trace: FieldTrace, max_lag: float) -> int:
@@ -146,7 +135,8 @@ def _lag_count(trace: FieldTrace, max_lag: float) -> int:
 def estimate_g1(trace: FieldTrace, max_lag: float) -> CorrelationCurve:
     """|g1| by the biased autocorrelation estimator; |g1(0)| = 1 exactly."""
     n_lags = _lag_count(trace, max_lag)
-    corr = _autocorr_lags(trace.amplitudes, n_lags)
+    z = trace.amplitudes
+    corr = _lag_sums(np.conj(z), z, n_lags) / len(z)
     g1 = np.abs(corr) / np.abs(corr[0])
     g1[0] = 1.0
     return CorrelationCurve(np.arange(n_lags) * trace.dt, g1)
@@ -156,7 +146,7 @@ def estimate_g2(trace: FieldTrace, max_lag: float) -> CorrelationCurve:
     """Classical intensity correlation <I(0) I(tau)> / <I>^2."""
     n_lags = _lag_count(trace, max_lag)
     ii = trace.intensity
-    out = _intensity_corr(ii, n_lags)
+    out = _lag_sums(ii, ii, n_lags) / (len(ii) - np.arange(n_lags))
     g2 = out / np.mean(ii) ** 2
     return CorrelationCurve(np.arange(n_lags) * trace.dt, g2)
 

@@ -120,7 +120,7 @@ class TestExp1ScaledComplex:
     @pytest.mark.parametrize("a", [1e-3, 0.3, 2.0, 2.5, 40.0, 6240.0])
     def test_scaled_moments_are_the_expectations(self, a):
         # m_n = E[(1 + x/a)^-n] under the exponential law, by quadrature
-        m = bloch._scaled_moments(a, 30)
+        m = bloch._scaled_moments(a, 30)[0]
         for n in (1, 2, 3, 10, 30):
             want, _ = scipy_integrate.quad(lambda x: math.exp(-x) * (1.0 + x / a) ** -n, 0.0, np.inf, epsabs=0.0, epsrel=1e-13)
             assert m[n - 1] == pytest.approx(want, rel=1e-12)
@@ -196,12 +196,37 @@ class TestChaoticSteadyState:
         oracle = _chaotic_quadrature_oracle(qd, om)
         assert bloch.chaotic_steady_state(qd, om) == pytest.approx(oracle, rel=1e-9)
 
-    @pytest.mark.parametrize("sbar", [0.1, 1.0, 10.0])
-    def test_matches_package_quadrature(self, qd, sbar):
+    @pytest.mark.parametrize(
+        "sbar, det",
+        [pytest.param(s, 0.0, id=str(s)) for s in (1e-4, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e4)]
+        + [pytest.param(2.0, 4.0, id="2.0-detuned")],
+    )
+    def test_matches_package_quadrature(self, qd, sbar, det):
+        # the package's oracle averages the coherent population on the
+        # panel rule, with no exponential integral
         om = core.omega_from_saturation(sbar, qd)
-        assert bloch.chaotic_steady_state(qd, om) == pytest.approx(
-            bloch.chaotic_steady_state_quadrature(qd, om), rel=1e-6
+        assert bloch.chaotic_steady_state(qd, om, det) == pytest.approx(
+            bloch.chaotic_steady_state_quadrature(qd, om, det), rel=1e-8
         )
+
+    @pytest.mark.parametrize("det", [0.0, 4.0])
+    def test_array_matches_scalar_calls(self, qd, det):
+        # a = 1/S_bar on resonance: the recurrence (a <= 2), the continued
+        # fraction (a > 2) and zero drive, in one array
+        sbar = np.array([0.0, 1e-4, 0.1, 0.5, 0.99, 1.0, 2.0, 10.0, 1e4])
+        oms = np.array([core.omega_from_saturation(float(s), qd) for s in sbar])
+        pops = bloch.chaotic_steady_state(qd, oms, det)
+        assert isinstance(pops, np.ndarray) and pops.shape == oms.shape
+        scalar = [bloch.chaotic_steady_state(qd, float(w), det) for w in oms]
+        assert all(isinstance(p, float) for p in scalar)
+        assert pops.tolist() == scalar
+        assert pops[0] == 0.0
+        coh = bloch.steady_state_from_saturation(sbar)
+        assert coh.tolist() == [bloch.steady_state_from_saturation(float(s)) for s in sbar]
+        with pytest.raises(ValueError):
+            bloch.chaotic_steady_state(qd, -oms)
+        with pytest.raises(ValueError):
+            bloch.steady_state_from_saturation(-sbar)
 
     def test_off_resonance_closed_form(self, qd):
         om = core.omega_from_saturation(2.0, qd)
