@@ -63,6 +63,27 @@ class CorrelationCurve:
         return write_csv(path, "lag_ns,value", [self.lags, self.values])
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 11-smooth integer >= n: the next length at which a
+    complex FFT factors into radices of at most 11."""
+    best = 1 << (n - 1).bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:
+                    # the least p3 * 2^k >= n
+                    best = min(best, p3 << ((n - 1) // p3).bit_length())
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
 def synthesize_field(tau_corr: float, dt: float, n: int, rng: np.random.Generator) -> FieldTrace:
     """Generate a chaotic field with |g1(tau)|^2 = exp(-pi (tau/tau_corr)^2).
 
@@ -84,11 +105,8 @@ def synthesize_field(tau_corr: float, dt: float, n: int, rng: np.random.Generato
         raise NumericalGuardError(f"dt={dt} must be <= tau_corr/20 ({tau_corr/20.0})")
     if n * dt < 50.0 * tau_corr:
         raise NumericalGuardError("trace must span at least 50 correlation times")
-    # scipy.fft is imported only here, to keep it out of `import tlsrf`
-    from scipy import fft
-
     discard = int(math.ceil(5.0 * tau_corr / dt))
-    total = fft.next_fast_len(n + discard)
+    total = _fast_len(n + discard)
     buf = np.empty(total, dtype=complex)
     tmp = np.empty(total)
     # white noise (re + i im) / sqrt(2), the real draws first
@@ -115,8 +133,8 @@ def synthesize_field(tau_corr: float, dt: float, n: int, rng: np.random.Generato
     np.sqrt(tmp, out=tmp)
     buf *= tmp
     del tmp
-    shaped = fft.ifft(buf, overwrite_x=True)
-    return FieldTrace(dt, shaped[discard : discard + n])
+    np.fft.ifft(buf, out=buf)
+    return FieldTrace(dt, buf[discard : discard + n])
 
 
 def _lag_sums(x: np.ndarray, y: np.ndarray, n_lags: int) -> np.ndarray:
@@ -160,42 +178,83 @@ class GaussianG2Fit:
     identifiable: bool
 
 
+# Gauss-Newton stops when every step is below this fraction of its
+# parameter (curve_fit's default xtol), or fails after _FIT_STEPS steps
+_FIT_XTOL = 1.5e-8
+_FIT_STEPS = 100
+
+
+def _gaussian_residual(lags: np.ndarray, vals: np.ndarray, p: np.ndarray):
+    """Residual vals - model and the model's Jacobian in (A, tau_corr),
+    [g, A g 2 pi tau^2 / tau_corr^3] with g = exp(-pi (tau/tau_corr)^2)."""
+    amp, tc = p
+    x = lags / tc
+    g = np.exp(-math.pi * x * x)
+    jac = np.column_stack([g, amp * g * (2.0 * math.pi) * x * x / tc])
+    return vals - 1.0 - amp * g, jac
+
+
 def fit_gaussian_g2(curve: CorrelationCurve) -> GaussianG2Fit:
     """Least-squares fit of 1 + A exp(-pi (tau/tau_corr)^2).
 
-    A flat curve (A indistinguishable from zero) is reported with
-    identifiable=False since tau_corr then carries no information.
+    Gauss-Newton on (A, tau_corr) from the half-decay guess, each step
+    halved while it raises the squared residual, stopped when no
+    parameter moves by more than 1.5e-8 of itself.  The errors are the
+    square roots of the diagonal of (R^T R)^-1 SSR / (n - 2), with R
+    from the QR of the Jacobian at the optimum; they are inf when R is
+    singular, as for a flat curve.  A flat curve (A indistinguishable
+    from zero) is reported with identifiable=False since tau_corr then
+    carries no information.
     """
-
-    def model(tau, a, tc):
-        return 1.0 + a * np.exp(-math.pi * (tau / tc) ** 2)
-
     lags = np.asarray(curve.lags, dtype=float)
     vals = np.asarray(curve.values, dtype=float)
     a0 = max(vals[0] - 1.0, 1e-6)
-    below = np.where(vals - 1.0 < 0.5 * a0)[0]
-    if len(below) and below[0] > 0:
-        i = below[0]
+    below = np.flatnonzero(vals - 1.0 < 0.5 * a0)
+    span_error = "curve must span at least three correlation-time guesses"
+    if len(below) == 0:
+        # never falls to half its zero-lag excess within the lags
+        raise NumericalGuardError(span_error)
+    i = below[0]
+    if i > 0:
         # interpolate the half-decay crossing, then invert the model;
         # a curve must cover three correlation-time guesses to pin tau
         frac = (vals[i - 1] - 1.0 - 0.5 * a0) / max(vals[i - 1] - vals[i], 1e-300)
         tau_half = lags[i - 1] + frac * (lags[i] - lags[i - 1])
         tc0 = max(tau_half / math.sqrt(math.log(2.0) / math.pi), lags[1])
         if lags[-1] < 2.85 * tc0:
-            raise NumericalGuardError("curve must span at least three correlation-time guesses")
+            raise NumericalGuardError(span_error)
     else:
         # already flat at the first lag: degenerate, fit still reports
         tc0 = lags[-1] / 4.0
-    # imported on first use, to keep it out of `import tlsrf`
-    from scipy.optimize import curve_fit
-
+    p = np.array([a0, tc0])
+    resid, jac = _gaussian_residual(lags, vals, p)
+    for _ in range(_FIT_STEPS):
+        step = np.linalg.lstsq(jac, resid, rcond=None)[0]
+        ssr = resid @ resid
+        while True:
+            # halve a step that raises the squared residual; a full
+            # step can fall into a two-cycle on a near-flat curve
+            trial = p + step
+            converged = np.all(np.abs(step) <= _FIT_XTOL * np.abs(trial))
+            trial_resid, trial_jac = _gaussian_residual(lags, vals, trial)
+            if converged or trial_resid @ trial_resid <= ssr:
+                break
+            step *= 0.5
+        p, resid, jac = trial, trial_resid, trial_jac
+        if converged:
+            break
+    else:
+        far = np.abs(vals - 1.0).max()
+        raise FitError(f"correlation fit did not converge (max residual from flat: {far:.3g})")
+    dof = len(vals) - 2
+    r = np.linalg.qr(jac, mode="r")
     try:
-        popt, pcov = curve_fit(model, lags, vals, p0=(a0, tc0), maxfev=20000)
-    except RuntimeError as err:
-        resid = np.abs(vals - 1.0).max()
-        raise FitError(f"correlation fit did not converge (max residual from flat: {resid:.3g})") from err
-    perr = np.sqrt(np.abs(np.diag(pcov)))
-    amp, tc = float(popt[0]), float(abs(popt[1]))
+        cov = np.linalg.inv(r.T @ r) * (resid @ resid / dof) if dof > 0 else None
+    except np.linalg.LinAlgError:
+        cov = None
+    perr = np.full(2, math.inf) if cov is None else np.sqrt(np.abs(np.diag(cov)))
+    amp, tc = float(p[0]), float(abs(p[1]))
     amp_err, tc_err = float(perr[0]), float(perr[1])
     identifiable = amp > 5.0 * max(amp_err, 1e-12) and amp > 1e-3
     return GaussianG2Fit(amp, tc, amp_err, tc_err, identifiable)
+

@@ -8,7 +8,7 @@ from scipy.optimize import curve_fit
 from scipy.stats import kstest
 
 from tlsrf import core, lamp
-from tlsrf.core import NumericalGuardError
+from tlsrf.core import FitError, NumericalGuardError
 
 TAU = 901.8
 
@@ -88,6 +88,9 @@ def reference_field(tau_corr, dt, n, rng):
 
 
 class TestInPlaceSynthesis:
+    """The in-place synthesis, transformed by numpy's inverse FFT, gives
+    the bits of the out-of-place one transformed by scipy's."""
+
     @pytest.mark.parametrize(
         "tau_corr, dt, n, seed, odd",
         [
@@ -117,6 +120,16 @@ class TestInPlaceSynthesis:
         # one complex and one real buffer of the FFT length, plus the
         # integer ramps of the frequency grid
         assert peak <= 32 * total
+
+
+class TestFastLen:
+    def test_matches_scipy(self):
+        assert all(lamp._fast_len(n) == scipy.fft.next_fast_len(n) for n in range(1, 5001))
+
+    def test_fig1c_length(self):
+        # n + discard of the fig1c preset
+        target = (1 << 21) + math.ceil(5.0 * TAU / (TAU / 20.0))
+        assert lamp._fast_len(target) == scipy.fft.next_fast_len(target) == 2**6 * 3**8 * 5
 
 
 class TestEstimateG1:
@@ -168,6 +181,41 @@ class TestFitGaussianG2:
         fit = lamp.fit_gaussian_g2(lamp.CorrelationCurve(lags, np.ones_like(lags)))
         assert abs(fit.amplitude) < 1e-3 or not fit.identifiable
         assert not fit.identifiable
+        assert fit.amplitude_err == fit.tau_corr_err == math.inf
+
+    def test_step_bound_is_fit_error(self, monkeypatch):
+        monkeypatch.setattr(lamp, "_FIT_STEPS", 1)
+        lags = np.linspace(0.0, 4.0 * TAU, 400)
+        vals = 1.0 + np.exp(-math.pi * (lags / (1.2 * TAU)) ** 2)
+        with pytest.raises(FitError):
+            lamp.fit_gaussian_g2(lamp.CorrelationCurve(lags, vals))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_curve_fit_on_fig1c_curves(self, seed):
+        trace = lamp.synthesize_field(TAU, TAU / 20.0, 1 << 21, core.stream(seed))
+        curve = lamp.estimate_g2(trace, 3.0 * TAU)
+        fit = lamp.fit_gaussian_g2(curve)
+        amp, tc, amp_err, tc_err = curve_fit_reference(curve)
+        assert fit.amplitude == pytest.approx(amp, rel=1e-8)
+        assert fit.tau_corr == pytest.approx(tc, rel=1e-8)
+        assert fit.amplitude_err == pytest.approx(amp_err, rel=1e-6)
+        assert fit.tau_corr_err == pytest.approx(tc_err, rel=1e-6)
+
+    def test_near_flat_curve_errors_match_curve_fit(self):
+        # an excess of 1e-4 under noise of 1e-4: the Jacobian's tau
+        # column is ~1e-7 of its A column, so a covariance that drops
+        # small singular values reports a tau error of ~1e-13 ns; the
+        # full inverse agrees with curve_fit's ~1.6 us
+        lags = np.arange(61) * (TAU / 20.0)
+        noise = np.random.default_rng(8).standard_normal(len(lags))
+        vals = 1.0 + 1e-4 * np.exp(-math.pi * (lags / TAU) ** 2) + 1e-4 * noise
+        curve = lamp.CorrelationCurve(lags, vals)
+        fit = lamp.fit_gaussian_g2(curve)
+        amp, tc, amp_err, tc_err = curve_fit_reference(curve)
+        assert not fit.identifiable
+        assert fit.amplitude_err == pytest.approx(amp_err, rel=1e-3)
+        assert fit.tau_corr_err == pytest.approx(tc_err, rel=1e-3)
+        assert fit.tau_corr_err > fit.tau_corr / 2.0
 
     def test_stderr_scaling_with_length(self):
         # sqrt-N convergence: doubling the trace length contracts the
@@ -182,6 +230,23 @@ class TestFitGaussianG2:
         seeds = range(100, 116)
         ratio = spread(1 << 16, seeds) / spread(1 << 17, [s + 50 for s in seeds])
         assert math.sqrt(2.0) * 0.65 < ratio < math.sqrt(2.0) * 1.45
+
+
+def curve_fit_reference(curve):
+    """(A, tau_corr, A_err, tau_corr_err) by scipy's curve_fit from the
+    half-decay guess that fit_gaussian_g2 starts from."""
+    lags, vals = curve.lags, curve.values
+    a0 = vals[0] - 1.0
+    i = np.flatnonzero(vals - 1.0 < 0.5 * a0)[0]
+    frac = (vals[i - 1] - 1.0 - 0.5 * a0) / (vals[i - 1] - vals[i])
+    tau_half = lags[i - 1] + frac * (lags[i] - lags[i - 1])
+    tc0 = max(tau_half / math.sqrt(math.log(2.0) / math.pi), lags[1])
+
+    def model(tau, a, tc):
+        return 1.0 + a * np.exp(-math.pi * (tau / tc) ** 2)
+
+    popt, pcov = curve_fit(model, lags, vals, p0=(a0, tc0), maxfev=20000)
+    return popt[0], abs(popt[1]), *np.sqrt(np.diag(pcov))
 
 
 def test_field_csv_roundtrip(tmp_path):
