@@ -552,6 +552,45 @@ class TestDeterminism:
         assert a == b
 
 
+def test_import_leaves_optional_scipy_modules_out():
+    # start-up imports no scipy module at all, and nothing imports
+    # concurrent.futures
+    src = str(Path(tlsrf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, tlsrf, tlsrf.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m == 'concurrent.futures' or (m + '.').startswith('scipy.')))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+def test_chaotic_presets_load_no_scipy(tmp_path):
+    # the chaotic spectrum is in closed form, chaotic g2 averages on
+    # Gauss-Legendre panels and validate's oracles use the same panels
+    # and numpy's FFT, so with scipy installed none of them loads it
+    src = str(Path(tlsrf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps({"duration_ns": 2e4}))
+    cases = [
+        ["mollow", "--preset", "fig4"],
+        ["g2", "--preset", "fig5", "--config", str(cfg)],
+        ["validate"],
+    ]
+    for args in cases:
+        code = (
+            "import sys; from tlsrf import cli; "
+            f"code = cli.main({args + ['--out', str(tmp_path / 'x.csv')]!r}); "
+            "print(code, sorted(m for m in sys.modules if (m + '.').startswith('scipy.')))"
+        )
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip().splitlines()[-1] == "0 []", args
+
+
 def test_every_preset_runs_without_scipy(tmp_path):
     # numpy is the only runtime dependency: with every scipy import made
     # to fail, each preset, tags and validate exit 0; start-up imports
