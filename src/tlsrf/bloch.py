@@ -313,7 +313,7 @@ def _node_sum(f, drives, weights, row_len: int) -> np.ndarray:
     return sum(weights[c] @ f(drives[c]) for c in chunks)
 
 
-def _chaotic_average(f, mean_omega: float, order: int, rtol: float, row_len: int, max_order: int = 0) -> np.ndarray:
+def _chaotic_average(f, mean_omega: float, order: int, rtol: float, row_len: int, max_order: int) -> np.ndarray:
     """Expectation of f over the exponential intensity law, where f maps
     an array of drives to one row per drive and works on row_len entries
     per drive, on the composite rule `_panel_nodes` of `order` panels,
@@ -406,32 +406,31 @@ def expm_increment(m, dt):
     return d
 
 
-def doublings(maps, n, increments=False):
-    """The maps with which `orbit` fills n points from maps, T, T^2,
-    T^4, ..., or with increments D, 2 D + D D, ...: ceil(log2(n)) of
-    them, at least one, each of the shape of maps."""
+def doublings(maps, n):
+    """The increments with which `orbit` fills n points from the
+    increments maps, D = T - I, then 2 D + D D = T^2 - I, ...:
+    ceil(log2(n)) of them, at least one, each of the shape of maps."""
     out = [maps]
     for _ in range((int(n) - 1).bit_length() - 1):
         e = out[-1]
-        out.append(2.0 * e + e @ e if increments else e @ e)
+        out.append(2.0 * e + e @ e)
     return out
 
 
-def orbit(maps, x0, n, increments=False, out=None):
+def orbit(maps, x0, n, out=None):
     """The first n points x0, T x0, T^2 x0, ... of the orbit of each
-    state x0 (k, 4) under its map T in the stack maps (k, 4, 4), or one
-    map (4, 4) for all, as (k, 4, n), written into out when it is given.
-    maps may also be the list that `doublings` returns for them, so that
-    orbits under one map share it.
+    state x0 (k, 4) under its map T, given as the increment D = T - I in
+    the stack maps (k, 4, 4), or one (4, 4) for all, as (k, 4, n),
+    written into out when it is given.  maps may also be the list that
+    `doublings` returns for them, so that orbits under one map share it.
 
-    With the first j points filled and E = T^j, the next j are E times
-    them, then E <- E E: log2(n) batched matmuls.  With increments the
-    maps are D = T - I, the next points x + D x and D <- 2 D + D D, so a
-    map close to I does not lose its slow modes to rounding on the way
-    to a long orbit.
+    With the first j points filled and D = T^j - I, the next j are
+    x + D x, then D <- 2 D + D D: log2(n) batched matmuls, and a map
+    close to I does not lose its slow modes to rounding on the way to a
+    long orbit.
     """
     if not isinstance(maps, list):
-        maps = doublings(maps, n, increments)
+        maps = doublings(maps, n)
     x = np.empty((len(x0), 4, n)) if out is None else out
     x[:, :, 0] = x0
     k = 1
@@ -441,8 +440,7 @@ def orbit(maps, x0, n, increments=False, out=None):
         fill = min(k, n - k)
         new = x[:, :, k : k + fill]
         np.matmul(e, x[:, :, :fill], out=new)
-        if increments:
-            new += x[:, :, :fill]
+        new += x[:, :, :fill]
         k += fill
     return x
 
@@ -465,7 +463,7 @@ def _rk4_orbits(params: TlsParams, omegas, amps, dt: float, detuning: float, x0)
     x[:, :, 0] = x0
     for start, stop in _runs(amps):
         d = taylor_increment(augmented_generator(params, omegas * amps[start], detuning), dt, 4)
-        orbit(d, x[:, :, start], stop + 1 - start, increments=True, out=x[:, :, start : stop + 1])
+        orbit(d, x[:, :, start], stop + 1 - start, out=x[:, :, start : stop + 1])
     return x
 
 

@@ -3,8 +3,9 @@
 The power spectrum and the intensity correlation follow from two-time
 averages of the dipole operators, which the regression theorem reduces
 to evolutions under the Bloch generator `bloch.augmented_generator`.
-The spectrum is the generator's resolvent, a rational function of
-frequency evaluated on the grid; g2 is propagated over the uniform lag
+The spectrum is the resolvent of the generator's Bloch block, read in
+its own real (rho11, u, v) basis, a rational function of frequency
+evaluated on the grid; g2 is propagated over the uniform lag
 grid by exact maps expm(M dtau).  Neither needs an eigendecomposition.
 Under chaotic drive the spectrum's average over the exponential
 intensity law is in closed form, and g2's kernel takes an array of
@@ -42,12 +43,7 @@ class Spectrum:
     incoherent_power: float
 
     def __post_init__(self):
-        f = np.asarray(self.freqs, dtype=float)
-        if len(f) < 3:
-            raise ValueError("frequency grid too short")
-        df = np.diff(f)
-        if not np.allclose(df, df[0], rtol=1e-9, atol=1e-12):
-            raise ValueError("frequency grid must be uniform")
+        _grid_spacing(self.freqs)
         if np.any(np.asarray(self.incoherent) < 0):
             raise ValueError("incoherent spectrum must be non-negative")
 
@@ -82,30 +78,27 @@ class EmissionG2:
         return write_csv(path, "lag_ns,g2", [self.lags, self.values])
 
 
-# (rho11, u, v, 1) -> (rho11, rho01, rho10, 1) with rho01 = u + i v, and back
-_TO_DIPOLE = np.array([[1, 0, 0, 0], [0, 1, 1j, 0], [0, 1, -1j, 0], [0, 0, 0, 1]])
-_FROM_DIPOLE = np.array([[1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, -0.5j, 0.5j, 0], [0, 0, 0, 1]])
-
-
-def regression_generator(params: TlsParams, omega, detuning: float = 0.0):
-    """Complex 3x3 generator for (M11, M01, M10) of a traceless-shifted
-    operator under the master equation, plus the trace coupling vector:
-    the Bloch generator in the dipole basis.  A scalar drive gives
-    shapes (3, 3) and (3,); an array of n drives (n, 3, 3) and (n, 3)."""
-    m = bloch.augmented_generator(params, omega, detuning)
-    m = _TO_DIPOLE @ m @ _FROM_DIPOLE
-    if np.ndim(omega) == 0:
-        m = m[0]
-    return m[..., :3, :3], m[..., :3, 3]
-
-
 def _fixed_point(m: np.ndarray) -> np.ndarray:
     """Steady Bloch vector (n, 3) of a stack of augmented generators."""
     return -np.linalg.solve(m[:, :3, :3], m[:, :3, 3:])[..., 0]
 
 
+def _grid_spacing(freqs) -> float:
+    """Spacing of a frequency grid [GHz] of at least 3 ascending,
+    uniformly spaced points; ValueError for any other grid."""
+    f = np.asarray(freqs, dtype=float)
+    if len(f) < 3:
+        raise ValueError("frequency grid too short")
+    df = np.diff(f)
+    if df[0] <= 0:
+        raise ValueError("frequency grid must be ascending")
+    if not np.allclose(df, df[0], rtol=1e-9, atol=1e-12):
+        raise ValueError("frequency grid must be uniform")
+    return float(df[0])
+
+
 def _grid_guard(params: TlsParams, freqs: np.ndarray):
-    df = freqs[1] - freqs[0]
+    df = _grid_spacing(freqs)
     linewidth = (2.0 / params.t2) / TWO_PI
     if df > linewidth / 4.0:
         raise NumericalGuardError(f"grid spacing {df} GHz cannot resolve the linewidth {linewidth:.4f} GHz")
@@ -115,28 +108,32 @@ def _spectrum_rows(params: TlsParams, omegas: np.ndarray, detuning: float, freqs
     """Incoherent density (n, len(freqs)), coherent weight (n,) and
     incoherent power (n,) for n drives.
 
-    With w = y0 - yfix the mean-subtracted dipole state at zero lag,
-    the one-sided transform at s = 2 pi i nu is -[(G + s)^-1 w]_1, and
-    by Cayley-Hamilton (G + s)^-1 = (s^2 - s (G - tr G) + G^2 - tr G G
-    + c1) / (s^3 + tr G s^2 + c1 s + det G), c1 = (tr^2 G - tr G^2)/2.
+    The mean-subtracted dipole correlation evolves under the Bloch block
+    A = M[:3, :3] of `bloch.augmented_generator`, in its own real basis
+    (rho11, u, v), where the dipole component of a vector y is
+    [y]_01 = y_u + i y_v.  At zero lag it is w = -conj(rho01) x_ss
+    + (rho11/2) (0, 1, -i), from the fixed point x_ss, so
+    [w]_01 = rho11 - |rho01|^2, the incoherent power times t1.  The
+    one-sided transform at s = 2 pi i nu is -[(A + s)^-1 w]_01, and by
+    Cayley-Hamilton (A + s)^-1 = (s^2 - s (A - tr A) + A^2 - tr A A + c1)
+    / (s^3 + tr A s^2 + c1 s + det A), c1 = (tr^2 A - tr A^2)/2.
     """
     _grid_guard(params, freqs)
-    xss = _fixed_point(bloch.augmented_generator(params, omegas, detuning))
+    m = bloch.augmented_generator(params, omegas, detuning)
+    a = m[:, :3, :3].astype(complex)  # tr, c1 and det meet complex s on the grid
+    xss = _fixed_point(m)
     r11 = xss[:, 0]
     r01 = xss[:, 1] + 1j * xss[:, 2]
-    g, g0 = regression_generator(params, omegas, detuning)
-    s_tr = np.conj(r01)  # trace of sigma_minus . rho_ss
-    w = np.linalg.solve(g, (s_tr[:, None] * g0)[..., None])  # -yfix, (n, 3, 1)
-    w[:, 1, 0] += r11
-    gw = g @ w
-    ggw = g @ gw
-    # per-drive columns (n, 1), broadcast over the grid
-    w1, gw1, ggw1 = w[:, 1], gw[:, 1], ggw[:, 1]
-    tr = np.trace(g, axis1=1, axis2=2)[:, None]
-    c1 = 0.5 * (tr * tr - np.einsum("nij,nji->n", g, g)[:, None])
-    det = np.linalg.det(g)[:, None]
+    w = -np.conj(r01)[:, None] * xss + 0.5 * r11[:, None] * np.array([0.0, 1.0, -1j])
+    aw = np.einsum("nij,nj->ni", a, w)
+    aaw = np.einsum("nij,nj->ni", a, aw)
+    # [.]_01 per drive as columns (n, 1), broadcast over the grid
+    w1, aw1, aaw1 = (v[:, 1:2] + 1j * v[:, 2:3] for v in (w, aw, aaw))
+    tr = np.trace(a, axis1=1, axis2=2)[:, None]
+    c1 = 0.5 * (tr * tr - np.einsum("nij,nji->n", a, a)[:, None])
+    det = np.linalg.det(a)[:, None]
     s = 1j * TWO_PI * freqs
-    num = (w1 * s + (tr * w1 - gw1)) * s + (ggw1 - tr * gw1 + c1 * w1)
+    num = (w1 * s + (tr * w1 - aw1)) * s + (aaw1 - tr * aw1 + c1 * w1)
     den = ((s + tr) * s + c1) * s + det
     dens = 2.0 * np.real(-num / den) / params.t1
     peak = np.maximum(dens.max(axis=1, keepdims=True), 1e-300)
@@ -148,7 +145,7 @@ def qrt_spectrum(params: TlsParams, omega: float, detuning: float, freqs: np.nda
     """Steady-state emission spectrum by the regression theorem.
 
     The mean-subtracted two-time dipole correlation evolves under the
-    regression generator; its one-sided Fourier transform is the
+    Bloch generator; its one-sided Fourier transform is the
     generator's resolvent, a rational function of frequency evaluated
     exactly on the grid (`_spectrum_rows`).  Spectral density carries
     the radiative rate so that the total power (incoherent integral
@@ -170,12 +167,12 @@ def chaotic_spectrum(params: TlsParams, mean_omega: float, freqs: np.ndarray) ->
     closed form (on resonance).
 
     With x = drive^2 / mean_omega^2, exponential under the intensity
-    law, and s = 2 pi i nu, the resolvent -[(G + s)^-1 w]_1 of
+    law, and s = 2 pi i nu, the resolvent -[(A + s)^-1 w]_01 of
     `_spectrum_rows` at one drive is, on resonance,
     -P(x) / (4 (s - 1/t2) (x + a)^2 (x + a (1 + t))): the Cayley-Hamilton
-    numerator with the resonant w, G w and G^2 w (w holds the (x + a)^-2)
+    numerator with the resonant w, A w and A^2 w (w holds the (x + a)^-2)
     is the cubic P = x^3 + a (4 + 2 t - s t2) x^2 + a^2 (2 - t2/t1) (1 + t) x,
-    and det(G + s) is linear in x.  Here a = 1/(mean_omega^2 t1 t2) is
+    and det(A + s) is linear in x.  Here a = 1/(mean_omega^2 t1 t2) is
     the saturation pole and t = s (s - 1/t1 - 1/t2) t1 t2.  In u = x/a,
     P / ((x + a)^2 (x + a (1 + t))) = 1 + r2 / (1 + u + t)
     + r1 / ((1 + u) (1 + u + t)) + r0 / ((1 + u)^2 (1 + u + t)), where
@@ -227,8 +224,11 @@ def chaotic_spectrum(params: TlsParams, mean_omega: float, freqs: np.ndarray) ->
 def convolve_lorentzian(spec: Spectrum, fwhm: float) -> Spectrum:
     """Apply a Lorentzian instrument response of the given FWHM [GHz].
 
-    The coherent delta weight is materialized as a Lorentzian line.
-    Kernel columns are renormalized over the grid so the total power is
+    The coherent delta weight is materialized as a Lorentzian line
+    centred on nu = 0 and evaluated at the grid's own frequencies, so it
+    stays symmetric on a grid with no node at zero; at zero width the
+    delta goes into the bin nearest nu = 0.  Kernel columns, and the
+    line, are renormalized over the grid so the total power is
     preserved exactly despite the slow Lorentzian tails.
     """
     if fwhm < 0:
@@ -251,9 +251,8 @@ def convolve_lorentzian(spec: Spectrum, fwhm: float) -> Spectrum:
     colsum = np.convolve(np.ones(n), kern, mode="valid")
     out = np.convolve(spec.incoherent / colsum, kern, mode="valid")
     if spec.coherent_weight:
-        j0 = int(np.argmin(np.abs(freqs)))
-        col = kern[n - 1 - j0 : 2 * n - 1 - j0]
-        out = out + spec.coherent_weight * col / (colsum[j0] * df)
+        line = (half / math.pi) / (half * half + freqs * freqs)
+        out = out + spec.coherent_weight * line / (line.sum() * df)
     return Spectrum(freqs, np.maximum(out, 0.0), 0.0, spec.total_power())
 
 
@@ -291,7 +290,7 @@ def _conditional_population(params: TlsParams, omegas: np.ndarray, detuning: flo
     x0 = bloch.expm_increment(m, lags[0])[:, :, 3]
     x0[:, 3] += 1.0
     step = bloch.expm_increment(m, (lags[-1] - lags[0]) / max(n_lags - 1, 1))
-    x = bloch.orbit(step, x0, n_lags, increments=True)
+    x = bloch.orbit(step, x0, n_lags)
     return x[:, 0], _fixed_point(m)[:, 0]
 
 

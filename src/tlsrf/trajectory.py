@@ -164,7 +164,7 @@ def _ground_tables(maps, segs, u_min, n_max):
     for size in np.unique(sizes):
         rows = np.flatnonzero(sizes == size)
         sub = maps if len(rows) == len(n) else [e[rows] for e in maps]
-        orbit = bloch.orbit(sub, np.tile(_GROUND, (len(rows), 1)), int(n[rows].max()), increments=True)
+        orbit = bloch.orbit(sub, np.tile(_GROUND, (len(rows), 1)), int(n[rows].max()))
         for i, r in enumerate(rows):
             tables[r] = orbit[i, :, : n[r]]
     return tables
@@ -393,9 +393,7 @@ def _batch(drive, first, t, carried, rng, emissions):
         jobs.append((t0, n_est, n_max))
     segs = all_segs.part(first, first + len(jobs))
     n_max = np.array([n for _, _, n in jobs])
-    maps = bloch.doublings(
-        bloch.taylor_increment(segs.m, segs.h[:, None, None], _MAP_DEGREE), int(n_max.max()), increments=True
-    )
+    maps = bloch.doublings(bloch.taylor_increment(segs.m, segs.h[:, None, None], _MAP_DEGREE), int(n_max.max()))
     own_maps = np.stack(maps, axis=1)  # each segment's doubled maps
     carried_buf = np.empty((4, int(n_max.max())))  # one carried table at a time
 

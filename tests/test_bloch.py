@@ -602,7 +602,7 @@ class TestChaoticMeanTransient:
         ys, ws = bloch._panel_nodes(64)
         exact = ws @ np.cos(40.0 * ys)
         with pytest.raises(core.QuadratureError, match="not converged at order 2"):
-            bloch._chaotic_average(lambda y: np.cos(40.0 * y)[:, None], 1.0, 2, 1e-6, 1)
+            bloch._chaotic_average(lambda y: np.cos(40.0 * y)[:, None], 1.0, 2, 1e-6, 1, 2)
         got = bloch._chaotic_average(lambda y: np.cos(40.0 * y)[:, None], 1.0, 2, 1e-6, 1, 64)
         assert got[0] == pytest.approx(exact, abs=1e-10)
 

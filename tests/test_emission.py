@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,72 @@ def exceptional_drive(params):
     """Rabi frequency at which two eigenvalues of the resonant Bloch
     generator coalesce."""
     return abs(1.0 / params.t1 - 1.0 / params.t2) / 2.0
+
+
+def dipole_generator(params, om, det):
+    """The Bloch generator in the dipole basis (rho11, rho01, rho10),
+    written out from the Bloch equations, with rho01 driven by
+    -i om rho11 + i om / 2: the 3x3 block and the coupling vector."""
+    it1, it2 = 1.0 / params.t1, 1.0 / params.t2
+    g = np.array(
+        [
+            [-it1, -0.5j * om, 0.5j * om],
+            [-1j * om, -(it2 + 1j * det), 0.0],
+            [1j * om, 0.0, -(it2 - 1j * det)],
+        ]
+    )
+    return g, np.array([0.0, 0.5j * om, -0.5j * om])
+
+
+def _cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _det3(m):
+    """Determinant of a 3x3 matrix of complex numbers held as pairs of
+    Fractions, by cofactors of the first row."""
+    out = (Fraction(0), Fraction(0))
+    for j, sign in ((0, 1), (1, -1), (2, 1)):
+        k, l = (c for c in range(3) if c != j)
+        x, y = _cmul(m[1][k], m[2][l]), _cmul(m[1][l], m[2][k])
+        t = _cmul(m[0][j], (x[0] - y[0], x[1] - y[1]))
+        out = (out[0] + sign * t[0], out[1] + sign * t[1])
+    return out
+
+
+def exact_spectrum(params, om, det, freqs):
+    """Incoherent density and power of the coherent-drive spectrum in
+    exact rational arithmetic at the float inputs, in the dipole basis
+    of `dipole_generator`: the steady state y = (rho11, rho01, rho10),
+    the zero-lag vector w = -rho10 y + (0, rho11, 0) and one resolvent
+    solve (G + s) z = w per frequency, at the float s = 2 pi i nu, all
+    by Cramer's rule."""
+    zero = Fraction(0)
+    it1, it2, om, det = 1 / Fraction(params.t1), 1 / Fraction(params.t2), Fraction(om), Fraction(det)
+    g = [
+        [(-it1, zero), (zero, -om / 2), (zero, om / 2)],
+        [(zero, -om), (-it2, -det), (zero, zero)],
+        [(zero, om), (zero, zero), (-it2, det)],
+    ]
+    rhs = [(zero, zero), (zero, -om / 2), (zero, om / 2)]  # -g0
+
+    def cramer(m, b, j):
+        """Component j of the solution of m z = b."""
+        n = _det3([[b[i] if k == j else m[i][k] for k in range(3)] for i in range(3)])
+        d = _det3(m)
+        q = d[0] ** 2 + d[1] ** 2
+        return ((n[0] * d[0] + n[1] * d[1]) / q, (n[1] * d[0] - n[0] * d[1]) / q)
+
+    y = [cramer(g, rhs, j) for j in range(3)]
+    r11 = y[0][0]
+    w = [_cmul((-y[2][0], -y[2][1]), yi) for yi in y]
+    w[1] = (w[1][0] + r11, w[1][1])
+    dens = []
+    for nu in TWO_PI * np.asarray(freqs):
+        s = Fraction(float(nu))
+        shifted = [[(g[i][k][0], g[i][k][1] + s) if i == k else g[i][k] for k in range(3)] for i in range(3)]
+        dens.append(float(-2 * cramer(shifted, w, 1)[0] * it1))
+    return np.array(dens), float(w[1][0] * it1)
 
 
 def weak_drive_g2(tau, params):
@@ -104,7 +171,7 @@ class TestQrtSpectrum:
         # Fourier transform the correlation numerically
         om = 7.2
         ss = bloch.steady_state(qd, om)
-        g, g0 = emission.regression_generator(qd, om, 0.0)
+        g, g0 = dipole_generator(qd, om, 0.0)
         s_tr = complex(ss.rho01_re, -ss.rho01_im)
         y = np.array([0.0, ss.rho11, 0.0], dtype=complex)
         yfix = -np.linalg.solve(g, s_tr * g0)
@@ -139,7 +206,7 @@ class TestQrtSpectrum:
         # eigenvectors to lose digits where they coalesce
         om = exceptional_drive(qd)
         ss = bloch.steady_state(qd, om, det)
-        g, g0 = emission.regression_generator(qd, om, det)
+        g, g0 = dipole_generator(qd, om, det)
         s_tr = complex(ss.rho01_re, -ss.rho01_im)
         w = np.array([0.0, ss.rho11, 0.0], dtype=complex) + np.linalg.solve(g, s_tr * g0)
         freqs = fine_grid()
@@ -148,6 +215,20 @@ class TestQrtSpectrum:
         oracle = 2.0 * np.real(-np.linalg.solve(shifted, rhs)[:, 1, 0]) / qd.t1
         sp = emission.qrt_spectrum(qd, om, det, freqs)
         assert np.abs(sp.incoherent - oracle).max() < 1e-12 * oracle.max()
+
+    @pytest.mark.parametrize("om", [1e-4, 1e-3, 0.05, 1.7])
+    @pytest.mark.parametrize("det", [0.0, 1.3, -4.0])
+    def test_weak_drive_matches_exact_resolvent(self, det, om):
+        # (t1, t2) = (1, 2) ns keeps the generator's entries exact; the
+        # cancellation in rho11 - |rho01|^2 costs ~log10(1/S_eff) digits
+        params = core.TlsParams(1.0, 2.0)
+        freqs = np.linspace(-1.0, 1.0, 81)
+        exact, power = exact_spectrum(params, om, det, freqs)
+        sp = emission.qrt_spectrum(params, om, det, freqs)
+        s_eff = om * om * params.t1 * params.t2 / (1.0 + (det * params.t2) ** 2)
+        bound = 1e-13 + 10.0 * np.finfo(float).eps / s_eff
+        assert np.abs(sp.incoherent - exact).max() <= bound * exact.max()
+        assert abs(sp.incoherent_power - power) <= bound * power
 
     def test_grid_guard(self, qd):
         with pytest.raises(NumericalGuardError):
@@ -195,25 +276,26 @@ class TestChaoticSpectrum:
         sp = emission.chaotic_spectrum(params, mean_omega, freqs)
         peak = sp.incoherent.max()
 
-        def average(row, pair, scale):
-            # _spectrum_rows at one drive, on the two-point grid pair
+        def average(row, grid, scale):
+            # _spectrum_rows at one drive, on the shortest grid, three
+            # points from grid[0]
             def f(x):
-                dens, cw, ip = emission._spectrum_rows(params, np.array([mean_omega * math.sqrt(x)]), 0.0, pair)
+                dens, cw, ip = emission._spectrum_rows(params, np.array([mean_omega * math.sqrt(x)]), 0.0, grid)
                 return (dens[0, 0], cw[0], ip[0])[row] * math.exp(-x)
 
-            # the Mollow sidebands pass pair[0] where the drive is 2 pi |nu|;
+            # the Mollow sidebands pass grid[0] where the drive is 2 pi |nu|;
             # beyond x = 60 the law holds e^-60 of its mass
-            x_s = (TWO_PI * pair[0] / mean_omega) ** 2
+            x_s = (TWO_PI * grid[0] / mean_omega) ** 2
             points = [x_s] if 0.0 < x_s < 60.0 else None
             val, _ = scipy_integrate.quad(f, 0.0, 60.0, points=points, limit=400, epsabs=1e-12 * scale, epsrel=1e-10)
             return val
 
         mid = len(freqs) // 2
         for j in (mid, mid + 1, mid - 1, mid + 7, mid + 400, mid + 1100, 0):
-            assert abs(sp.incoherent[j] - average(0, freqs[j : j + 2], peak)) <= 1e-10 * peak, freqs[j]
+            assert abs(sp.incoherent[j] - average(0, freqs[j : j + 3], peak)) <= 1e-10 * peak, freqs[j]
         power = sp.total_power()
-        assert sp.coherent_weight == pytest.approx(average(1, freqs[:2], power), rel=1e-10, abs=1e-12 * power)
-        assert sp.incoherent_power == pytest.approx(average(2, freqs[:2], power), rel=1e-10, abs=1e-12 * power)
+        assert sp.coherent_weight == pytest.approx(average(1, freqs[:3], power), rel=1e-10, abs=1e-12 * power)
+        assert sp.incoherent_power == pytest.approx(average(2, freqs[:3], power), rel=1e-10, abs=1e-12 * power)
 
 
 class TestConvolveLorentzian:
@@ -258,10 +340,38 @@ class TestConvolveLorentzian:
         assert np.allclose(np.abs(freqs[peaks]), 1.0, atol=0.01)
         assert out.incoherent[peaks[0]] == pytest.approx(out.incoherent[peaks[1]], rel=1e-9)
 
+    def test_coherent_line_centred_on_even_grid(self, instrument):
+        # 2000 points on +-4 GHz have no node at nu = 0; the line must
+        # still be symmetric about it and keep its power
+        freqs = fine_grid(4.0, 2000)
+        sp = emission.Spectrum(freqs, np.zeros_like(freqs), 1.0, 0.0)
+        out = emission.convolve_lorentzian(sp, instrument.fpi_fwhm_ghz).incoherent
+        assert np.abs(out - out[::-1]).max() <= 1e-14 * out.max()
+        assert np.sum(out) * sp.df == pytest.approx(1.0, rel=1e-12)
+
     def test_span_guard(self, qd):
         sp = emission.qrt_spectrum(qd, 7.2, 0.0, fine_grid(0.5, 501))
         with pytest.raises(NumericalGuardError):
             emission.convolve_lorentzian(sp, 0.1754)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda p, f: emission.qrt_spectrum(p, 7.2, 0.0, f),
+        lambda p, f: emission.chaotic_spectrum(p, 7.2, f),
+        lambda p, f: emission.Spectrum(f, np.zeros_like(f), 1.0, 0.0),
+    ],
+    ids=["qrt", "chaotic", "Spectrum"],
+)
+@pytest.mark.parametrize(
+    "freqs, message",
+    [(np.zeros(1), "too short"), (fine_grid()[::-1], "ascending")],
+    ids=["one-point", "descending"],
+)
+def test_grid_checked_before_use(qd, build, freqs, message):
+    with pytest.raises(ValueError, match=message):
+        build(qd, freqs)
 
 
 class TestQrtG2:

@@ -98,7 +98,7 @@ def one_segment(m):
     stacked `_Segments` and the doubled step maps of its tables."""
     segs = trajectory._Segments.of(m[None])
     d = bloch.taylor_increment(segs.m, segs.h[:, None, None], bloch._MAP_DEGREE)
-    return segs, bloch.doublings(d, trajectory._MAX_NODES, increments=True)
+    return segs, bloch.doublings(d, trajectory._MAX_NODES)
 
 
 def solve(segs, maps, x0, u, n_max, seg_end=np.inf):
@@ -549,7 +549,7 @@ def _loop_table(m, states, h, u_min, n_max):
     n = n_max
     if rate > 0.0 and u_min > 0.0:
         n = min(int(1.25 * math.log(1.0 / u_min) / (rate * h)) + trajectory._EXTRA_NODES, n_max)
-    return bloch.orbit(d, states, n, increments=True)
+    return bloch.orbit(d, states, n)
 
 
 def _loop_waits(u, starts, m, table, h, t, seg_end):
