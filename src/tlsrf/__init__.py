@@ -2,7 +2,7 @@
 or chaotic drive: Bloch dynamics, emission spectra, photon correlations
 and time-tag Monte Carlo."""
 
-from . import bloch, core, emission, lamp, photonstat, trajectory
+from . import bloch, core, emission, lamp, trajectory
 from .core import (
     BUILTIN_SETS,
     PAPER_QD,
@@ -39,7 +39,6 @@ __all__ = [
     "lamp",
     "load_registry",
     "omega_from_saturation",
-    "photonstat",
     "power_linewidth",
     "saturation_parameter",
     "stream",

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DrivePulse, NumericalGuardError, QuadratureError, TlsParams, write_csv
-from .photonstat import sample_chaotic_intensity
+from .core import DrivePulse, NumericalGuardError, QuadratureError, TlsParams
 
 _EULER_GAMMA = 0.5772156649015328606
 
@@ -78,20 +77,6 @@ class BlochTrace:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(self.rho11))
-
-    def to_csv(self, path):
-        cols = [self.times, self.rho11, self.rho01_re, self.rho01_im]
-        header = "t_ns,rho11,rho01_re,rho01_im"
-        if self.stderr is not None:
-            cols.append(self.stderr)
-            header += ",stderr"
-        return write_csv(path, header, cols)
-
-
-def bloch_derivative(state: BlochState, params: TlsParams, omega_t: float, detuning: float = 0.0) -> np.ndarray:
-    """Time derivative (d rho11, d u, d v) at the given drive value."""
-    x = np.array([state.rho11, state.rho01_re, state.rho01_im, 1.0])
-    return (augmented_generator(params, omega_t, detuning)[0] @ x)[:3]
 
 
 def steady_state_population(params: TlsParams, omega: float, detuning: float = 0.0) -> float:
@@ -274,6 +259,20 @@ def chaotic_steady_state_quadrature(params: TlsParams, mean_omega: float, detuni
         return (0.5 / (1.0 + _mean_inverse_saturation(params, oms, detuning)))[:, None]
 
     return float(_chaotic_average(rows, mean_omega, 2, 1e-9, 1, 4096)[0])
+
+
+def sample_chaotic_intensity(rng: np.random.Generator, mean_omega_sq: float, size=None):
+    """Draw squared Rabi frequencies for a chaotic field.
+
+    The instantaneous intensity of chaotic light is exponentially
+    distributed, so the squared Rabi frequency is drawn from an
+    exponential law with the given mean.
+    """
+    if mean_omega_sq < 0:
+        raise ValueError("mean_omega_sq must be >= 0")
+    if mean_omega_sq == 0.0:
+        return 0.0 if size is None else np.zeros(size)
+    return rng.exponential(scale=mean_omega_sq, size=size)
 
 
 # Nodes per call of the averaged function: at most _NODE_CHUNK, and at

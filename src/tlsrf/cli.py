@@ -389,7 +389,8 @@ def cmd_g2(cfg: dict, pset: ParameterSet) -> list[str]:
         tags = trajectory.simulate_tags(params, pulse, duration, cfg["efficiency"], sim_rng, blinking=blink)
         tags = trajectory.apply_detector(tags, det_fwhm / math.sqrt(2.0), det_rng)
         hist = trajectory.correlate(tags, cfg["bin_ns"], lag_max)
-        mc_out = hist.to_csv(None if cfg["out"] is None else cfg["out"] + ".mc.csv")
+        mc_path = None if cfg["out"] is None else cfg["out"] + ".mc.csv"
+        mc_out = write_csv(mc_path, "lag_ns,counts,c_norm", [hist.lags, hist.counts, hist.c_norm])
         if mc_out:
             outputs.append(mc_out)
     return outputs
@@ -429,7 +430,7 @@ def cmd_tags(cfg: dict, pset: ParameterSet) -> list[str]:
         blinking=blink,
         tau_corr=cfg["tau_corr_ns"],
     )
-    out = tags.to_csv(cfg["out"])
+    out = write_csv(cfg["out"], "time_ns,channel", [tags.times, tags.channels])
     return [out] if out else []
 
 
@@ -444,12 +445,13 @@ def cmd_lamp(cfg: dict, pset: ParameterSet) -> list[str]:
     g2 = lamp.estimate_g2(trace, max_lag)
     fit = lamp.fit_gaussian_g2(g2)
     outputs = []
-    out = g2.to_csv(cfg["out"])
+    out = write_csv(cfg["out"], "lag_ns,value", [g2.lags, g2.values])
     if out:
         outputs.append(out)
         # only the head of the trace is written; square just those rows
         head = trace.amplitudes[: cfg["field_rows"]]
-        outputs.append(lamp._write_field_csv(out + ".field.csv", trace.dt, head, np.abs(head) ** 2))
+        field = [np.arange(len(head)) * trace.dt, head.real, head.imag, np.abs(head) ** 2]
+        outputs.append(write_csv(out + ".field.csv", "t_ns,re,im,intensity", field))
         fit_doc = {
             "amplitude": fit.amplitude,
             "amplitude_err": fit.amplitude_err,

@@ -68,11 +68,6 @@ class TlsParams:
         if self.t2 > 2.0 * self.t1 * (1.0 + 1e-12):
             raise ValueError(f"t2={self.t2} exceeds 2*t1={2*self.t1}: unphysical dephasing")
 
-    @property
-    def gamma_phi(self) -> float:
-        """Pure dephasing rate 1/t2 - 1/(2 t1) [1/ns], always >= 0."""
-        return max(1.0 / self.t2 - 0.5 / self.t1, 0.0)
-
 
 @dataclass(frozen=True)
 class DrivePulse:
@@ -113,12 +108,6 @@ class DrivePulse:
     @classmethod
     def square(cls, rabi, start, stop, detuning=0.0, statistics=Statistics.COHERENT):
         return cls(rabi=rabi, detuning=detuning, envelope=((start, stop, 1.0),), statistics=statistics)
-
-    def amplitude_at(self, t: float) -> float:
-        for start, stop, amp in self.envelope:
-            if start <= t < stop:
-                return amp
-        return 0.0
 
     def max_amplitude(self) -> float:
         return max((amp for _, _, amp in self.envelope), default=0.0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch
-from .core import NumericalGuardError, TlsParams, TWO_PI, write_csv
+from .core import NumericalGuardError, TlsParams, TWO_PI
 
 
 @dataclass
@@ -54,12 +54,6 @@ class Spectrum:
     def total_power(self) -> float:
         return self.incoherent_power + self.coherent_weight
 
-    def to_csv(self, path, after_irf: "Spectrum | None" = None):
-        """Write `freq_ghz,incoherent,total_after_irf`; the last column
-        is empty unless a convolved companion spectrum is given."""
-        total = after_irf.incoherent if after_irf is not None else None
-        return write_csv(path, "freq_ghz,incoherent,total_after_irf", [self.freqs, self.incoherent, total])
-
 
 @dataclass
 class EmissionG2:
@@ -73,9 +67,6 @@ class EmissionG2:
             raise ValueError("lags must be strictly ascending")
         if np.any(np.asarray(self.values) < 0):
             raise ValueError("g2 values must be >= 0")
-
-    def to_csv(self, path):
-        return write_csv(path, "lag_ns,g2", [self.lags, self.values])
 
 
 def _fixed_point(m: np.ndarray) -> np.ndarray:
@@ -271,6 +262,8 @@ def _uniform_lags(lags) -> np.ndarray:
     if np.any(lags < 0):
         raise ValueError("lags must be >= 0")
     steps = np.diff(lags)
+    if np.any(steps <= 0):
+        raise ValueError("lags must be strictly ascending")
     if steps.size and not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise ValueError("lags must form a uniform grid")
     return lags
@@ -301,8 +294,8 @@ def qrt_g2(params: TlsParams, omega: float, detuning: float, lags: np.ndarray) -
     g2(tau) is the conditional repopulation divided by its steady
     value; g2(0) = 0 identically.  The repopulation is propagated with
     exact maps of the Bloch equations (`_conditional_population`), so
-    lags must be non-negative and uniformly spaced; the returned curve
-    is symmetrized around zero.
+    lags must be non-negative, ascending and uniformly spaced; the
+    returned curve is symmetrized around zero.
     """
     lags = _uniform_lags(lags)
     if omega <= 0:
@@ -325,8 +318,8 @@ def chaotic_g2(params: TlsParams, mean_omega: float, lags: np.ndarray) -> Emissi
     count that passes is the one returned, and the convergence is
     exponential: at 1.7 rad/ns on paper-qd, 2 panels are off by 3e-10,
     close enough to pass against 4, and 4 panels agree with a converged
-    rule to 2e-14, so the count starts at 4.  Lags must be non-negative
-    and uniformly spaced.  Valid only for lags well below the source
+    rule to 2e-14, so the count starts at 4.  Lags must be non-negative,
+    ascending and uniformly spaced.  Valid only for lags well below the source
     correlation time `bloch.LAMP_TAU_CORR` (beyond it the drive
     decorrelates and the true curve relaxes to one, which this average
     does not describe).
@@ -374,6 +367,8 @@ def convolve_gaussian(g2: EmissionG2, fwhm: float) -> EmissionG2:
     if fwhm == 0.0:
         return EmissionG2(g2.lags.copy(), g2.values.copy())
     lags = g2.lags
+    if len(lags) < 2:
+        raise ValueError("convolution needs a curve of at least 2 lags")
     step = lags[1] - lags[0]
     if not np.allclose(np.diff(lags), step, rtol=1e-9, atol=1e-12):
         raise NumericalGuardError("convolution requires a uniform lag grid")

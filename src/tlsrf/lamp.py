@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FitError, NumericalGuardError, write_csv
+from .core import FitError, NumericalGuardError
 
 
 @dataclass
@@ -35,16 +35,6 @@ class FieldTrace:
     def intensity(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def to_csv(self, path):
-        return _write_field_csv(path, self.dt, self.amplitudes, self.intensity)
-
-
-def _write_field_csv(path, dt: float, a: np.ndarray, intensity: np.ndarray):
-    # the intensity column is the trace's own `intensity`, passed in
-    # rather than recomputed: a per-sample |a|^2 can differ from the
-    # vectorized one in the last digit
-    return write_csv(path, "t_ns,re,im,intensity", [np.arange(len(a)) * dt, a.real, a.imag, intensity])
-
 
 @dataclass
 class CorrelationCurve:
@@ -58,9 +48,6 @@ class CorrelationCurve:
             raise ValueError("lags must be strictly ascending")
         if np.any(np.asarray(self.values) < 0):
             raise ValueError("correlation values must be >= 0")
-
-    def to_csv(self, path):
-        return write_csv(path, "lag_ns,value", [self.lags, self.values])
 
 
 def _fast_len(n: int) -> int:

@@ -45,8 +45,8 @@ import numpy as np
 
 from . import bloch
 from .bloch import _MAP_DEGREE, _STEP_NORM
-from .core import DrivePulse, NumericalGuardError, Statistics, TlsParams, write_csv
-from .photonstat import sample_chaotic_intensity
+from .core import DrivePulse, NumericalGuardError, Statistics, TlsParams
+
 
 @dataclass
 class TagStream:
@@ -68,9 +68,6 @@ class TagStream:
     def channel_times(self, channel: int) -> np.ndarray:
         return self.times[self.channels == channel]
 
-    def to_csv(self, path):
-        return write_csv(path, "time_ns,channel", [self.times, self.channels])
-
 
 @dataclass
 class CoincidenceHistogram:
@@ -84,9 +81,6 @@ class CoincidenceHistogram:
     counts: np.ndarray
     c_norm: np.ndarray
     stderr: np.ndarray
-
-    def to_csv(self, path):
-        return write_csv(path, "lag_ns,counts,c_norm", [self.lags, self.counts, self.c_norm])
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +319,7 @@ def _drive_segments(pulse: DrivePulse, duration: float, tau_corr: float, rng) ->
             edges.add(stop)
     if pulse.statistics is Statistics.CHAOTIC:
         n_blocks = int(math.ceil(duration / tau_corr))
-        draws = np.sqrt(sample_chaotic_intensity(rng, pulse.rabi**2, size=n_blocks))
+        draws = np.sqrt(bloch.sample_chaotic_intensity(rng, pulse.rabi**2, size=n_blocks))
         for k in range(1, n_blocks):
             edges.add(k * tau_corr)
     else:

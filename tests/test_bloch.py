@@ -8,28 +8,69 @@ import pytest
 from scipy import integrate as scipy_integrate
 from scipy import special as scipy_special
 
-from tlsrf import bloch, core, photonstat
+from tlsrf import bloch, core
 from tlsrf.bloch import BlochState
 from tlsrf.core import DrivePulse, NumericalGuardError, Statistics
 
 from conftest import significant_maxima
 
 
+def _derivative(state, params, omega):
+    """Test-side (d rho11, d u, d v) of a state: the generator applied to it."""
+    x = np.array([state.rho11, state.rho01_re, state.rho01_im, 1.0])
+    return (bloch.augmented_generator(params, omega)[0] @ x)[:3]
+
+
 class TestDerivative:
     def test_dark_ground_state_is_stationary(self, qd):
-        d = bloch.bloch_derivative(BlochState.ground(), qd, 0.0)
+        d = _derivative(BlochState.ground(), qd, 0.0)
         assert np.allclose(d, 0.0)
 
     def test_pure_decay(self, qd):
-        d = bloch.bloch_derivative(BlochState(1.0), qd, 0.0)
+        d = _derivative(BlochState(1.0), qd, 0.0)
         assert d[0] == pytest.approx(-1.0 / qd.t1, rel=1e-14)
 
     @pytest.mark.parametrize("s", [0.1, 1.0, 10.0])
     def test_steady_state_is_fixed_point(self, qd, s):
         om = core.omega_from_saturation(s, qd)
         ss = bloch.steady_state(qd, om)
-        d = bloch.bloch_derivative(ss, qd, om)
+        d = _derivative(ss, qd, om)
         assert np.linalg.norm(d) < 1e-10
+
+
+class TestSampleChaoticIntensity:
+    def test_zero_mean_is_dark(self):
+        rng = core.stream(1)
+        assert bloch.sample_chaotic_intensity(rng, 0.0) == 0.0
+        assert np.all(bloch.sample_chaotic_intensity(rng, 0.0, size=10) == 0.0)
+
+    def test_exponential_law(self):
+        rng = core.stream(314)
+        draws = bloch.sample_chaotic_intensity(rng, 1.0, size=1_000_000)
+        # analytic CDF at the mean
+        assert (draws <= 1.0).mean() == pytest.approx(1.0 - math.exp(-1.0), abs=2e-3)
+        assert draws.mean() == pytest.approx(1.0, rel=5e-3)
+
+    def test_variance_law(self):
+        rng = core.stream(2718)
+        mean = 51.84  # mean drive 7.2 rad/ns
+        draws = bloch.sample_chaotic_intensity(rng, mean, size=1_000_000)
+        assert draws.var() == pytest.approx(mean**2, rel=2e-2)
+
+    def test_saturation_mapping_ks(self):
+        # squared drive values mapped through S = w2 * t1 * t2 stay
+        # exponential with the matching mean (KS against the closed CDF)
+        qd = core.PAPER_QD.tls
+        rng = core.stream(99)
+        w2 = bloch.sample_chaotic_intensity(rng, 51.84, size=1_000_000)
+        s = np.sort(w2 * qd.t1 * qd.t2)
+        sbar = 51.84 * qd.t1 * qd.t2
+        cdf = 1.0 - np.exp(-s / sbar)
+        n = len(s)
+        emp_hi = np.arange(1, n + 1) / n
+        emp_lo = np.arange(0, n) / n
+        ks = max(np.abs(emp_hi - cdf).max(), np.abs(emp_lo - cdf).max())
+        assert ks < 0.002
 
 
 class TestSteadyState:
@@ -370,13 +411,6 @@ class TestIntegrate:
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-12
 
-    def test_csv_export(self, qd, tmp_path):
-        trace = bloch.integrate(qd, DrivePulse.cw(1.0), 1.0, 0.005)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "t_ns,rho11,rho01_re,rho01_im"
-
 
 _TRANSIENTS = {
     "integrate": lambda qd, pulse, t_end: bloch.integrate(qd, pulse, t_end, 0.005),
@@ -458,7 +492,7 @@ class TestChaoticTransient:
         for det, envelope in ((0.0, square), (1.3, square), (0.0, two_level)):
             pulse = DrivePulse(5.0, det, envelope, Statistics.CHAOTIC)
             ens = bloch.chaotic_transient(qd, pulse, t_end, dt, n, core.stream(11))
-            omegas = np.sqrt(photonstat.sample_chaotic_intensity(core.stream(11), 5.0**2, size=n))
+            omegas = np.sqrt(bloch.sample_chaotic_intensity(core.stream(11), 5.0**2, size=n))
             members = np.array([_staged_rk4(qd, DrivePulse(om, det, envelope), t_end, dt) for om in omegas])
             for col, name in enumerate(("rho11", "rho01_re", "rho01_im")):
                 assert np.abs(getattr(ens, name) - members[:, :, col].mean(axis=0)).max() <= 1e-12
@@ -481,13 +515,6 @@ class TestChaoticTransient:
             tracemalloc.stop()
         assert len(trace.rho11) == 257
         assert peak < 16e6
-
-    def test_stderr_column_in_csv(self, qd, tmp_path):
-        pulse = DrivePulse.square(5.0, 0.0, 1.0, statistics=Statistics.CHAOTIC)
-        trace = bloch.chaotic_transient(qd, pulse, 1.0, 0.004, 150, core.stream(6))
-        path = tmp_path / "ens.csv"
-        trace.to_csv(path)
-        assert path.read_text().splitlines()[0].endswith(",stderr")
 
 
 def _node_mean(qd, pulse, t_end, dt, panels):

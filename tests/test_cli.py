@@ -481,6 +481,7 @@ class TestLampCommand:
         assert fit["tau_corr_ns"] == pytest.approx(901.8, rel=0.05)
         field_rows = read_rows(str(out) + ".field.csv")
         assert set(field_rows[0]) == {"t_ns", "re", "im", "intensity"}
+        assert set(read_rows(str(out))[0]) == {"lag_ns", "value"}
 
     def test_field_rows_match_trace(self, tmp_path):
         # the CLI squares only the rows it writes; they must equal the

@@ -374,6 +374,27 @@ def test_grid_checked_before_use(qd, build, freqs, message):
         build(qd, freqs)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda p, lags: emission.qrt_g2(p, 7.2, 0.0, lags), lambda p, lags: emission.chaotic_g2(p, 7.2, lags)],
+    ids=["qrt", "chaotic"],
+)
+@pytest.mark.parametrize(
+    "lags",
+    [[2.0, 1.0, 0.0], [20.0, 10.0, 0.0], [1.0, 1.0, 1.0]],
+    ids=["descending", "descending-wide", "repeated"],
+)
+def test_lags_checked_before_use(qd, monkeypatch, build, lags):
+    # a malformed grid is a ValueError before any map is taken, not a
+    # QuadratureError from a panel cap read off the last lag
+    def no_work(*args):
+        raise AssertionError("lags reached the propagator")
+
+    monkeypatch.setattr(emission, "_conditional_population", no_work)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        build(qd, lags)
+
+
 class TestQrtG2:
     def test_zero_lag_antibunching(self, qd):
         for s in (0.01, 0.6, 10.5):
@@ -555,20 +576,9 @@ class TestConvolveGaussian:
         with pytest.raises(NumericalGuardError):
             emission.convolve_gaussian(g2, 0.351)
 
-
-def test_g2_csv(tmp_path, qd):
-    g2 = emission.qrt_g2(qd, 1.7, 0.0, np.arange(0.0, 1.0, 0.01))
-    path = tmp_path / "g2.csv"
-    g2.to_csv(path)
-    assert path.read_text().splitlines()[0] == "lag_ns,g2"
-
-
-def test_spectrum_csv(tmp_path, qd, instrument):
-    sp = emission.qrt_spectrum(qd, 7.2, 0.0, fine_grid(3.0, 3001))
-    conv = emission.convolve_lorentzian(sp, instrument.fpi_fwhm_ghz)
-    path = tmp_path / "spec.csv"
-    sp.to_csv(path, after_irf=conv)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "freq_ghz,incoherent,total_after_irf"
-    assert len(lines) == len(sp.freqs) + 1
-    assert len(lines[1].split(",")) == 3
+    def test_one_lag_curve_rejected(self, qd):
+        # a single lag has no step to convolve on
+        g2 = emission.qrt_g2(qd, 7.2, 0.0, [0.0])
+        assert len(g2.lags) == 1
+        with pytest.raises(ValueError, match="at least 2 lags"):
+            emission.convolve_gaussian(g2, 0.351)

@@ -247,21 +247,3 @@ def curve_fit_reference(curve):
 
     popt, pcov = curve_fit(model, lags, vals, p0=(a0, tc0), maxfev=20000)
     return popt[0], abs(popt[1]), *np.sqrt(np.diag(pcov))
-
-
-def test_field_csv_roundtrip(tmp_path):
-    trace = lamp.synthesize_field(TAU, TAU / 20.0, 1 << 16, core.stream(2))
-    path = tmp_path / "field.csv"
-    trace.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t_ns,re,im,intensity"
-    assert len(lines) == len(trace.amplitudes) + 1
-    # the intensity column is the trace's own intensity, to the last digit
-    intensity = np.array([float(line.split(",")[3]) for line in lines[1:]])
-    assert np.array_equal(intensity, trace.intensity)
-
-
-def test_correlation_csv(tmp_path, g2_curve):
-    path = tmp_path / "g2.csv"
-    g2_curve.to_csv(path)
-    assert path.read_text().splitlines()[0] == "lag_ns,value"
