@@ -259,6 +259,8 @@ def _mirrored(lags: np.ndarray, vals: np.ndarray) -> EmissionG2:
 
 def _uniform_lags(lags) -> np.ndarray:
     lags = np.asarray(lags, dtype=float)
+    if lags.size == 0:
+        raise ValueError("lags must not be empty")
     if np.any(lags < 0):
         raise ValueError("lags must be >= 0")
     steps = np.diff(lags)
@@ -371,7 +373,7 @@ def convolve_gaussian(g2: EmissionG2, fwhm: float) -> EmissionG2:
         raise ValueError("convolution needs a curve of at least 2 lags")
     step = lags[1] - lags[0]
     if not np.allclose(np.diff(lags), step, rtol=1e-9, atol=1e-12):
-        raise NumericalGuardError("convolution requires a uniform lag grid")
+        raise ValueError("convolution requires a uniform lag grid")
     if step > fwhm / 5.0:
         raise NumericalGuardError(f"lag grid step {step} ns must be <= fwhm/5 ({fwhm/5.0} ns)")
     n = len(lags)

@@ -101,6 +101,7 @@ _MAX_NODES = 1 << 16  # nodes per table; an interval past them is carried
 _MAX_TARGETS = 1 << 17  # targets a segment draws at a time
 _BATCH_TARGETS = 1 << 13  # targets of the segments solved as one batch
 _BATCH_NODES = 1 << 16  # estimated table nodes of the segments solved as one batch
+_BIN_LAGS = 1 << 14  # lags the correlator holds before it bins them
 _XTOL = 1e-14  # ns, absolute tolerance of a waiting time
 _EPS = float(np.finfo(float).eps)
 
@@ -528,12 +529,15 @@ def _corr_window(t1, t2, max_lag, bin_w, counts, chunk=100_000):
 
     The stops of a start form one run t2[lo:hi], so the kernel walks
     the offset m into that run: one vectorized pass per m over the
-    starts whose run is longer than m, with no pair array.  Passes are
-    binned together once they hold as many lags as there are bins.  The
-    time is O(pairs), plus O(bins) and a sort per chunk of starts; the
-    memory is O(chunk + bins), whatever the pair density."""
-    nb = len(counts)
-    pending, held = [], 0
+    starts whose run is longer than m, with no pair array.  Each pass
+    writes its differences into one reused buffer, and the buffer is
+    binned (`_add_bins`) once it holds max(bins, _BIN_LAGS) lags, with
+    the same float operations, in the same order, as binning each lag
+    alone.  The time is O(pairs), plus O(bins) and a sort per chunk of
+    starts; the memory is O(chunk + bins), whatever the pair density."""
+    flush_at = max(len(counts), _BIN_LAGS)
+    buf = np.empty(flush_at + min(chunk, len(t1)))
+    held = 0
     for a in range(0, len(t1), chunk):
         t1c = t1[a : a + chunk]
         lo = np.searchsorted(t2, t1c - max_lag, side="left")
@@ -545,20 +549,22 @@ def _corr_window(t1, t2, max_lag, bin_w, counts, chunk=100_000):
         t1c, lo = t1c[order], lo[order]
         n_m = np.cumsum(np.bincount(sizes)[::-1])[::-1][1:]
         for m, n in enumerate(n_m):
-            pending.append(((t2[lo[:n] + m] - t1c[:n] + max_lag) / bin_w).astype(np.int64))
+            np.subtract(t2[m:][lo[:n]], t1c[:n], out=buf[held : held + n])
             held += n
-            if held >= nb:
-                _add_bins(counts, pending)
-                pending, held = [], 0
-    if pending:
-        _add_bins(counts, pending)
+            if held >= flush_at:
+                _add_bins(counts, buf[:held], max_lag, bin_w)
+                held = 0
+    if held:
+        _add_bins(counts, buf[:held], max_lag, bin_w)
 
 
-def _add_bins(counts, pieces):
-    """Count the bin indices in pieces into counts; indices at or beyond
-    len(counts) are dropped."""
+def _add_bins(counts, d, max_lag, bin_w):
+    """Count the lags d into bin floor((d + max_lag) / bin_w) of counts,
+    overwriting d; bins at or beyond len(counts) are dropped."""
     nb = len(counts)
-    counts += np.bincount(np.concatenate(pieces), minlength=nb + 1)[:nb]
+    d += max_lag
+    d /= bin_w
+    counts += np.bincount(d.astype(np.int64), minlength=nb + 1)[:nb]
 
 
 def correlate(stream: TagStream, bin_w: float, max_lag: float) -> CoincidenceHistogram:

@@ -395,6 +395,22 @@ def test_lags_checked_before_use(qd, monkeypatch, build, lags):
         build(qd, lags)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda p, lags: emission.qrt_g2(p, 7.2, 0.0, lags), lambda p, lags: emission.chaotic_g2(p, 7.2, lags)],
+    ids=["qrt", "chaotic"],
+)
+def test_empty_lags_rejected(qd, monkeypatch, build):
+    # no lag has no step to refuse; the grid check still refuses it
+    # before any map, not an IndexError or a reduction error later
+    def no_work(*args):
+        raise AssertionError("lags reached the propagator")
+
+    monkeypatch.setattr(emission, "_conditional_population", no_work)
+    with pytest.raises(ValueError, match="empty"):
+        build(qd, [])
+
+
 class TestQrtG2:
     def test_zero_lag_antibunching(self, qd):
         for s in (0.01, 0.6, 10.5):
@@ -582,3 +598,12 @@ class TestConvolveGaussian:
         assert len(g2.lags) == 1
         with pytest.raises(ValueError, match="at least 2 lags"):
             emission.convolve_gaussian(g2, 0.351)
+
+    def test_non_uniform_grid_rejected(self):
+        # a malformed grid is an input fault (exit 2), not a numerical
+        # guard (exit 3)
+        lags = np.array([-1.0, -0.5, 0.0, 0.5, 1.5])
+        g2 = emission.EmissionG2(lags, np.ones_like(lags))
+        with pytest.raises(ValueError, match="uniform") as err:
+            emission.convolve_gaussian(g2, 10.0)
+        assert not isinstance(err.value, NumericalGuardError)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -717,6 +718,15 @@ def poisson_pair(rate, duration, rng):
     return trajectory.TagStream(t[order], ch[order], duration)
 
 
+def reference_window(t1, t2, max_lag, bin_w, nb):
+    """Counts of floor((d + max_lag) / bin_w) over every pair lag d in
+    [-max_lag, max_lag), from the full pair array."""
+    d = np.subtract.outer(t2, t1).ravel()
+    d = d[(d >= -max_lag) & (d < max_lag)]
+    bins = np.floor((d + max_lag) / bin_w).astype(np.int64)
+    return np.bincount(bins[bins < nb], minlength=nb)
+
+
 class TestCorrelate:
     def test_uncorrelated_poisson_normalizes_to_one(self):
         rng = core.stream(77)
@@ -848,6 +858,57 @@ class TestCorrelate:
         d = d[(d >= -max_lag) & (d < max_lag)]
         bins = np.floor((d + max_lag) / bin_w).astype(np.int64)
         assert np.array_equal(counts, np.bincount(bins[bins < nb], minlength=nb))
+
+    # the oracle tests above hold fewer lags than the default buffer, so
+    # the lags are binned once at the end; at 1 and 7 they are binned
+    # after single passes, inside chunks, and at 1 as soon as they fill
+    # the bins
+    @pytest.mark.parametrize("bin_lags", [1, 7, trajectory._BIN_LAGS])
+    @pytest.mark.parametrize("max_lag", [10.0, 11.0])
+    def test_window_kernel_flushes_match_brute_force(self, monkeypatch, max_lag, bin_lags):
+        monkeypatch.setattr(trajectory, "_BIN_LAGS", bin_lags)
+        self.test_window_kernel_matches_brute_force(max_lag)
+
+    @pytest.mark.parametrize("bin_lags", [1, 7, trajectory._BIN_LAGS])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 600),
+        st.floats(0.001, 0.45),
+        st.floats(0.001, 1.0),
+        st.integers(1, 400),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_window_kernel_flushes_match_reference_on_float_streams(
+        self, bin_lags, n1, n2, lag_frac, bin_frac, chunk, seed
+    ):
+        rng = np.random.default_rng(seed)
+        t1 = np.sort(rng.uniform(0.0, 1000.0, n1))
+        t2 = np.sort(rng.uniform(0.0, 1000.0, n2))
+        max_lag = 1000.0 * lag_frac
+        bin_w = max_lag * bin_frac
+        nb = int(round(2.0 * max_lag / bin_w))
+        counts = np.zeros(nb, dtype=np.int64)
+        with mock.patch.object(trajectory, "_BIN_LAGS", bin_lags):
+            trajectory._corr_window(t1, t2, max_lag, bin_w, counts, chunk=chunk)
+        assert np.array_equal(counts, reference_window(t1, t2, max_lag, bin_w, nb))
+
+    def test_window_kernel_with_more_bins_than_buffer(self, monkeypatch):
+        # 20,000 bins > _BIN_LAGS, so the buffer is binned each time it
+        # holds as many lags as there are bins: ~1.6e5 lags, 8 times
+        rng = core.stream(9)
+        t1 = np.sort(rng.uniform(0.0, 1000.0, 2000))
+        t2 = np.sort(rng.uniform(0.0, 1000.0, 2000))
+        max_lag, bin_w = 20.0, 0.002
+        nb = int(round(2.0 * max_lag / bin_w))
+        assert nb > trajectory._BIN_LAGS
+        flushes = []
+        add_bins = trajectory._add_bins
+        monkeypatch.setattr(trajectory, "_add_bins", lambda counts, d, *a: (flushes.append(len(d)), add_bins(counts, d, *a)))
+        counts = np.zeros(nb, dtype=np.int64)
+        trajectory._corr_window(t1, t2, max_lag, bin_w, counts)
+        assert np.array_equal(counts, reference_window(t1, t2, max_lag, bin_w, nb))
+        assert len(flushes) > 1 and min(flushes[:-1]) >= nb
 
     def test_dense_window_memory_is_bounded(self):
         # ~1.9e7 pairs: a kernel that held them as arrays would need
