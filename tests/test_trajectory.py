@@ -904,7 +904,12 @@ class TestCorrelate:
         assert nb > trajectory._BIN_LAGS
         flushes = []
         add_bins = trajectory._add_bins
-        monkeypatch.setattr(trajectory, "_add_bins", lambda counts, d, *a: (flushes.append(len(d)), add_bins(counts, d, *a)))
+
+        def counted(counts, d, *args):
+            flushes.append(len(d))
+            add_bins(counts, d, *args)
+
+        monkeypatch.setattr(trajectory, "_add_bins", counted)
         counts = np.zeros(nb, dtype=np.int64)
         trajectory._corr_window(t1, t2, max_lag, bin_w, counts)
         assert np.array_equal(counts, reference_window(t1, t2, max_lag, bin_w, nb))
