@@ -32,7 +32,11 @@ interval that runs past the end of its table is carried from there as
 at an edge.  The walk is sequential, since each edge state depends on
 where the interval before it ended, and an edge costs a few numpy calls
 and scalar arithmetic.  Piecewise drives (pulse envelopes, quasi-static
-chaotic blocks) are so handled without bias.
+chaotic blocks) are so handled without bias.  A segment that draws
+more targets than a batch holds is a batch of its own, solved in
+slices of that many; the running sums of the cut and of the walk carry
+exactly from slice to slice, so the working set does not grow with the
+segment and no bit of the tags moves.
 """
 
 from __future__ import annotations
@@ -184,7 +188,7 @@ def _carried_table(maps, x, u, n_max, out):
     return out[:, :k]
 
 
-def _bracket(table, u, h, t, seg_end):
+def _bracket(table, u, h, t, seg_end, below=None):
     """Bracket intervals started back to back at t from the state
     table[:, 0] of an orbit table (4, n), for the targets u.
 
@@ -192,13 +196,20 @@ def _bracket(table, u, h, t, seg_end):
     rounding, is at or below it (n past the table).  Every interval is
     bracketed; only those up to the first whose running sum of lower
     bracket ends (k - 1) h reaches seg_end are kept, since the rest
-    start past seg_end.  Returns k of the kept intervals, the indices of
-    those with 0 < k < n, and their `_waits` inputs: the node j = k - 1,
-    the state there and P at j and j + 1."""
+    start past seg_end.  Given below, a one-element array, the sum goes
+    on from below[0], that of the targets before u, and below[0] is set
+    to the sum through u.  Returns k of the kept intervals, the indices
+    of those with 0 < k < n, and their `_waits` inputs: the node
+    j = k - 1, the state there and P at j and j + 1."""
     p = np.minimum.accumulate(table[3])
     k = np.searchsorted(-p, -u, side="left")
     lower = np.maximum(k - 1, 0) * h
-    k = k[: int(np.searchsorted(t + np.cumsum(lower), seg_end, side="left")) + 1]
+    if below is None:
+        lower = np.cumsum(lower)
+    else:
+        lower = np.cumsum(np.concatenate((below, lower)))
+        below[0], lower = lower[-1], lower[1:]
+    k = k[: int(np.searchsorted(t + lower, seg_end, side="left")) + 1]
     inner = np.flatnonzero((k > 0) & (k < len(p)))
     j = k[inner] - 1
     return k, inner, (j, table.T[j], p[j], p[j + 1])
@@ -366,11 +377,15 @@ def _batch(drive, first, t, carried, rng, emissions):
 
     Each segment draws one set of targets, in order: n_est = 1.4 x its
     expected photons + 32, at most _MAX_TARGETS.  A batch takes segments
-    up to _BATCH_TARGETS targets or _BATCH_NODES estimated table nodes.
-    The fresh intervals of all of them are bracketed on their ground
+    up to _BATCH_TARGETS targets or _BATCH_NODES estimated table nodes;
+    one that draws more is a batch of its own, solved in slices of
+    _BATCH_TARGETS targets.  The fresh intervals of a slice, or of all
+    the segments of a batch of several, are bracketed on their ground
     tables, cut as if the carried interval took no time, and polished
     together.  A walk over the edges then polishes each carried interval
     alone, on a table of its own, and places the fresh waits after it.
+    The running sums of lower bracket ends and of waits, np.cumsum of
+    the sum before a slice followed by the slice, carry over exactly.
     A segment that runs out of targets, or whose interval in progress
     runs past the end of its table (ground or carried), rewinds rng to
     just after its own draw and goes on in the next batch."""
@@ -381,6 +396,8 @@ def _batch(drive, first, t, carried, rng, emissions):
         s = first + len(jobs)
         t0 = t if not jobs else starts[s]
         n_est = int(min(max(64, 1.4 * (ends[s] - t0) * emit[s] + 32), float(_MAX_TARGETS)))
+        if jobs and n_est > _BATCH_TARGETS:
+            break
         h, decay = all_segs.h[s], all_segs.decay[s]
         n_max = min(_MAX_NODES, int((ends[s] - t0) / h) + 2)
         nodes += n_max if decay <= 0.0 else min(n_max, int(1.25 * math.log(n_est + 1.0) / (decay * h)) + _EXTRA_NODES)
@@ -392,27 +409,40 @@ def _batch(drive, first, t, carried, rng, emissions):
     own_maps = np.stack(maps, axis=1)  # each segment's doubled maps
     carried_buf = np.empty((4, int(n_max.max())))  # one carried table at a time
 
-    # the fresh intervals of every segment; all but the first segment's
-    # open with the interval carried over their start edge.  The targets
-    # and waits of segment g are the views [o[g], o[g + 1]) of flat arrays
+    # the targets of segment g are u_all[o[g]:o[g + 1]]; the fresh ones
+    # start at lead[g], after the interval carried over the start edge
     rewind = rng.bit_generator.state
     o = np.cumsum([0] + [n_est for _, n_est, _ in jobs]).tolist()
     u_all = rng.random(o[-1])
-    fresh = [u_all[o[g] + int(g > 0 or carried is not None) : o[g + 1]] for g in range(len(jobs))]
-    tables = _ground_tables(maps, segs, np.array([f.min() for f in fresh]), n_max)
-    kept = [_bracket(tables[g], fresh[g], segs.h[g], jobs[g][0], ends[first + g]) for g in range(len(jobs))]
-    inner = [i for _, i, _ in kept]
-    args = [np.concatenate(a) for a in zip(*(c for _, _, c in kept))]
-    w = _waits(np.concatenate([f[i] for f, i in zip(fresh, inner)]), *args, segs, [len(i) for i in inner])
-    waits_all = np.full(o[-1], np.inf)  # made after the polish, whose temporaries set the peak memory
-    waits_all[np.concatenate([o[g + 1] - len(f) + i for g, (f, i) in enumerate(zip(fresh, inner))])] = w
+    lead = [o[g] + int(g > 0 or carried is not None) for g in range(len(jobs))]
+    tables = _ground_tables(maps, segs, np.array([u_all[lead[g] : o[g + 1]].min() for g in range(len(jobs))]), n_max)
 
-    for g, row in enumerate(tables):
+    def slices():
+        # (g, a, waits) in walk order: the waits of segment g's targets
+        # from a on, inf where a target was not polished
+        size = o[-1] if len(jobs) > 1 else _BATCH_TARGETS
+        below = np.zeros(1) if o[-1] > size else None
+        for a in range(0, o[-1], size):
+            b = min(a + size, o[-1])
+            fresh = [u_all[max(a, lead[g]) : min(b, o[g + 1])] for g in range(len(jobs))]
+            kept = [_bracket(tables[g], fresh[g], segs.h[g], jobs[g][0], ends[first + g], below) for g in range(len(jobs))]
+            inner = [i for _, i, _ in kept]
+            args = [np.concatenate(x) for x in zip(*(c for _, _, c in kept))]
+            w = _waits(np.concatenate([f[i] for f, i in zip(fresh, inner)]), *args, segs, [len(i) for i in inner])
+            waits = np.full(b - a, np.inf)  # made after the polish, whose temporaries set the peak memory
+            waits[np.concatenate([min(b, o[g + 1]) - a - len(f) + i for g, (f, i) in enumerate(zip(fresh, inner))])] = w
+            for g in range(len(jobs)):
+                yield g, max(a - o[g], 0), waits[max(a, o[g]) - a : min(b, o[g + 1]) - a]
+
+    for g, a, waits in slices():
         s = first + g
-        h, seg_end = float(segs.h[g]), float(ends[s])
-        u, waits = u_all[o[g] : o[g + 1]], waits_all[o[g] : o[g + 1]]
-        carried_row = None
-        if carried is not None:
+        h, seg_end, row = float(segs.h[g]), float(ends[s]), tables[g]
+        u = u_all[o[g] : o[g + 1]]
+        if a:
+            waits[0] += sums[-1]  # the running sum goes on from the slice before
+        else:
+            t0, carried_row = t, None
+        if not a and carried is not None:
             x, u[0] = carried
             carried_row = _carried_table(own_maps[g], x, u[0], n_max[g], carried_buf)
             # node k as in `_bracket`; k = 0 is P(0) <= u: an interval that
@@ -423,11 +453,15 @@ def _batch(drive, first, t, carried, rng, emissions):
             waits[0] = 0.0 if k == 0 else np.inf
             if 0 < k < len(p):
                 waits[0] = _edge_wait(u[0], k - 1, carried_row[:, k - 1], p[k - 1], p[k], segs, g)
-        jump_t = t + np.cumsum(waits)
+        sums = np.cumsum(waits)
+        jump_t = t0 + sums
         stop = int(np.searchsorted(jump_t, seg_end))  # the first at or past seg_end
         if stop > 0:
             emissions.append(jump_t[:stop])
             t = float(jump_t[stop - 1])
+        stop += a
+        if stop == a + len(waits) < len(u):
+            continue  # the segment goes on in its next slice
         carried = None
         if stop < len(u):
             # interval `stop` is in progress at seg_end, or at the end of
@@ -445,6 +479,8 @@ def _batch(drive, first, t, carried, rng, emissions):
                 rng.bit_generator.state = rewind
                 rng.random(sum(n_est for _, n_est, _ in jobs[: g + 1]))
             return s, t, carried
+        if g + 1 == len(jobs):
+            break  # a sliced segment that ended before its last slice
     return first + len(jobs), t, carried
 
 

@@ -299,6 +299,19 @@ class TestSimulateTags:
         assert max(peak_kb[2:]) - peak_kb[2] <= 0.5 * 1024
         assert max(traced[2:]) <= traced[2]
 
+    def test_long_segment_memory_is_bounded(self, qd):
+        # ~71k tags from one cw segment that draws ~100k targets at once:
+        # a sampler that polished the whole draw together would hold
+        # ~28 MB of Newton arrays
+        tracemalloc.start()
+        try:
+            tags = trajectory.simulate_tags(qd, DrivePulse.cw(7.1), 1e5, 1.0, core.stream(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tags.times) > 6e4
+        assert peak < 12e6
+
 
 # S = omega^2 t1 t2 over [0.01, 100], t2/t1 over (0.05, 2], detuning over
 # [-5, 5] rad/ns; brackets from under one t2 to a chaotic block
@@ -612,26 +625,39 @@ def segment_loop_tags(params, pulse, duration, rng):
 
 class TestBatches:
     @pytest.mark.parametrize(
-        "pulse, duration, max_nodes",
+        "pulse, duration, max_nodes, batch_targets",
         [
-            (DrivePulse.cw(1.7, statistics=Statistics.CHAOTIC), 1e4, None),
-            (DrivePulse(rabi=7.2, envelope=tuple((10.0 * k, 10.0 * k + 2.0, 1.0) for k in range(800))), 8e3, None),
+            (DrivePulse.cw(1.7, statistics=Statistics.CHAOTIC), 1e4, None, None),
+            (DrivePulse(rabi=7.2, envelope=tuple((10.0 * k, 10.0 * k + 2.0, 1.0) for k in range(800))), 8e3, None, None),
             # tables of 2000 nodes, 64 ns, against 65 ns intervals: most
             # are carried at the end of their table, and each such carry
             # rewinds the targets drawn for later segments
-            (DrivePulse.cw(0.3), 1e5, 2000),
+            (DrivePulse.cw(0.3), 1e5, 2000, None),
             # the interval left from the pulse comes to rest in the dark
             # and is carried straight to the end
-            (DrivePulse(rabi=7.2, envelope=((0.0, 2.0, 1.0),)), 1.00002e5, None),
+            (DrivePulse(rabi=7.2, envelope=((0.0, 2.0, 1.0),)), 1.00002e5, None, None),
             # table-end carries in segments that share a batch with later
             # ones: the draws of those are rewound and made again
-            (DrivePulse.cw(0.3, statistics=Statistics.CHAOTIC), 2e4, 2000),
+            (DrivePulse.cw(0.3, statistics=Statistics.CHAOTIC), 2e4, 2000, None),
+            # one long segment in slices of one draw, down to slices of
+            # one or two targets, whose running sums carry across
+            (DrivePulse.cw(7.1), 3e3, None, 2),
+            (DrivePulse.cw(7.1), 1e4, None, 7),
+            (DrivePulse.cw(7.1), 2e4, None, 300),
+            # table-end carries inside a sliced segment
+            (DrivePulse.cw(0.3), 1e5, 2000, 300),
+            # 40 ns pulses that each draw three slices, and dark gaps
+            # that draw three more
+            (DrivePulse(rabi=7.2, envelope=tuple((100.0 * k, 100.0 * k + 40.0, 1.0) for k in range(80))), 8e3, None, 30),
         ],
-        ids=["chaotic", "pulsed", "table-end", "dark-rest", "rewind"],
+        ids=["chaotic", "pulsed", "table-end", "dark-rest", "rewind", "slices-2", "slices-7", "slices-300",
+             "sliced-table-end", "sliced-pulses"],
     )
-    def test_matches_segment_loop(self, qd, monkeypatch, pulse, duration, max_nodes):
+    def test_matches_segment_loop(self, qd, monkeypatch, pulse, duration, max_nodes, batch_targets):
         if max_nodes is not None:
             monkeypatch.setattr(trajectory, "_MAX_NODES", max_nodes)
+        if batch_targets is not None:
+            monkeypatch.setattr(trajectory, "_BATCH_TARGETS", batch_targets)
         tags = trajectory.simulate_tags(qd, pulse, duration, 1.0, core.stream(81))
         times, channels = segment_loop_tags(qd, pulse, duration, core.stream(81))
         assert np.array_equal(tags.times, times)
