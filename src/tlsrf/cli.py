@@ -186,13 +186,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 }
 
 
-_PARSER: argparse.ArgumentParser | None = None  # built by the first `main` of a process
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    global _PARSER
-    if _PARSER is not None:
-        return _PARSER
     parser = argparse.ArgumentParser(prog="tlsrf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _SCHEMA:
@@ -202,7 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--samples", type=int, default=None)
-    _PARSER = parser
     return parser
 
 

@@ -196,20 +196,17 @@ def _bracket(table, u, h, t, seg_end, below=None):
     rounding, is at or below it (n past the table).  Every interval is
     bracketed; only those up to the first whose running sum of lower
     bracket ends (k - 1) h reaches seg_end are kept, since the rest
-    start past seg_end.  Given below, a one-element array, the sum goes
-    on from below[0], that of the targets before u, and below[0] is set
-    to the sum through u.  Returns k of the kept intervals, the indices
-    of those with 0 < k < n, and their `_waits` inputs: the node
-    j = k - 1, the state there and P at j and j + 1."""
+    start past seg_end.  The sum goes on from below[0], a one-element
+    array that holds the sum of the targets before u (0 if not given)
+    and is set to the sum through u.  Returns k of the kept intervals,
+    the indices of those with 0 < k < n, and their `_waits` inputs: the
+    node j = k - 1, the state there and P at j and j + 1."""
+    below = np.zeros(1) if below is None else below
     p = np.minimum.accumulate(table[3])
     k = np.searchsorted(-p, -u, side="left")
-    lower = np.maximum(k - 1, 0) * h
-    if below is None:
-        lower = np.cumsum(lower)
-    else:
-        lower = np.cumsum(np.concatenate((below, lower)))
-        below[0], lower = lower[-1], lower[1:]
-    k = k[: int(np.searchsorted(t + lower, seg_end, side="left")) + 1]
+    lower = np.cumsum(np.concatenate((below, np.maximum(k - 1, 0) * h)))
+    below[0] = lower[-1]
+    k = k[: int(np.searchsorted(t + lower[1:], seg_end, side="left")) + 1]
     inner = np.flatnonzero((k > 0) & (k < len(p)))
     j = k[inner] - 1
     return k, inner, (j, table.T[j], p[j], p[j + 1])
@@ -421,11 +418,11 @@ def _batch(drive, first, t, carried, rng, emissions):
         # (g, a, waits) in walk order: the waits of segment g's targets
         # from a on, inf where a target was not polished
         size = o[-1] if len(jobs) > 1 else _BATCH_TARGETS
-        below = np.zeros(1) if o[-1] > size else None
+        below = [np.zeros(1) for _ in jobs]  # each segment's running sum of lower bracket ends
         for a in range(0, o[-1], size):
             b = min(a + size, o[-1])
             fresh = [u_all[max(a, lead[g]) : min(b, o[g + 1])] for g in range(len(jobs))]
-            kept = [_bracket(tables[g], fresh[g], segs.h[g], jobs[g][0], ends[first + g], below) for g in range(len(jobs))]
+            kept = [_bracket(tables[g], fresh[g], segs.h[g], jobs[g][0], ends[first + g], below[g]) for g in range(len(jobs))]
             inner = [i for _, i, _ in kept]
             args = [np.concatenate(x) for x in zip(*(c for _, _, c in kept))]
             w = _waits(np.concatenate([f[i] for f, i in zip(fresh, inner)]), *args, segs, [len(i) for i in inner])

@@ -300,17 +300,24 @@ class TestSimulateTags:
         assert max(traced[2:]) <= traced[2]
 
     def test_long_segment_memory_is_bounded(self, qd):
-        # ~71k tags from one cw segment that draws ~100k targets at once:
-        # a sampler that polished the whole draw together would hold
-        # ~28 MB of Newton arrays
-        tracemalloc.start()
-        try:
-            tags = trajectory.simulate_tags(qd, DrivePulse.cw(7.1), 1e5, 1.0, core.stream(9))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(tags.times) > 6e4
-        assert peak < 12e6
+        # one cw segment that draws ~20k targets at 2e4 ns and ~100k at
+        # 1e5 ns; from 4e5 ns on it draws _MAX_TARGETS at a time, and
+        # ~285k tags come out.  A sampler that polished a whole draw
+        # together would peak at 7, 28 and 49 MB.  Beyond the tags
+        # already emitted, which the sampler holds until it returns,
+        # the peak stays flat
+        held = []
+        for duration in (2e4, 1e5, 4e5):
+            tracemalloc.start()
+            try:
+                tags = trajectory.simulate_tags(qd, DrivePulse.cw(7.1), duration, 1.0, core.stream(9))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 12e6
+            held.append(peak - tags.times.nbytes)
+        assert len(tags.times) > 2.5e5
+        assert max(held) - min(held) < 2e6
 
 
 # S = omega^2 t1 t2 over [0.01, 100], t2/t1 over (0.05, 2], detuning over
@@ -673,6 +680,25 @@ class TestBatches:
         assert len(times) > 1000
         assert np.array_equal(tags.times, times)
         assert np.array_equal(tags.channels, channels)
+
+    def test_slices_polish_no_more_than_one_pass(self, qd, monkeypatch):
+        # the tags alone cannot tell whether the cut's running sum carries
+        # from slice to slice, since the walk stops at seg_end whatever
+        # the cut keeps; without the carry the slice that holds the cut
+        # would polish on to its end.  Fewer are polished where a slice
+        # before the cut ends the segment's batch
+        def polished(batch_targets):
+            counts = []
+            waits = trajectory._waits
+            monkeypatch.setattr(trajectory, "_BATCH_TARGETS", batch_targets)
+            monkeypatch.setattr(trajectory, "_waits", lambda u, *args: counts.append(len(u)) or waits(u, *args))
+            trajectory.simulate_tags(qd, DrivePulse.cw(7.1), 2e4, 1.0, core.stream(83))
+            monkeypatch.setattr(trajectory, "_waits", waits)
+            return counts
+
+        one_pass, sliced = polished(trajectory._MAX_TARGETS), polished(300)
+        assert len(sliced) > 40 * len(one_pass)
+        assert sum(sliced) <= sum(one_pass)
 
 
 class TestDriveSegments:
