@@ -183,6 +183,31 @@ def load_registry(path) -> dict[str, ParameterSet]:
     return registry
 
 
+def checked_grid(points, name: str, min_len: int = 1, lower: float | None = None, uniform: bool = False):
+    """The one check of a frequency or lag grid, made before any work.
+
+    Returns the points as a float array and their first step (nan for a
+    single point).  Raises ValueError unless the points are 1-d, finite,
+    at least min_len of them, none below lower, strictly ascending and,
+    if uniform is set, equally spaced to rtol 1e-9 and atol 1e-12.
+    """
+    p = np.asarray(points, dtype=float)
+    if p.ndim != 1:
+        raise ValueError(f"{name} must be 1-d, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError(f"{name} must be finite")
+    if len(p) < min_len:
+        raise ValueError(f"{name} too short: {len(p)} of at least {min_len} points")
+    if lower is not None and np.any(p < lower):
+        raise ValueError(f"{name} must be >= {lower}")
+    steps = np.diff(p)
+    if np.any(steps <= 0):
+        raise ValueError(f"{name} must be strictly ascending")
+    if uniform and not np.allclose(steps, steps[:1], rtol=1e-9, atol=1e-12):
+        raise ValueError(f"{name} must be uniformly spaced")
+    return p, float(steps[0]) if len(steps) else math.nan
+
+
 def saturation_parameter(omega: float, params: TlsParams) -> float:
     """Dimensionless drive strength omega**2 * t1 * t2."""
     if omega < 0:

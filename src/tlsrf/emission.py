@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch
-from .core import NumericalGuardError, TlsParams, TWO_PI
+from .core import NumericalGuardError, TlsParams, TWO_PI, checked_grid
 
 
 @dataclass
@@ -43,7 +43,9 @@ class Spectrum:
     incoherent_power: float
 
     def __post_init__(self):
-        _grid_spacing(self.freqs)
+        checked_grid(self.freqs, "frequency grid", 3, uniform=True)
+        if np.shape(self.incoherent) != np.shape(self.freqs):
+            raise ValueError("incoherent and freqs must have equal length")
         if np.any(np.asarray(self.incoherent) < 0):
             raise ValueError("incoherent spectrum must be non-negative")
 
@@ -63,8 +65,9 @@ class EmissionG2:
     values: np.ndarray
 
     def __post_init__(self):
-        if np.any(np.diff(self.lags) <= 0):
-            raise ValueError("lags must be strictly ascending")
+        checked_grid(self.lags, "lags")
+        if np.shape(self.values) != np.shape(self.lags):
+            raise ValueError("values and lags must have equal length")
         if np.any(np.asarray(self.values) < 0):
             raise ValueError("g2 values must be >= 0")
 
@@ -74,25 +77,14 @@ def _fixed_point(m: np.ndarray) -> np.ndarray:
     return -np.linalg.solve(m[:, :3, :3], m[:, :3, 3:])[..., 0]
 
 
-def _grid_spacing(freqs) -> float:
-    """Spacing of a frequency grid [GHz] of at least 3 ascending,
-    uniformly spaced points; ValueError for any other grid."""
-    f = np.asarray(freqs, dtype=float)
-    if len(f) < 3:
-        raise ValueError("frequency grid too short")
-    df = np.diff(f)
-    if df[0] <= 0:
-        raise ValueError("frequency grid must be ascending")
-    if not np.allclose(df, df[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("frequency grid must be uniform")
-    return float(df[0])
-
-
-def _grid_guard(params: TlsParams, freqs: np.ndarray):
-    df = _grid_spacing(freqs)
+def _grid_guard(params: TlsParams, freqs) -> np.ndarray:
+    """The frequency grid as a float array, once it is a uniform grid
+    [GHz] of at least 3 points that resolves the linewidth."""
+    freqs, df = checked_grid(freqs, "frequency grid", 3, uniform=True)
     linewidth = (2.0 / params.t2) / TWO_PI
     if df > linewidth / 4.0:
         raise NumericalGuardError(f"grid spacing {df} GHz cannot resolve the linewidth {linewidth:.4f} GHz")
+    return freqs
 
 
 def _spectrum_rows(params: TlsParams, omegas: np.ndarray, detuning: float, freqs: np.ndarray):
@@ -109,7 +101,6 @@ def _spectrum_rows(params: TlsParams, omegas: np.ndarray, detuning: float, freqs
     Cayley-Hamilton (A + s)^-1 = (s^2 - s (A - tr A) + A^2 - tr A A + c1)
     / (s^3 + tr A s^2 + c1 s + det A), c1 = (tr^2 A - tr A^2)/2.
     """
-    _grid_guard(params, freqs)
     m = bloch.augmented_generator(params, omegas, detuning)
     a = m[:, :3, :3].astype(complex)  # tr, c1 and det meet complex s on the grid
     xss = _fixed_point(m)
@@ -142,7 +133,7 @@ def qrt_spectrum(params: TlsParams, omega: float, detuning: float, freqs: np.nda
     the radiative rate so that the total power (incoherent integral
     plus coherent weight) equals the steady population divided by t1.
     """
-    freqs = np.asarray(freqs, dtype=float)
+    freqs = _grid_guard(params, freqs)
     dens, cw, ip = _spectrum_rows(params, np.array([omega], dtype=float), detuning, freqs)
     return Spectrum(freqs, dens[0], float(cw[0]), float(ip[0]))
 
@@ -183,10 +174,9 @@ def chaotic_spectrum(params: TlsParams, mean_omega: float, freqs: np.ndarray) ->
     density cancel to O(1/a) of their size, so ~log10(a) digits are
     lost there.
     """
-    freqs = np.asarray(freqs, dtype=float)
+    freqs = _grid_guard(params, freqs)
     if mean_omega == 0.0:
         return qrt_spectrum(params, 0.0, 0.0, freqs)
-    _grid_guard(params, freqs)
     t1, t2 = params.t1, params.t2
     a = bloch._mean_inverse_saturation(params, mean_omega, 0.0)
     m = bloch._scaled_moments(a, _NEAR_TERMS + 2)[0]
@@ -222,8 +212,8 @@ def convolve_lorentzian(spec: Spectrum, fwhm: float) -> Spectrum:
     line, are renormalized over the grid so the total power is
     preserved exactly despite the slow Lorentzian tails.
     """
-    if fwhm < 0:
-        raise ValueError("fwhm must be >= 0")
+    if not 0.0 <= fwhm < math.inf:
+        raise ValueError("fwhm must be finite and >= 0")
     freqs = spec.freqs
     if fwhm == 0.0:
         out = spec.incoherent.copy()
@@ -257,20 +247,6 @@ def _mirrored(lags: np.ndarray, vals: np.ndarray) -> EmissionG2:
     return EmissionG2(np.concatenate([-lags[back], lags]), np.concatenate([vals[back], vals]))
 
 
-def _uniform_lags(lags) -> np.ndarray:
-    lags = np.asarray(lags, dtype=float)
-    if lags.size == 0:
-        raise ValueError("lags must not be empty")
-    if np.any(lags < 0):
-        raise ValueError("lags must be >= 0")
-    steps = np.diff(lags)
-    if np.any(steps <= 0):
-        raise ValueError("lags must be strictly ascending")
-    if steps.size and not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("lags must form a uniform grid")
-    return lags
-
-
 def _conditional_population(params: TlsParams, omegas: np.ndarray, detuning: float, lags: np.ndarray):
     """rho11 from the ground state on the uniform lag grid (n, len(lags))
     and its steady value (n,), for n drives.
@@ -299,7 +275,7 @@ def qrt_g2(params: TlsParams, omega: float, detuning: float, lags: np.ndarray) -
     lags must be non-negative, ascending and uniformly spaced; the
     returned curve is symmetrized around zero.
     """
-    lags = _uniform_lags(lags)
+    lags, _ = checked_grid(lags, "lags", lower=0.0, uniform=True)
     if omega <= 0:
         raise ValueError("no emission at zero drive")
     r11, rss = _conditional_population(params, np.array([omega], dtype=float), detuning, lags)
@@ -326,7 +302,7 @@ def chaotic_g2(params: TlsParams, mean_omega: float, lags: np.ndarray) -> Emissi
     decorrelates and the true curve relaxes to one, which this average
     does not describe).
     """
-    lags = _uniform_lags(lags)
+    lags, _ = checked_grid(lags, "lags", lower=0.0, uniform=True)
     if mean_omega <= 0:
         raise ValueError("no emission at zero mean drive")
     tau_corr = bloch.LAMP_TAU_CORR
@@ -352,7 +328,7 @@ def blinking_envelope(g2: EmissionG2, on_fraction: float, tau_blink: float) -> E
     1 + ((1-beta)/beta) exp(-|tau|/tau_blink)."""
     if not 0.0 < on_fraction <= 1.0:
         raise ValueError("on_fraction must be in (0, 1]")
-    if tau_blink <= 0:
+    if not tau_blink > 0:
         raise ValueError("tau_blink must be positive")
     factor = 1.0 + (1.0 - on_fraction) / on_fraction * np.exp(-np.abs(g2.lags) / tau_blink)
     return EmissionG2(g2.lags.copy(), g2.values * factor)
@@ -364,16 +340,11 @@ def convolve_gaussian(g2: EmissionG2, fwhm: float) -> EmissionG2:
     Kernel rows are renormalized over the grid, so a constant curve
     stays exactly constant and symmetric input stays symmetric.
     """
-    if fwhm < 0:
-        raise ValueError("fwhm must be >= 0")
+    lags, step = checked_grid(g2.lags, "lags", 2, uniform=True)
+    if not 0.0 <= fwhm < math.inf:
+        raise ValueError("fwhm must be finite and >= 0")
     if fwhm == 0.0:
-        return EmissionG2(g2.lags.copy(), g2.values.copy())
-    lags = g2.lags
-    if len(lags) < 2:
-        raise ValueError("convolution needs a curve of at least 2 lags")
-    step = lags[1] - lags[0]
-    if not np.allclose(np.diff(lags), step, rtol=1e-9, atol=1e-12):
-        raise ValueError("convolution requires a uniform lag grid")
+        return EmissionG2(lags.copy(), g2.values.copy())
     if step > fwhm / 5.0:
         raise NumericalGuardError(f"lag grid step {step} ns must be <= fwhm/5 ({fwhm/5.0} ns)")
     n = len(lags)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FitError, NumericalGuardError
+from .core import FitError, NumericalGuardError, checked_grid
 
 
 @dataclass
@@ -44,8 +44,9 @@ class CorrelationCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        if np.any(np.diff(self.lags) <= 0):
-            raise ValueError("lags must be strictly ascending")
+        checked_grid(self.lags, "lags")
+        if np.shape(self.values) != np.shape(self.lags):
+            raise ValueError("values and lags must have equal length")
         if np.any(np.asarray(self.values) < 0):
             raise ValueError("correlation values must be >= 0")
 
@@ -131,6 +132,8 @@ def _lag_sums(x: np.ndarray, y: np.ndarray, n_lags: int) -> np.ndarray:
 
 
 def _lag_count(trace: FieldTrace, max_lag: float) -> int:
+    if not 0.0 <= max_lag < math.inf:
+        raise ValueError(f"max_lag must be finite and >= 0, got {max_lag}")
     n_lags = int(math.floor(max_lag / trace.dt)) + 1
     if n_lags > len(trace.amplitudes) // 10:
         raise NumericalGuardError("max_lag must not exceed a tenth of the trace length")
@@ -193,7 +196,7 @@ def fit_gaussian_g2(curve: CorrelationCurve) -> GaussianG2Fit:
     from zero) is reported with identifiable=False since tau_corr then
     carries no information.
     """
-    lags = np.asarray(curve.lags, dtype=float)
+    lags, _ = checked_grid(curve.lags, "lags", 3)
     vals = np.asarray(curve.values, dtype=float)
     a0 = max(vals[0] - 1.0, 1e-6)
     below = np.flatnonzero(vals - 1.0 < 0.5 * a0)

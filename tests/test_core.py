@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlsrf import core
+from tlsrf import bloch, core, emission, lamp
 
 
 class TestSaturationParameter:
@@ -63,6 +63,124 @@ class TestPowerLinewidth:
     def test_monotone_in_omega(self, om, extra):
         qd = core.PAPER_QD.tls
         assert core.power_linewidth(om + extra, qd) > core.power_linewidth(om, qd)
+
+
+class TestCheckedGrid:
+    @pytest.mark.parametrize(
+        "points, uniform",
+        [([0.0, 0.01, 0.02, 0.03], True), (np.linspace(-4.0, 4.0, 4001), True), ([0.0, 0.1, 0.3], False)],
+    )
+    def test_step_is_first_difference(self, points, uniform):
+        grid, step = core.checked_grid(points, "lags", 3, uniform=uniform)
+        assert grid.dtype == float and np.array_equal(grid, points)
+        assert step == grid[1] - grid[0]
+
+    def test_one_point_has_no_step(self):
+        grid, step = core.checked_grid([0.5], "lags")
+        assert grid.tolist() == [0.5] and math.isnan(step)
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([[0.0, 1.0]], "1-d"),
+            (0.0, "1-d"),
+            ([0.0, math.nan], "finite"),
+            ([0.0, 1.0], "too short: 2 of at least 3"),
+            ([-1.0, 0.0, 1.0], ">= 0"),
+            ([0.0, 1.0, 1.0], "strictly ascending"),
+            ([0.0, 1.0, 3.0], "uniformly spaced"),
+        ],
+    )
+    def test_refusals(self, points, message):
+        with pytest.raises(ValueError, match=message) as err:
+            core.checked_grid(points, "lags", 3, lower=0.0, uniform=True)
+        assert not isinstance(err.value, core.NumericalGuardError)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a malformed grid reached the kernel")
+
+
+# every function and container that takes frequencies or lags, with the
+# grid it requires: (call, min_len, lower, uniform)
+_QD = core.PAPER_QD.tls
+_GRID_ENTRIES = {
+    "qrt_spectrum": (lambda f: emission.qrt_spectrum(_QD, 7.2, 0.0, f), 3, None, True),
+    "chaotic_spectrum-zero": (lambda f: emission.chaotic_spectrum(_QD, 0.0, f), 3, None, True),
+    "chaotic_spectrum": (lambda f: emission.chaotic_spectrum(_QD, 7.2, f), 3, None, True),
+    "Spectrum": (lambda f: emission.Spectrum(f, np.zeros(np.shape(f)), 1.0, 0.0), 3, None, True),
+    "qrt_g2": (lambda x: emission.qrt_g2(_QD, 7.2, 0.0, x), 1, 0.0, True),
+    "chaotic_g2": (lambda x: emission.chaotic_g2(_QD, 7.2, x), 1, 0.0, True),
+    "EmissionG2": (lambda x: emission.EmissionG2(x, np.ones(np.shape(x))), 1, None, False),
+    "convolve_gaussian": (
+        lambda x: emission.convolve_gaussian(emission.EmissionG2(x, np.ones(np.shape(x))), 0.351),
+        2,
+        None,
+        True,
+    ),
+    "CorrelationCurve": (lambda x: lamp.CorrelationCurve(x, np.ones(np.shape(x))), 1, None, False),
+    "fit_gaussian_g2": (
+        lambda x: lamp.fit_gaussian_g2(lamp.CorrelationCurve(x, np.ones(np.shape(x)))),
+        3,
+        None,
+        False,
+    ),
+}
+# what the entries above compute with once their grid is accepted
+_KERNELS = [
+    (emission, "_spectrum_rows"),
+    (emission, "_conditional_population"),
+    (bloch, "_mean_inverse_saturation"),
+    (bloch, "_scaled_moments"),
+    (np, "convolve"),
+    (lamp, "_gaussian_residual"),
+]
+
+
+def _malformed_grid(draw, min_len, lower, uniform):
+    """A grid that the entry's rule refuses, built from a good one."""
+    kinds = ["short", "descending", "repeated", "non-finite", "2-d", "scalar"]
+    kinds += ["non-uniform"] * uniform + ["negative"] * (lower is not None)
+    kind = draw(st.sampled_from(kinds))
+    start = draw(st.floats(0.0, 5.0))
+    step = draw(st.floats(0.01, 1.0))
+    n = draw(st.integers(max(min_len, 2), 12))
+    grid = start + step * np.arange(n)
+    if kind == "short":
+        grid = grid[: draw(st.integers(0, min_len - 1))]
+    elif kind == "descending":
+        grid = grid[::-1]
+    elif kind == "repeated":
+        k = draw(st.integers(0, n - 1))
+        grid = np.insert(grid, k, grid[k])
+    elif kind == "non-uniform":
+        grid = np.append(grid, grid[-1] + step * draw(st.floats(1.01, 3.0)))
+    elif kind == "negative":
+        grid -= start + draw(st.floats(0.01, 5.0))
+    elif kind == "non-finite":
+        grid[draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "2-d":
+        grid = np.stack([grid] * draw(st.integers(1, 2)))
+    else:
+        grid = np.float64(start)
+    return grid
+
+
+@pytest.mark.parametrize("entry", sorted(_GRID_ENTRIES))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_malformed_grid_refused_before_work(entry, data):
+    # one rule for every grid: a plain ValueError (exit 2), never a
+    # numerical guard (exit 3), an IndexError, an OverflowError, a
+    # TypeError, a LinAlgError or a computed result
+    call, min_len, lower, uniform = _GRID_ENTRIES[entry]
+    grid = _malformed_grid(data.draw, min_len, lower, uniform)
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in _KERNELS:
+            mp.setattr(module, name, _no_work)
+        with pytest.raises(ValueError) as err:
+            call(grid)
+    assert not isinstance(err.value, (core.NumericalGuardError, np.linalg.LinAlgError))
 
 
 class TestTlsParams:

@@ -407,8 +407,77 @@ def test_empty_lags_rejected(qd, monkeypatch, build):
         raise AssertionError("lags reached the propagator")
 
     monkeypatch.setattr(emission, "_conditional_population", no_work)
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="too short"):
         build(qd, [])
+
+
+
+def _g2_curve(lags):
+    return emission.EmissionG2(np.asarray(lags), np.ones(np.shape(lags)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda p, lags: emission.qrt_g2(p, 7.2, 0.0, lags),
+        lambda p, lags: emission.chaotic_g2(p, 7.2, lags),
+        lambda p, lags: _g2_curve(lags),
+        lambda p, lags: emission.convolve_gaussian(_g2_curve(lags), 0.351),
+    ],
+    ids=["qrt", "chaotic", "EmissionG2", "convolve_gaussian"],
+)
+@pytest.mark.parametrize(
+    "lags, message",
+    [([0.0, math.inf], "finite"), ([math.nan], "finite"), ([[0.0, 0.1], [0.2, 0.3]], "1-d")],
+    ids=["inf", "nan", "2-d"],
+)
+def test_non_finite_or_2d_lags_rejected(qd, build, lags, message):
+    # NaN and inf lags once gave NaN curves, an OverflowError or a
+    # numerical guard (exit 3); 2-d lags an IndexError or a TypeError
+    with pytest.raises(ValueError, match=message) as err:
+        build(qd, lags)
+    assert not isinstance(err.value, NumericalGuardError)
+
+
+def _smear(qd, kind, width):
+    if kind == "lorentzian":
+        return emission.convolve_lorentzian(emission.qrt_spectrum(qd, 1.7, 0.0, fine_grid()), width)
+    g2 = emission.qrt_g2(qd, 1.7, 0.0, np.arange(0.0, 5.0, 0.01))
+    if kind == "gaussian":
+        return emission.convolve_gaussian(g2, width)
+    return emission.blinking_envelope(g2, 0.5, width)
+
+
+@pytest.mark.parametrize(
+    "kind, width, message",
+    [
+        ("lorentzian", math.nan, "fwhm"),
+        ("lorentzian", math.inf, "fwhm"),
+        ("gaussian", math.nan, "fwhm"),
+        ("gaussian", math.inf, "fwhm"),
+        ("blinking", math.nan, "tau_blink"),
+    ],
+)
+def test_width_not_a_number_rejected(qd, kind, width, message):
+    # a NaN width once gave an all-NaN curve or an error from math.ceil
+    with pytest.raises(ValueError, match=message) as err:
+        _smear(qd, kind, width)
+    assert not isinstance(err.value, NumericalGuardError)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: emission.Spectrum(fine_grid(), np.zeros(4000), 1.0, 0.0),
+        lambda: emission.Spectrum(fine_grid(), np.zeros(4002), 1.0, 0.0),
+        lambda: emission.EmissionG2(np.arange(3.0), np.ones(2)),
+        lambda: emission.EmissionG2(np.arange(3.0), np.ones(4)),
+    ],
+    ids=["Spectrum-short", "Spectrum-long", "EmissionG2-short", "EmissionG2-long"],
+)
+def test_values_as_long_as_grid(build):
+    with pytest.raises(ValueError, match="equal length"):
+        build()
 
 
 class TestQrtG2:
@@ -596,7 +665,7 @@ class TestConvolveGaussian:
         # a single lag has no step to convolve on
         g2 = emission.qrt_g2(qd, 7.2, 0.0, [0.0])
         assert len(g2.lags) == 1
-        with pytest.raises(ValueError, match="at least 2 lags"):
+        with pytest.raises(ValueError, match="at least 2"):
             emission.convolve_gaussian(g2, 0.351)
 
     def test_non_uniform_grid_rejected(self):

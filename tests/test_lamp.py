@@ -151,6 +151,15 @@ class TestEstimateG1:
         with pytest.raises(NumericalGuardError):
             lamp.estimate_g1(field, field.dt * len(field.amplitudes) / 2.0)
 
+    @pytest.mark.parametrize("estimate", [lamp.estimate_g1, lamp.estimate_g2], ids=["g1", "g2"])
+    @pytest.mark.parametrize("max_lag", [-5.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_bad_max_lag_rejected(self, field, estimate, max_lag):
+        # once an IndexError, an empty curve, numpy's NaN conversion
+        # error or an OverflowError
+        with pytest.raises(ValueError, match="max_lag") as err:
+            estimate(field, max_lag)
+        assert not isinstance(err.value, NumericalGuardError)
+
 
 class TestEstimateG2:
     def test_constant_intensity(self):
@@ -166,6 +175,13 @@ class TestEstimateG2:
         g2 = lamp.estimate_g2(field, 5.5 * TAU)
         far = g2.values[g2.lags > 5.0 * TAU]
         assert np.all(np.abs(far - 1.0) < 0.05)
+
+
+class TestCorrelationCurve:
+    @pytest.mark.parametrize("n_values", [2, 4])
+    def test_values_as_long_as_lags(self, n_values):
+        with pytest.raises(ValueError, match="equal length"):
+            lamp.CorrelationCurve(np.arange(3.0), np.ones(n_values))
 
 
 class TestFitGaussianG2:
