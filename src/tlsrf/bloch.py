@@ -348,12 +348,13 @@ def _chaotic_average(f, mean_omega: float, order: int, rtol: float, row_len: int
 # Propagators, all from one batched generator: the augmented matrix
 # M = [[A, b], [0, 0]] of x' = A x + b acts linearly on (x, 1) (Van Loan,
 # IEEE TAC 23, 395 (1978)).  expm(M t) is the exact map at constant
-# drive and its degree-4 Taylor polynomial the RK4 step.  The drive is
+# drive, and every time-domain path takes it, as `expm_increment` or as
+# the one Taylor polynomial inside its norm bound.  The drive is
 # piecewise constant per step (envelope edges snap to the step grid), so
 # each run of equal amplitude has one constant map, and `orbit` fills a
 # uniform grid with it by doubling.
 
-_MAP_DEGREE = 12  # Taylor degree of an exact map
+_MAP_DEGREE = 12  # Taylor degree of the map
 _STEP_NORM = 0.11  # ||M dt||_1 up to which that map matches expm to rounding
 
 
@@ -368,18 +369,19 @@ def augmented_generator(params: TlsParams, omegas, detuning: float = 0.0) -> np.
     return m
 
 
-def taylor_increment(m, dt, degree):
-    """T - I for the degree-`degree` Taylor polynomial T of expm(M dt),
-    for every generator in the stack m.
+def taylor_increment(m, dt):
+    """T - I for the degree-_MAP_DEGREE Taylor polynomial T of
+    expm(M dt), for every generator in the stack m: expm(M dt) - I to
+    rounding while ||M dt||_1 <= _STEP_NORM.
 
-    Horner's rule, I + Z (I + Z/2 (I + ... (I + Z/degree))) with Z = M dt,
+    Horner's rule, I + Z (I + Z/2 (I + ... (I + Z/_MAP_DEGREE))) with Z = M dt,
     stops short of its leading I: a map close to I keeps the small part
     that carries its slow modes to full relative precision.
     """
     z = m * dt
     eye = np.eye(4)
-    t = eye + z / degree
-    for k in range(degree - 1, 1, -1):
+    t = eye + z / _MAP_DEGREE
+    for k in range(_MAP_DEGREE - 1, 1, -1):
         t = z @ t
         t /= k
         t += eye
@@ -399,7 +401,7 @@ def expm_increment(m, dt):
     s = np.zeros(len(m), dtype=np.int64)
     big = norm > _STEP_NORM
     s[big] = np.ceil(np.log2(norm[big] / _STEP_NORM))
-    d = taylor_increment(m, (dt / 2.0**s)[:, None, None], _MAP_DEGREE)
+    d = taylor_increment(m, (dt / 2.0**s)[:, None, None])
     for k in range(s.max(initial=0)):
         d = np.where((s > k)[:, None, None], 2.0 * d + d @ d, d)
     return d
@@ -450,23 +452,30 @@ def _runs(amp_steps):
     return zip(edges[:-1], edges[1:])
 
 
-def _rk4_orbits(params: TlsParams, omegas, amps, dt: float, detuning: float, x0) -> np.ndarray:
-    """RK4 traces (k, 4, n + 1) of x = (rho11, u, v, 1) from x0 for the
-    k drives omegas under the per-step envelope amps (n steps).
+def _orbits(params: TlsParams, omegas, amps, dt: float, detuning: float, x0) -> np.ndarray:
+    """Traces (k, 4, n + 1) of x = (rho11, u, v, 1) from x0 for the k
+    drives omegas under the per-step envelope amps (n steps), exact to
+    rounding at every sample.
 
-    On a constant affine system the RK4 step is exactly the degree-4
-    Taylor polynomial of M dt, so each run of equal amplitude is the
-    `orbit` of its first state under that step in increment form.
+    Each run of equal amplitude is the `orbit` of its first state under
+    the exact step map expm(M dt) in increment form, one
+    `expm_increment` per run for all k drives.
     """
     x = np.empty((len(omegas), 4, len(amps) + 1))
     x[:, :, 0] = x0
     for start, stop in _runs(amps):
-        d = taylor_increment(augmented_generator(params, omegas * amps[start], detuning), dt, 4)
+        d = expm_increment(augmented_generator(params, omegas * amps[start], detuning), dt)
         orbit(d, x[:, :, start], stop + 1 - start, out=x[:, :, start : stop + 1])
     return x
 
 
 def _step_guard(params: TlsParams, omega_max: float, dt: float):
+    """Refuse dt above min(t2, 2 pi / omega_max) / 50.  Every step map
+    is exact, so dt bounds no truncation error: it is the sampling step
+    of the output and of the envelope, which `_amplitudes_per_step`
+    reads at step midpoints.  That moves each envelope edge by up to
+    dt / 2, and so can shift a pulse's area by up to omega_max dt / 2,
+    at most pi / 50 here."""
     limit = params.t2
     if omega_max > 0:
         limit = min(limit, 2.0 * math.pi / omega_max)
@@ -502,14 +511,15 @@ def integrate(
     dt: float,
     initial: BlochState | None = None,
 ) -> BlochTrace:
-    """Fixed-step RK4 trace of the Bloch equations from t = 0 to t_end.
+    """Trace of the Bloch equations from t = 0 to t_end, sampled every dt.
 
     The envelope is piecewise constant per step, so each run of equal
-    amplitude is the orbit of its first state under one RK4 step,
-    filled by doubling (`_rk4_orbits` with one drive).  Halving dt moves
-    any sample by less than 1e-6 at the guard-allowed resolution
-    (4th-order convergence); a step-size guard enforces
-    dt <= min(t2, 2*pi/omega)/50.
+    amplitude is the orbit of its first state under the exact map of
+    one step, filled by doubling (`_orbits` with one drive).  The
+    samples are exact to rounding for that envelope: halving dt moves
+    no shared sample beyond rounding unless an envelope edge moves with
+    it.  A step-size guard enforces dt <= min(t2, 2*pi/omega)/50
+    (`_step_guard`).
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -519,7 +529,7 @@ def integrate(
     state0 = initial or BlochState.ground()
     amps = _amplitudes_per_step(pulse, n_steps, dt)
     x0 = (state0.rho11, state0.rho01_re, state0.rho01_im, 1.0)
-    x = _rk4_orbits(params, np.array([pulse.rabi]), amps, dt, pulse.detuning, x0)[0]
+    x = _orbits(params, np.array([pulse.rabi]), amps, dt, pulse.detuning, x0)[0]
     return BlochTrace(0.0, dt, x[0], x[1], x[2])
 
 
@@ -557,9 +567,10 @@ def chaotic_mean_transient(
     mean pulse area A up to t_end; panels that each span two periods of
     it, A * _Y_SPAN / (4 pi) of them, resolve it with no help from the
     damping, and the doubling stops there at the latest.  Each node is
-    the RK4 trace of `integrate` at its drive, from the same kernel
-    `_rk4_orbits`, so the mean is the node average of `integrate`'s own
-    discretization.  Nothing is sampled, so the trace has no stderr.
+    the trace of `integrate` at its drive, from the same kernel
+    `_orbits`, exact to rounding at its samples, so the rule is the
+    only source of error in the mean.  Nothing is sampled, so the trace
+    has no stderr.
     The node chunks bound memory for any number of steps.  Same step
     guard and quasi-static warning as `chaotic_transient`.
     """
@@ -576,7 +587,7 @@ def chaotic_mean_transient(
     def rows(oms):
         # the affine row is left out: its weight sum, ~1, would become the
         # scale of the doubling check
-        x = _rk4_orbits(params, oms, amps, dt, pulse.detuning, (0.0, 0.0, 0.0, 1.0))
+        x = _orbits(params, oms, amps, dt, pulse.detuning, (0.0, 0.0, 0.0, 1.0))
         return x[:, :3].reshape(len(oms), 3 * n)
 
     resolved = math.ceil(area * _Y_SPAN / (4.0 * math.pi))
@@ -600,7 +611,7 @@ def chaotic_transient(
     intensity law and is integrated with the shared envelope; the
     returned trace is the pointwise mean with the standard error of
     rho11.  The members are the orbits of `integrate`'s kernel
-    `_rk4_orbits` at the drawn drives, summed with unit weights by
+    `_orbits` at the drawn drives, summed with unit weights by
     `_node_sum`, so memory is O(n_samples + one node chunk of orbits).
     Valid while the pulse is much shorter than the source correlation
     time (warned above LAMP_TAU_CORR/10).
@@ -612,8 +623,9 @@ def chaotic_transient(
     _warn_quasi_static(pulse, t_end)
     om_max = pulse.rabi * pulse.max_amplitude()
     # drawn intensities can exceed the mean; guard with a factor that
-    # covers all but the exponential tail (whose members stay stable,
-    # merely less accurate, and are statistically negligible)
+    # covers all but the exponential tail, whose members stay exact at
+    # their samples but see the envelope edges snapped coarsely against
+    # their Rabi period, and are statistically negligible
     _step_guard(params, 2.0 * om_max, dt)
     n = _n_steps(t_end, dt) + 1
     w2 = sample_chaotic_intensity(rng, pulse.rabi**2, size=n_samples)
@@ -623,7 +635,7 @@ def chaotic_transient(
     def rows(oms):
         # rho11^2 takes the affine coordinate's slot, and the reshape of
         # the contiguous orbits makes no copy
-        x = _rk4_orbits(params, oms, amps, dt, pulse.detuning, (0.0, 0.0, 0.0, 1.0))
+        x = _orbits(params, oms, amps, dt, pulse.detuning, (0.0, 0.0, 0.0, 1.0))
         np.square(x[:, 0], out=x[:, 3])
         return x.reshape(len(oms), 4 * n)
 

@@ -11,7 +11,8 @@ runs, so a malformed value is refused even where the command does not
 read it.  The commands check only the rules that tie keys together.
 
 Exit codes: 0 success, 2 configuration error (an output that cannot
-be written included), 3 numerical-guard failure, 4 validation failure.
+be written, or any other ValueError of an input check, included), 3
+numerical-guard failure, 4 validation failure.
 """
 
 from __future__ import annotations
@@ -577,6 +578,10 @@ def main(argv=None) -> int:
     except NumericalGuardError as err:
         print(f"numerical guard: {err}", file=sys.stderr)
         return 3
+    except ValueError as err:
+        # a library input check; its subclasses above keep their codes
+        print(f"invalid input: {err}", file=sys.stderr)
+        return 2
     except OSError as err:
         print(f"cannot write output: {err}", file=sys.stderr)
         return 2

@@ -63,8 +63,8 @@ class TlsParams:
     t2: float
 
     def __post_init__(self):
-        if not (self.t1 > 0 and self.t2 > 0):
-            raise ValueError("t1 and t2 must be positive")
+        if not (0 < self.t1 < math.inf and 0 < self.t2 < math.inf):
+            raise ValueError("t1 and t2 must be positive and finite")
         if self.t2 > 2.0 * self.t1 * (1.0 + 1e-12):
             raise ValueError(f"t2={self.t2} exceeds 2*t1={2*self.t1}: unphysical dephasing")
 
@@ -89,16 +89,18 @@ class DrivePulse:
     statistics: Statistics = Statistics.COHERENT
 
     def __post_init__(self):
-        if self.rabi < 0:
-            raise ValueError("rabi must be >= 0")
+        if not 0 <= self.rabi < math.inf:
+            raise ValueError("rabi must be finite and >= 0")
+        if not -math.inf < self.detuning < math.inf:
+            raise ValueError("detuning must be finite")
         prev_stop = -math.inf
         for start, stop, amp in self.envelope:
-            if stop <= start:
+            if not start < stop:
                 raise ValueError(f"empty envelope interval ({start}, {stop})")
             if start < prev_stop:
                 raise ValueError("envelope intervals must be sorted and non-overlapping")
-            if amp < 0:
-                raise ValueError("envelope amplitude must be >= 0")
+            if not 0 <= amp < math.inf:
+                raise ValueError("envelope amplitude must be finite and >= 0")
             prev_stop = stop
 
     @classmethod
@@ -189,7 +191,10 @@ def checked_grid(points, name: str, min_len: int = 1, lower: float | None = None
     Returns the points as a float array and their first step (nan for a
     single point).  Raises ValueError unless the points are 1-d, finite,
     at least min_len of them, none below lower, strictly ascending and,
-    if uniform is set, equally spaced to rtol 1e-9 and atol 1e-12.
+    if uniform is set, equally spaced to rtol 1e-9 and an atol of
+    1e-12 plus 4 ulp of max|p|: each step is the difference of two
+    rounded points, so far from 0 its rounding outgrows 1e-9 of a
+    small step.
     """
     p = np.asarray(points, dtype=float)
     if p.ndim != 1:
@@ -203,8 +208,10 @@ def checked_grid(points, name: str, min_len: int = 1, lower: float | None = None
     steps = np.diff(p)
     if np.any(steps <= 0):
         raise ValueError(f"{name} must be strictly ascending")
-    if uniform and not np.allclose(steps, steps[:1], rtol=1e-9, atol=1e-12):
-        raise ValueError(f"{name} must be uniformly spaced")
+    if uniform:
+        atol = 1e-12 + 4.0 * np.finfo(float).eps * float(np.abs(p).max(initial=0.0))
+        if not np.allclose(steps, steps[:1], rtol=1e-9, atol=atol):
+            raise ValueError(f"{name} must be uniformly spaced")
     return p, float(steps[0]) if len(steps) else math.nan
 
 

@@ -46,7 +46,7 @@ class Spectrum:
         checked_grid(self.freqs, "frequency grid", 3, uniform=True)
         if np.shape(self.incoherent) != np.shape(self.freqs):
             raise ValueError("incoherent and freqs must have equal length")
-        if np.any(np.asarray(self.incoherent) < 0):
+        if not np.all(np.asarray(self.incoherent) >= 0):
             raise ValueError("incoherent spectrum must be non-negative")
 
     @property
@@ -68,7 +68,7 @@ class EmissionG2:
         checked_grid(self.lags, "lags")
         if np.shape(self.values) != np.shape(self.lags):
             raise ValueError("values and lags must have equal length")
-        if np.any(np.asarray(self.values) < 0):
+        if not np.all(np.asarray(self.values) >= 0):
             raise ValueError("g2 values must be >= 0")
 
 

@@ -47,7 +47,7 @@ class CorrelationCurve:
         checked_grid(self.lags, "lags")
         if np.shape(self.values) != np.shape(self.lags):
             raise ValueError("values and lags must have equal length")
-        if np.any(np.asarray(self.values) < 0):
+        if not np.all(np.asarray(self.values) >= 0):
             raise ValueError("correlation values must be >= 0")
 
 

@@ -402,7 +402,7 @@ def _batch(drive, first, t, carried, rng, emissions):
         jobs.append((t0, n_est, n_max))
     segs = all_segs.part(first, first + len(jobs))
     n_max = np.array([n for _, _, n in jobs])
-    maps = bloch.doublings(bloch.taylor_increment(segs.m, segs.h[:, None, None], _MAP_DEGREE), int(n_max.max()))
+    maps = bloch.doublings(bloch.taylor_increment(segs.m, segs.h[:, None, None]), int(n_max.max()))
     own_maps = np.stack(maps, axis=1)  # each segment's doubled maps
     carried_buf = np.empty((4, int(n_max.max())))  # one carried table at a time
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
 from scipy import special as scipy_special
+from scipy.linalg import expm
 
 from tlsrf import bloch, core
 from tlsrf.bloch import BlochState
@@ -292,62 +293,28 @@ class TestChaoticSteadyState:
         assert abs(pops.mean() - cf) < 3.0 * se
 
 
-# Test-side oracle: the staged RK4 loop, the Bloch equations written
-# out a second time as scalars, independent of the step maps and of
-# the doubling that `bloch.integrate` uses.
-def _rk4_trace_loop(n_steps, dt, om_steps, det, t1, t2, r0, u0, v0, out):
-    """Scalar RK4 of a single trajectory, written out step by step so
-    that it stays an independent check on the vectorized kernels."""
-    r, u, v = r0, u0, v0
-    out[0, 0] = r
-    out[0, 1] = u
-    out[0, 2] = v
-    it1 = 1.0 / t1
-    it2 = 1.0 / t2
-    for j in range(n_steps):
-        om = om_steps[j]
-        kr1 = om * v - r * it1
-        ku1 = det * v - u * it2
-        kv1 = -det * u - v * it2 - 0.5 * om * (2.0 * r - 1.0)
-        r2 = r + 0.5 * dt * kr1
-        u2 = u + 0.5 * dt * ku1
-        v2 = v + 0.5 * dt * kv1
-        kr2 = om * v2 - r2 * it1
-        ku2 = det * v2 - u2 * it2
-        kv2 = -det * u2 - v2 * it2 - 0.5 * om * (2.0 * r2 - 1.0)
-        r3 = r + 0.5 * dt * kr2
-        u3 = u + 0.5 * dt * ku2
-        v3 = v + 0.5 * dt * kv2
-        kr3 = om * v3 - r3 * it1
-        ku3 = det * v3 - u3 * it2
-        kv3 = -det * u3 - v3 * it2 - 0.5 * om * (2.0 * r3 - 1.0)
-        r4 = r + dt * kr3
-        u4 = u + dt * ku3
-        v4 = v + dt * kv3
-        kr4 = om * v4 - r4 * it1
-        ku4 = det * v4 - u4 * it2
-        kv4 = -det * u4 - v4 * it2 - 0.5 * om * (2.0 * r4 - 1.0)
-        sixth = dt / 6.0
-        r += sixth * (kr1 + 2.0 * kr2 + 2.0 * kr3 + kr4)
-        u += sixth * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4)
-        v += sixth * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
-        out[j + 1, 0] = r
-        out[j + 1, 1] = u
-        out[j + 1, 2] = v
-    return out
-
-
-def _staged_rk4(params, pulse, t_end, dt, initial=BlochState.ground()):
-    """(n_steps + 1, 3) columns rho11, rho01_re, rho01_im of the staged
-    RK4 on the step grid and per-step drive of `bloch.integrate`."""
+# Test-side oracle: the Bloch equations written out a second time as an
+# affine matrix on (rho11, u, v, 1), with scipy's expm of it over one
+# step for each distinct step drive, applied one step at a time:
+# independent of `expm_increment` and of the doubling of `bloch.orbit`.
+def _staged_exact(params, pulse, t_end, dt, initial=BlochState.ground()):
+    """(n_steps + 1, 3) columns rho11, rho01_re, rho01_im of the exact
+    step maps on the step grid and per-step drive of `bloch.integrate`."""
     n_steps = bloch._n_steps(t_end, dt)
-    amps = bloch._amplitudes_per_step(pulse, n_steps, dt) * pulse.rabi
-    out = np.empty((n_steps + 1, 3))
-    return _rk4_trace_loop(n_steps, dt, amps, pulse.detuning, params.t1, params.t2,
-                           initial.rho11, initial.rho01_re, initial.rho01_im, out)
+    oms = bloch._amplitudes_per_step(pulse, n_steps, dt) * pulse.rabi
+    it1, it2, det = 1.0 / params.t1, 1.0 / params.t2, pulse.detuning
+    maps = {
+        om: expm(dt * np.array([[-it1, 0.0, om, 0.0], [0.0, -it2, det, 0.0], [-om, -det, -it2, 0.5 * om], [0.0] * 4]))
+        for om in set(oms)
+    }
+    x = np.empty((n_steps + 1, 4))
+    x[0] = initial.rho11, initial.rho01_re, initial.rho01_im, 1.0
+    for j, om in enumerate(oms):
+        x[j + 1] = maps[om] @ x[j]
+    return x[:, :3]
 
 
-def _rk4_cases():
+def _integrate_cases():
     """(pulse, t_end, dt, initial) of the checks of `integrate` against
     the staged oracle."""
     qd = core.PAPER_QD.tls
@@ -386,11 +353,13 @@ class TestIntegrate:
         trace = bloch.integrate(qd, DrivePulse.cw(om), 25.0, dt)
         assert abs(trace.rho11[-1] - bloch.steady_state_population(qd, om)) < 1e-6
 
-    def test_fourth_order_convergence(self, qd):
+    def test_step_halving_moves_no_sample(self, qd):
+        # the pulse edges lie on both grids, so the envelope is the same
+        # and exact maps leave the shared samples where they were
         pulse = DrivePulse.square(7.2, 0.0, 2.0)
         a = bloch.integrate(qd, pulse, 2.0, 0.004)
         b = bloch.integrate(qd, pulse, 2.0, 0.002)
-        assert np.abs(a.rho11 - b.rho11[::2]).max() < 1e-6
+        assert np.abs(a.rho11 - b.rho11[::2]).max() < 1e-13
 
     def test_positivity_preserved(self, qd):
         pulse = DrivePulse.square(9.0, 0.0, 2.0)
@@ -403,10 +372,10 @@ class TestIntegrate:
         with pytest.raises(NumericalGuardError, match="dt"):
             bloch.integrate(qd, DrivePulse.cw(7.2), 2.0, 0.05)
 
-    @pytest.mark.parametrize("pulse, t_end, dt, initial", list(_rk4_cases()))
+    @pytest.mark.parametrize("pulse, t_end, dt, initial", list(_integrate_cases()))
     def test_matches_scalar_rk4(self, qd, pulse, t_end, dt, initial):
         trace = bloch.integrate(qd, pulse, t_end, dt, initial=initial)
-        ref = _staged_rk4(qd, pulse, t_end, dt, initial)
+        ref = _staged_exact(qd, pulse, t_end, dt, initial)
         got = np.column_stack([trace.rho11, trace.rho01_re, trace.rho01_im])
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-12
@@ -480,7 +449,7 @@ class TestChaoticTransient:
         assert np.array_equal(a.rho11, b.rho11)
 
     def test_ensemble_is_mean_of_member_integrations(self, qd):
-        # the vectorized ensemble against one staged scalar RK4 run per
+        # the vectorized ensemble against one staged exact run per
         # member (the test-side oracle), redrawn from the same seed; dt
         # passes the step guard for every drawn Rabi frequency (all stay
         # below 2 pi / t2).  The
@@ -493,7 +462,7 @@ class TestChaoticTransient:
             pulse = DrivePulse(5.0, det, envelope, Statistics.CHAOTIC)
             ens = bloch.chaotic_transient(qd, pulse, t_end, dt, n, core.stream(11))
             omegas = np.sqrt(bloch.sample_chaotic_intensity(core.stream(11), 5.0**2, size=n))
-            members = np.array([_staged_rk4(qd, DrivePulse(om, det, envelope), t_end, dt) for om in omegas])
+            members = np.array([_staged_exact(qd, DrivePulse(om, det, envelope), t_end, dt) for om in omegas])
             for col, name in enumerate(("rho11", "rho01_re", "rho01_im")):
                 assert np.abs(getattr(ens, name) - members[:, :, col].mean(axis=0)).max() <= 1e-12
             stack = members[:, :, 0]

@@ -207,6 +207,15 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("cannot write output:") and err.count("\n") == 1
 
+    def test_library_value_error_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        def refuse(cfg, pset):
+            raise ValueError("lags must be uniformly spaced")
+
+        monkeypatch.setitem(cli._COMMANDS, "saturation", refuse)
+        assert run(["saturation", "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "invalid input: lags must be uniformly spaced\n"
+
     def test_negative_seed_flag_is_exit_2(self):
         assert run(["tags", "--seed", "-1"]) == 2
 

@@ -79,6 +79,15 @@ class TestCheckedGrid:
         grid, step = core.checked_grid([0.5], "lags")
         assert grid.tolist() == [0.5] and math.isnan(step)
 
+    def test_uniform_to_rounding_far_from_zero(self):
+        # the tail of the 1e5 ns lag grid at the 0.01 ns step, whose
+        # steps round at ulp(1e5), above 1e-9 of the step
+        grid = 0.01 * np.arange(10_000_001 - 200, 10_000_001)
+        core.checked_grid(grid, "lags", uniform=True)
+        grid[100:] += 1e-6 * 0.01
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            core.checked_grid(grid, "lags", uniform=True)
+
     @pytest.mark.parametrize(
         "points, message",
         [
@@ -209,6 +218,29 @@ class TestDrivePulse:
     def test_rejects_negative_rabi(self):
         with pytest.raises(ValueError):
             core.DrivePulse(rabi=-1.0)
+
+
+_NON_FINITE = {
+    "t1-inf": lambda: core.TlsParams(math.inf, 1.0),
+    "t1-t2-inf": lambda: core.TlsParams(math.inf, math.inf),
+    "rabi-nan": lambda: core.DrivePulse(math.nan),
+    "rabi-inf": lambda: core.DrivePulse(math.inf),
+    "detuning-nan": lambda: core.DrivePulse(1.0, math.nan),
+    "detuning-inf": lambda: core.DrivePulse(1.0, -math.inf),
+    "envelope-start-nan": lambda: core.DrivePulse(1.0, envelope=((math.nan, 1.0, 1.0),)),
+    "envelope-stop-nan": lambda: core.DrivePulse(1.0, envelope=((0.0, math.nan, 1.0),)),
+    "amplitude-nan": lambda: core.DrivePulse(1.0, envelope=((0.0, 1.0, math.nan),)),
+    "amplitude-inf": lambda: core.DrivePulse(1.0, envelope=((0.0, 1.0, math.inf),)),
+    "EmissionG2-nan": lambda: emission.EmissionG2(np.arange(3.0), np.array([1.0, math.nan, 1.0])),
+    "Spectrum-nan": lambda: emission.Spectrum(np.arange(3.0), np.array([0.0, math.nan, 0.0]), 1.0, 0.0),
+    "CorrelationCurve-nan": lambda: lamp.CorrelationCurve(np.arange(3.0), np.array([1.0, math.nan, 1.0])),
+}
+
+
+@pytest.mark.parametrize("build", sorted(_NON_FINITE))
+def test_non_finite_value_refused(build):
+    with pytest.raises(ValueError):
+        _NON_FINITE[build]()
 
 
 class TestParameterRegistry:

@@ -98,7 +98,7 @@ def one_segment(m):
     """The sampler's data of one drive segment with generator m: its
     stacked `_Segments` and the doubled step maps of its tables."""
     segs = trajectory._Segments.of(m[None])
-    d = bloch.taylor_increment(segs.m, segs.h[:, None, None], bloch._MAP_DEGREE)
+    d = bloch.taylor_increment(segs.m, segs.h[:, None, None])
     return segs, bloch.doublings(d, trajectory._MAX_NODES)
 
 
@@ -560,7 +560,7 @@ class TestRenewal:
 
 
 def _loop_table(m, states, h, u_min, n_max):
-    d = bloch.taylor_increment(m, h, bloch._MAP_DEGREE)
+    d = bloch.taylor_increment(m, h)
     rate = -np.linalg.eigvals(m).real.max()
     n = n_max
     if rate > 0.0 and u_min > 0.0:
