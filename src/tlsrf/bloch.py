@@ -97,8 +97,8 @@ def steady_state_from_saturation(s):
 
 def steady_state(params: TlsParams, omega: float, detuning: float = 0.0) -> BlochState:
     """Full steady state including the coherence."""
-    if omega < 0:
-        raise ValueError("omega must be >= 0")
+    if not 0 <= omega < math.inf:
+        raise ValueError("omega must be finite and >= 0")
     if omega == 0.0:
         return BlochState(0.0, 0.0, 0.0)
     d = detuning**2 + 1.0 / params.t2**2
@@ -235,8 +235,8 @@ def chaotic_steady_state(params: TlsParams, mean_omega, detuning: float = 0.0):
     coherent-drive value.  A float is an array of one entry.
     """
     w = np.atleast_1d(np.asarray(mean_omega, dtype=float))
-    if (w < 0).any():
-        raise ValueError("mean_omega must be >= 0")
+    if not ((w >= 0) & (w < math.inf)).all():
+        raise ValueError("mean_omega must be finite and >= 0")
     pop = np.zeros(len(w))
     on = w > 0.0
     a = _mean_inverse_saturation(params, w[on], detuning)
@@ -250,8 +250,8 @@ def chaotic_steady_state_quadrature(params: TlsParams, mean_omega: float, detuni
     each node drive, averaged by `_chaotic_average` on the panel rule
     `_panel_nodes` from 2 panels, the count doubling until two counts
     agree to 1e-9, at most to 4096 panels."""
-    if mean_omega < 0:
-        raise ValueError("mean_omega must be >= 0")
+    if not 0 <= mean_omega < math.inf:
+        raise ValueError("mean_omega must be finite and >= 0")
     if mean_omega == 0.0:
         return 0.0
 
@@ -268,18 +268,18 @@ def sample_chaotic_intensity(rng: np.random.Generator, mean_omega_sq: float, siz
     distributed, so the squared Rabi frequency is drawn from an
     exponential law with the given mean.
     """
-    if mean_omega_sq < 0:
-        raise ValueError("mean_omega_sq must be >= 0")
+    if not 0 <= mean_omega_sq < math.inf:
+        raise ValueError("mean_omega_sq must be finite and >= 0")
     if mean_omega_sq == 0.0:
         return 0.0 if size is None else np.zeros(size)
     return rng.exponential(scale=mean_omega_sq, size=size)
 
 
-# Nodes per call of the averaged function: at most _NODE_CHUNK, and at
-# most _CHUNK_BUDGET entries in all of the arrays that it works on per
-# node (its row_len), so that they stay bounded however long the rows are.
-_NODE_CHUNK = 32
-_CHUNK_BUDGET = 1 << 20
+# Nodes per call of the averaged function: as many as keep the arrays
+# that it works on (row_len entries per node) within _CHUNK_BUDGET
+# entries, 2 MB of float64, and at least one.  `_node_sum` adds the rows
+# in node order, so the budget bounds memory and moves no output bit.
+_CHUNK_BUDGET = 1 << 18
 
 # The composite rule in y = drive / mean drive: Gauss-Legendre panels of
 # _PANEL_NODES nodes over [0, _Y_SPAN], beyond which the law of y holds
@@ -305,11 +305,22 @@ def _panel_nodes(panels: int):
 
 def _node_sum(f, drives, weights, row_len: int) -> np.ndarray:
     """sum_i weights[i] f(drives)[i], where f maps an array of drives to
-    one row per drive and works on row_len entries per drive, called on
-    chunks of the drives so that memory is bounded by one chunk."""
-    size = max(1, min(_NODE_CHUNK, _CHUNK_BUDGET // row_len))
-    chunks = [slice(i, i + size) for i in range(0, len(drives), size)]
-    return sum(weights[c] @ f(drives[c]) for c in chunks)
+    one row per drive, in an array of its own, and works on row_len
+    entries per drive.  f is called on chunks of the drives so that
+    memory is bounded by one chunk.  Each row is scaled in place by its
+    weight and added to one running total in node order, so where a row
+    of f does not depend on the chunk that computes it, as for every f
+    here, neither does the sum, to the bit."""
+    size = max(1, _CHUNK_BUDGET // row_len)
+    total = None
+    for start in range(0, len(drives), size):
+        rows = f(drives[start : start + size])
+        rows *= weights[start : start + size, None]
+        if total is None:
+            total = np.zeros(rows.shape[1])
+        for row in rows:
+            total += row
+    return total
 
 
 def _chaotic_average(f, mean_omega: float, order: int, rtol: float, row_len: int, max_order: int) -> np.ndarray:
@@ -486,6 +497,15 @@ def _step_guard(params: TlsParams, omega_max: float, dt: float):
         )
 
 
+def _check_times(t_end: float, dt: float):
+    """Refuse a trace end or a step that is not positive and finite,
+    before any guard or kernel sees it."""
+    if not 0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+
+
 def _n_steps(t_end: float, dt: float) -> int:
     """Steps of size dt covering [0, t_end]: t_end/dt rounded when it is
     an integer to within 1e-9, so float noise adds no extra step."""
@@ -521,8 +541,7 @@ def integrate(
     it.  A step-size guard enforces dt <= min(t2, 2*pi/omega)/50
     (`_step_guard`).
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    _check_times(t_end, dt)
     om_max = pulse.rabi * pulse.max_amplitude()
     _step_guard(params, om_max, dt)
     n_steps = _n_steps(t_end, dt)
@@ -571,11 +590,12 @@ def chaotic_mean_transient(
     `_orbits`, exact to rounding at its samples, so the rule is the
     only source of error in the mean.  Nothing is sampled, so the trace
     has no stderr.
-    The node chunks bound memory for any number of steps.  Same step
-    guard and quasi-static warning as `chaotic_transient`.
+    `_node_sum` holds one chunk of node orbits at a time, at most
+    `_CHUNK_BUDGET` entries or one node, whatever the number of steps,
+    and adds the nodes in order, so the chunk size moves no bit.  Same
+    step guard and quasi-static warning as `chaotic_transient`.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    _check_times(t_end, dt)
     _warn_quasi_static(pulse, t_end)
     _step_guard(params, 2.0 * pulse.rabi * pulse.max_amplitude(), dt)
     n = _n_steps(t_end, dt) + 1
@@ -612,12 +632,12 @@ def chaotic_transient(
     returned trace is the pointwise mean with the standard error of
     rho11.  The members are the orbits of `integrate`'s kernel
     `_orbits` at the drawn drives, summed with unit weights by
-    `_node_sum`, so memory is O(n_samples + one node chunk of orbits).
+    `_node_sum` in draw order, so memory is O(n_samples + one chunk of
+    orbits) and the chunk size moves no bit.
     Valid while the pulse is much shorter than the source correlation
     time (warned above LAMP_TAU_CORR/10).
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    _check_times(t_end, dt)
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
     _warn_quasi_static(pulse, t_end)

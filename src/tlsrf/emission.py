@@ -10,7 +10,7 @@ grid by exact maps expm(M dtau).  Neither needs an eigendecomposition.
 Under chaotic drive the spectrum's average over the exponential
 intensity law is in closed form, and g2's kernel takes an array of
 drives, so its average runs it on chunks of the nodes of a composite
-rule in drive / mean drive.
+rule in drive / mean drive and adds the nodes in order.
 """
 
 from __future__ import annotations
@@ -87,6 +87,15 @@ def _grid_guard(params: TlsParams, freqs) -> np.ndarray:
     return freqs
 
 
+def _check_drive(omega: float, detuning: float = 0.0):
+    """Refuse a drive that is not finite and >= 0, or a detuning that is
+    not finite, before any kernel sees them."""
+    if not 0 <= omega < math.inf:
+        raise ValueError(f"drive {omega} must be finite and >= 0")
+    if not abs(detuning) < math.inf:
+        raise ValueError(f"detuning {detuning} must be finite")
+
+
 def _spectrum_rows(params: TlsParams, omegas: np.ndarray, detuning: float, freqs: np.ndarray):
     """Incoherent density (n, len(freqs)), coherent weight (n,) and
     incoherent power (n,) for n drives.
@@ -134,6 +143,7 @@ def qrt_spectrum(params: TlsParams, omega: float, detuning: float, freqs: np.nda
     plus coherent weight) equals the steady population divided by t1.
     """
     freqs = _grid_guard(params, freqs)
+    _check_drive(omega, detuning)
     dens, cw, ip = _spectrum_rows(params, np.array([omega], dtype=float), detuning, freqs)
     return Spectrum(freqs, dens[0], float(cw[0]), float(ip[0]))
 
@@ -175,6 +185,7 @@ def chaotic_spectrum(params: TlsParams, mean_omega: float, freqs: np.ndarray) ->
     lost there.
     """
     freqs = _grid_guard(params, freqs)
+    _check_drive(mean_omega)
     if mean_omega == 0.0:
         return qrt_spectrum(params, 0.0, 0.0, freqs)
     t1, t2 = params.t1, params.t2
@@ -276,7 +287,8 @@ def qrt_g2(params: TlsParams, omega: float, detuning: float, lags: np.ndarray) -
     returned curve is symmetrized around zero.
     """
     lags, _ = checked_grid(lags, "lags", lower=0.0, uniform=True)
-    if omega <= 0:
+    _check_drive(omega, detuning)
+    if omega == 0.0:
         raise ValueError("no emission at zero drive")
     r11, rss = _conditional_population(params, np.array([omega], dtype=float), detuning, lags)
     return _mirrored(lags, np.maximum(r11[0] / rss[0], 0.0))
@@ -303,7 +315,8 @@ def chaotic_g2(params: TlsParams, mean_omega: float, lags: np.ndarray) -> Emissi
     does not describe).
     """
     lags, _ = checked_grid(lags, "lags", lower=0.0, uniform=True)
-    if mean_omega <= 0:
+    _check_drive(mean_omega)
+    if mean_omega == 0.0:
         raise ValueError("no emission at zero mean drive")
     tau_corr = bloch.LAMP_TAU_CORR
     if lags.max() > tau_corr / 5.0:
@@ -319,7 +332,8 @@ def chaotic_g2(params: TlsParams, mean_omega: float, lags: np.ndarray) -> Emissi
         return rss[:, None] * np.maximum(r11, 0.0)
 
     resolved = math.ceil(mean_omega * lags[-1] * bloch._Y_SPAN / (4.0 * math.pi))
-    avg = bloch._chaotic_average(rows, mean_omega, 4, 1e-10, len(lags), resolved)
+    # the orbits behind each row hold 4 coordinates per lag
+    avg = bloch._chaotic_average(rows, mean_omega, 4, 1e-10, 4 * len(lags), resolved)
     return _mirrored(lags, np.maximum(avg, 0.0) / bloch.chaotic_steady_state(params, mean_omega) ** 2)
 
 

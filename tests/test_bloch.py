@@ -9,7 +9,7 @@ from scipy import integrate as scipy_integrate
 from scipy import special as scipy_special
 from scipy.linalg import expm
 
-from tlsrf import bloch, core
+from tlsrf import bloch, core, emission
 from tlsrf.bloch import BlochState
 from tlsrf.core import DrivePulse, NumericalGuardError, Statistics
 
@@ -372,6 +372,9 @@ class TestIntegrate:
         with pytest.raises(NumericalGuardError, match="dt"):
             bloch.integrate(qd, DrivePulse.cw(7.2), 2.0, 0.05)
 
+    # the oracle is `_staged_exact`, the exact step maps applied one step
+    # at a time; the name is from the RK4 oracle it replaced, kept so that
+    # the 10 test IDs stay
     @pytest.mark.parametrize("pulse, t_end, dt, initial", list(_integrate_cases()))
     def test_matches_scalar_rk4(self, qd, pulse, t_end, dt, initial):
         trace = bloch.integrate(qd, pulse, t_end, dt, initial=initial)
@@ -471,8 +474,9 @@ class TestChaoticTransient:
 
     def test_staircase_memory_is_bounded(self, qd):
         # 64 amplitude levels over 10k members: the ensemble holds the
-        # orbits of one node chunk of members at a time, where holding
-        # every member's orbit would need ~80 MB
+        # orbits of one chunk of members at a time, 2^18 entries (255 of
+        # them here, 2 MB), where holding every member's orbit would
+        # need ~80 MB
         levels = np.linspace(1.0, 0.05, 64)
         envelope = tuple((0.02 * k, 0.02 * (k + 1), float(a)) for k, a in enumerate(levels))
         pulse = DrivePulse(5.0, 0.0, envelope, Statistics.CHAOTIC)
@@ -484,6 +488,34 @@ class TestChaoticTransient:
             tracemalloc.stop()
         assert len(trace.rho11) == 257
         assert peak < 16e6
+
+
+def _chaotic_averages(qd):
+    """Every average that `bloch._node_sum` takes for the figures and
+    validate: the fig3 chaotic means at 5.2 and 7.2 rad/ns, the fig5
+    chaotic g2, a 1,000-member ensemble and the steady-state oracle."""
+    out = []
+    for om in (5.2, 7.2):
+        pulse = DrivePulse.square(om, 0.0, 2.0, statistics=Statistics.CHAOTIC)
+        mean = bloch.chaotic_mean_transient(qd, pulse, 3.5, min(qd.t2, math.pi / om) / 50.0)
+        out += [mean.rho11, mean.rho01_re, mean.rho01_im]
+    out.append(emission.chaotic_g2(qd, 1.7, np.arange(0.0, 15.005, 0.01)).values)
+    pulse = DrivePulse.square(7.2, 0.0, 2.0, statistics=Statistics.CHAOTIC)
+    ens = bloch.chaotic_transient(qd, pulse, 2.0, 0.005, 1_000, core.stream(3))
+    out += [ens.rho11, ens.rho01_re, ens.rho01_im, ens.stderr]
+    out.append(bloch.chaotic_steady_state_quadrature(qd, 1.7))
+    return out
+
+
+def test_chunking_moves_no_bit(qd, monkeypatch):
+    # from one node per chunk up to every node in one: the rows are added
+    # in node order, so the chunk budget bounds memory and nothing else
+    runs = {}
+    for budget in (1 << 10, 1 << 14, 1 << 18, 1 << 24):
+        monkeypatch.setattr(bloch, "_CHUNK_BUDGET", budget)
+        runs[budget] = _chaotic_averages(qd)
+    for budget, got in runs.items():
+        assert all(np.array_equal(a, b) for a, b in zip(got, runs[1 << 10])), budget
 
 
 def _node_mean(qd, pulse, t_end, dt, panels):
@@ -604,8 +636,8 @@ class TestChaoticMeanTransient:
 
     def test_long_trace_memory_is_bounded(self, qd):
         # 2e5 steps: 32 nodes of (4, 2e5 + 1) orbits would take 205 MB;
-        # the chunks are sized so that the orbits of one hold about 2^20
-        # entries
+        # the chunks are sized so that the orbits of one hold at most
+        # 2^18 entries, here one node of 8e5 entries (6.4 MB) at a time
         pulse = DrivePulse.square(2.0, 0.0, 2.0, statistics=Statistics.CHAOTIC)
         for panels in (2, 4, 8):
             bloch._panel_nodes(panels)  # numpy.polynomial's import stays out of the peak

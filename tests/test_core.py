@@ -107,7 +107,7 @@ class TestCheckedGrid:
 
 
 def _no_work(*args, **kwargs):
-    raise AssertionError("a malformed grid reached the kernel")
+    raise AssertionError("a refused input reached the kernel")
 
 
 # every function and container that takes frequencies or lags, with the
@@ -135,12 +135,17 @@ _GRID_ENTRIES = {
         False,
     ),
 }
-# what the entries above compute with once their grid is accepted
+# what the entries above and below compute with once their input is
+# accepted; steady_state's only work is the state it builds
 _KERNELS = [
     (emission, "_spectrum_rows"),
     (emission, "_conditional_population"),
     (bloch, "_mean_inverse_saturation"),
     (bloch, "_scaled_moments"),
+    (bloch, "exp1_scaled_complex"),
+    (bloch, "_chaotic_average"),
+    (bloch, "_orbits"),
+    (bloch, "BlochState"),
     (np, "convolve"),
     (lamp, "_gaussian_residual"),
 ]
@@ -190,6 +195,46 @@ def test_malformed_grid_refused_before_work(entry, data):
         with pytest.raises(ValueError) as err:
             call(grid)
     assert not isinstance(err.value, (core.NumericalGuardError, np.linalg.LinAlgError))
+
+
+_PULSE = core.DrivePulse.square(5.0, 0.0, 1.0, statistics=core.Statistics.CHAOTIC)
+_LAGS = np.arange(0.0, 1.0, 0.01)
+_FREQS = np.linspace(-4.0, 4.0, 401)
+# every scalar drive, detuning, trace end and step of the Bloch and
+# emission entry points, as a function of the value put in its place
+_SCALAR_ENTRIES = {
+    "steady_state-omega": lambda x: bloch.steady_state(_QD, x),
+    "chaotic_steady_state-mean_omega": lambda x: bloch.chaotic_steady_state(_QD, x),
+    "chaotic_steady_state-array": lambda x: bloch.chaotic_steady_state(_QD, np.array([1.0, x])),
+    "chaotic_steady_state_quadrature-mean_omega": lambda x: bloch.chaotic_steady_state_quadrature(_QD, x),
+    "sample_chaotic_intensity-mean_omega_sq": lambda x: bloch.sample_chaotic_intensity(core.stream(1), x, 3),
+    "integrate-t_end": lambda x: bloch.integrate(_QD, _PULSE, x, 0.005),
+    "integrate-dt": lambda x: bloch.integrate(_QD, _PULSE, 1.5, x),
+    "chaotic_mean_transient-t_end": lambda x: bloch.chaotic_mean_transient(_QD, _PULSE, x, 0.005),
+    "chaotic_mean_transient-dt": lambda x: bloch.chaotic_mean_transient(_QD, _PULSE, 1.5, x),
+    "chaotic_transient-t_end": lambda x: bloch.chaotic_transient(_QD, _PULSE, x, 0.005, 100, core.stream(1)),
+    "chaotic_transient-dt": lambda x: bloch.chaotic_transient(_QD, _PULSE, 1.5, x, 100, core.stream(1)),
+    "qrt_spectrum-omega": lambda x: emission.qrt_spectrum(_QD, x, 0.0, _FREQS),
+    "qrt_spectrum-detuning": lambda x: emission.qrt_spectrum(_QD, 7.2, x, _FREQS),
+    "chaotic_spectrum-mean_omega": lambda x: emission.chaotic_spectrum(_QD, x, _FREQS),
+    "qrt_g2-omega": lambda x: emission.qrt_g2(_QD, x, 0.0, _LAGS),
+    "qrt_g2-detuning": lambda x: emission.qrt_g2(_QD, 7.2, x, _LAGS),
+    "chaotic_g2-mean_omega": lambda x: emission.chaotic_g2(_QD, x, _LAGS),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(_SCALAR_ENTRIES))
+def test_non_finite_scalar_refused_before_work(entry, value):
+    # the same rule as for grids: a plain ValueError that names the
+    # rule, before any kernel runs; not a numerical guard, a late
+    # "cannot convert float NaN to integer" or a NaN result
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in _KERNELS:
+            mp.setattr(module, name, _no_work)
+        with pytest.raises(ValueError, match="must be") as err:
+            _SCALAR_ENTRIES[entry](value)
+    assert not isinstance(err.value, core.NumericalGuardError)
 
 
 class TestTlsParams:

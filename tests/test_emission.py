@@ -612,25 +612,48 @@ class TestBlinkingEnvelope:
             emission.blinking_envelope(g2, 0.5, -1.0)
 
 
-def full_kernel_gaussian(g2, fwhm):
-    """convolve_gaussian with the kernel of all 2n - 1 lag offsets."""
+def full_kernel_gaussian(g2, fwhm, cut=None):
+    """convolve_gaussian with the kernel of all 2n - 1 lag offsets, less
+    the taps beyond cut standard deviations when cut is given."""
     n, step = len(g2.lags), g2.lags[1] - g2.lags[0]
     sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    kern = np.exp(-0.5 * (np.arange(-(n - 1), n) * step / sigma) ** 2)
+    offsets = np.arange(-(n - 1), n) * step
+    kern = np.exp(-0.5 * (offsets / sigma) ** 2)
+    if cut is not None:
+        kern[np.abs(offsets) > cut * sigma] = 0.0
     rowsum = np.convolve(np.ones(n), kern, mode="valid")
     return np.maximum(np.convolve(g2.values, kern, mode="valid") / rowsum, 0.0)
 
 
+def within_ulps(got, want, ulps):
+    """Whether got is within ulps units in the last place of the largest
+    magnitude of want, everywhere."""
+    return np.abs(got - want).max() <= ulps * np.spacing(np.abs(want).max())
+
+
 class TestConvolveGaussian:
     # the fig5 grid, 3001 lags, and one of 159 lags, shorter than the
-    # kernel's cut at 12 sigma (2 x 179 + 1 offsets at 0.01 ns)
+    # kernel's cut at 12 sigma (2 x 179 + 1 offsets at 0.01 ns).  The two
+    # convolutions add in different orders, so they differ by a few ulp
+    # (6 on the chaotic fig5 curve, of its 1.386 plateau): the bound is
+    # 16 ulp of the curve's largest value
     @pytest.mark.parametrize("max_lag, n", [(15.0, 3001), (0.79, 159)])
     def test_matches_full_kernel(self, qd, instrument, max_lag, n):
         lags = np.arange(0.0, max_lag + 0.005, 0.01)
         for g2 in (emission.qrt_g2(qd, 1.7, 0.0, lags), emission.chaotic_g2(qd, 1.7, lags)):
             assert len(g2.lags) == n
             out = emission.convolve_gaussian(g2, instrument.detector_fwhm_ns)
-            assert np.abs(out.values - full_kernel_gaussian(g2, instrument.detector_fwhm_ns)).max() <= 1e-15
+            assert within_ulps(out.values, full_kernel_gaussian(g2, instrument.detector_fwhm_ns), 16)
+
+    @pytest.mark.parametrize("cut, inside", [(6.0, False), (8.0, True), (12.0, True)])
+    def test_bound_tells_a_short_kernel(self, qd, instrument, cut, inside):
+        # the full kernel cut at 6 sigma misses the bound above by ~1e7
+        # ulp on the fig5 chaotic curve, while cuts from 8 sigma on stay
+        # within it, so the bound still catches a kernel cut too short
+        g2 = emission.chaotic_g2(qd, 1.7, np.arange(0.0, 15.005, 0.01))
+        fwhm = instrument.detector_fwhm_ns
+        short = full_kernel_gaussian(g2, fwhm, cut)
+        assert within_ulps(short, full_kernel_gaussian(g2, fwhm), 16) == inside
 
     def test_constant_stays_constant(self):
         lags = np.arange(-5.0, 5.001, 0.01)
