@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DrivePulse, NumericalGuardError, QuadratureError, TlsParams
+from .core import DrivePulse, NumericalGuardError, QuadratureError, TlsParams, step_ratio
 
 _EULER_GAMMA = 0.5772156649015328606
 
@@ -506,15 +506,6 @@ def _check_times(t_end: float, dt: float):
         raise ValueError("dt must be positive and finite")
 
 
-def _n_steps(t_end: float, dt: float) -> int:
-    """Steps of size dt covering [0, t_end]: t_end/dt rounded when it is
-    an integer to within 1e-9, so float noise adds no extra step."""
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
-        n_steps = int(math.ceil(t_end / dt))
-    return n_steps
-
-
 def _amplitudes_per_step(pulse: DrivePulse, n_steps: int, dt: float, t0: float = 0.0) -> np.ndarray:
     # Evaluating at step midpoints snaps envelope edges to the grid.
     mid = t0 + dt * (np.arange(n_steps) + 0.5)
@@ -544,7 +535,7 @@ def integrate(
     _check_times(t_end, dt)
     om_max = pulse.rabi * pulse.max_amplitude()
     _step_guard(params, om_max, dt)
-    n_steps = _n_steps(t_end, dt)
+    n_steps = math.ceil(step_ratio(t_end, dt))
     state0 = initial or BlochState.ground()
     amps = _amplitudes_per_step(pulse, n_steps, dt)
     x0 = (state0.rho11, state0.rho01_re, state0.rho01_im, 1.0)
@@ -598,7 +589,7 @@ def chaotic_mean_transient(
     _check_times(t_end, dt)
     _warn_quasi_static(pulse, t_end)
     _step_guard(params, 2.0 * pulse.rabi * pulse.max_amplitude(), dt)
-    n = _n_steps(t_end, dt) + 1
+    n = math.ceil(step_ratio(t_end, dt)) + 1
     if pulse.rabi == 0.0:
         return BlochTrace(0.0, dt, np.zeros(n), np.zeros(n), np.zeros(n))
     amps = _amplitudes_per_step(pulse, n - 1, dt)
@@ -647,7 +638,7 @@ def chaotic_transient(
     # their samples but see the envelope edges snapped coarsely against
     # their Rabi period, and are statistically negligible
     _step_guard(params, 2.0 * om_max, dt)
-    n = _n_steps(t_end, dt) + 1
+    n = math.ceil(step_ratio(t_end, dt)) + 1
     w2 = sample_chaotic_intensity(rng, pulse.rabi**2, size=n_samples)
     omegas = np.sqrt(np.asarray(w2, dtype=float))
     amps = _amplitudes_per_step(pulse, n - 1, dt)

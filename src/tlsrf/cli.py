@@ -39,6 +39,7 @@ from .core import (
     omega_from_saturation,
     parameter_set_from_dict,
     power_linewidth,
+    step_ratio,
     stream,
     write_csv,
 )
@@ -359,7 +360,7 @@ def cmd_g2(cfg: dict, pset: ParameterSet) -> list[str]:
         raise ConfigError("max_lag_ns must be >= lag_step_ns")
     if cfg["mc"] and cfg["bin_ns"] > lag_max:
         raise ConfigError("bin_ns must be <= max_lag_ns: the histogram needs two whole bins")
-    lags = np.arange(0.0, lag_max + 0.5 * lag_step, lag_step)
+    lags = lag_step * np.arange(math.floor(step_ratio(lag_max, lag_step)) + 1)
     det_fwhm = pset.instrument.detector_fwhm_ns
     blink = _blinking_from(cfg)
     if cfg["mc"]:

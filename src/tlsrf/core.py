@@ -215,6 +215,15 @@ def checked_grid(points, name: str, min_len: int = 1, lower: float | None = None
     return p, float(steps[0]) if len(steps) else math.nan
 
 
+def step_ratio(span: float, step: float) -> float:
+    """span / step, or the whole number within 1e-9 (relative) of it: its
+    floor counts the steps that fit the span and its ceil those that
+    cover it, so float noise (3 tau / (tau / 20) = 59.99999999999999)
+    neither drops a step nor adds one."""
+    r, k = span / step, round(span / step)
+    return float(k) if abs(r - k) <= 1e-9 * abs(r) else r
+
+
 def saturation_parameter(omega: float, params: TlsParams) -> float:
     """Dimensionless drive strength omega**2 * t1 * t2."""
     if omega < 0:

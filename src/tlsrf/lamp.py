@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FitError, NumericalGuardError, checked_grid
+from .core import FitError, NumericalGuardError, checked_grid, step_ratio
 
 
 @dataclass
@@ -26,8 +26,8 @@ class FieldTrace:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if len(self.amplitudes) < 2:
             raise ValueError("need at least two samples")
 
@@ -89,6 +89,8 @@ def synthesize_field(tau_corr: float, dt: float, n: int, rng: np.random.Generato
     transform, which overwrites the complex one.  The returned trace
     is a view into the complex buffer.
     """
+    if not (0 < tau_corr < math.inf and 0 < dt < math.inf):
+        raise ValueError("tau_corr and dt must be positive and finite")
     if dt > tau_corr / 20.0:
         raise NumericalGuardError(f"dt={dt} must be <= tau_corr/20 ({tau_corr/20.0})")
     if n * dt < 50.0 * tau_corr:
@@ -132,16 +134,19 @@ def _lag_sums(x: np.ndarray, y: np.ndarray, n_lags: int) -> np.ndarray:
 
 
 def _lag_count(trace: FieldTrace, max_lag: float) -> int:
+    """Lag 0 and the whole steps of trace.dt that fit max_lag
+    (`core.step_ratio`): the last lag is max_lag or short of it."""
     if not 0.0 <= max_lag < math.inf:
         raise ValueError(f"max_lag must be finite and >= 0, got {max_lag}")
-    n_lags = int(math.floor(max_lag / trace.dt)) + 1
+    n_lags = math.floor(step_ratio(max_lag, trace.dt)) + 1
     if n_lags > len(trace.amplitudes) // 10:
         raise NumericalGuardError("max_lag must not exceed a tenth of the trace length")
     return n_lags
 
 
 def estimate_g1(trace: FieldTrace, max_lag: float) -> CorrelationCurve:
-    """|g1| by the biased autocorrelation estimator; |g1(0)| = 1 exactly."""
+    """|g1| by the biased autocorrelation estimator on the lags of
+    `_lag_count`, up to max_lag; |g1(0)| = 1 exactly."""
     n_lags = _lag_count(trace, max_lag)
     z = trace.amplitudes
     corr = _lag_sums(np.conj(z), z, n_lags) / len(z)
@@ -151,7 +156,8 @@ def estimate_g1(trace: FieldTrace, max_lag: float) -> CorrelationCurve:
 
 
 def estimate_g2(trace: FieldTrace, max_lag: float) -> CorrelationCurve:
-    """Classical intensity correlation <I(0) I(tau)> / <I>^2."""
+    """Classical intensity correlation <I(0) I(tau)> / <I>^2 on the lags
+    of `_lag_count`, up to max_lag."""
     n_lags = _lag_count(trace, max_lag)
     ii = trace.intensity
     out = _lag_sums(ii, ii, n_lags) / (len(ii) - np.arange(n_lags))

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import bloch
 from .bloch import _MAP_DEGREE, _STEP_NORM
-from .core import DrivePulse, NumericalGuardError, Statistics, TlsParams
+from .core import DrivePulse, NumericalGuardError, Statistics, TlsParams, step_ratio
 
 
 @dataclass
@@ -327,7 +327,7 @@ def _drive_segments(pulse: DrivePulse, duration: float, tau_corr: float, rng) ->
         if 0.0 < stop < duration:
             edges.add(stop)
     if pulse.statistics is Statistics.CHAOTIC:
-        n_blocks = int(math.ceil(duration / tau_corr))
+        n_blocks = math.ceil(step_ratio(duration, tau_corr))
         draws = np.sqrt(bloch.sample_chaotic_intensity(rng, pulse.rabi**2, size=n_blocks))
         for k in range(1, n_blocks):
             edges.add(k * tau_corr)
@@ -498,12 +498,14 @@ def simulate_tags(
     gates the emission on and off, and kept tags split 50:50 between the
     two channels.
     """
-    if duration < 10.0 * params.t1:
-        raise ValueError("duration must be long against t1")
+    if not 10.0 * params.t1 <= duration < math.inf:
+        raise ValueError("duration must be finite and long against t1")
+    if not 0.0 < tau_corr < math.inf:
+        raise ValueError("tau_corr must be positive and finite")
     if not 0.0 < efficiency <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
-    if blinking is not None and not (0.0 < blinking[0] <= 1.0 and blinking[1] > 0.0):
-        raise ValueError("blinking requires on_fraction in (0, 1] and tau_blink > 0")
+    if blinking is not None and not (0.0 < blinking[0] <= 1.0 and 0.0 < blinking[1] < math.inf):
+        raise ValueError("blinking must be (on_fraction in (0, 1], tau_blink > 0 and finite)")
     segments = _drive_segments(pulse, duration, tau_corr, rng)
     times = _jump_times(params, pulse.detuning, segments, rng)
     if efficiency < 1.0 and len(times):
@@ -516,34 +518,27 @@ def simulate_tags(
 
 def _telegraph_gate(times, duration, beta, tau_blink, rng):
     """Boolean mask of tags falling into ON periods of a stationary
-    two-state telegraph with P(on) = beta and correlation time tau_blink."""
-    mean_on = tau_blink / (1.0 - beta)
-    mean_off = tau_blink / beta
+    two-state telegraph with P(on) = beta and correlation time tau_blink.
+    Each block of 256 switches starts in the first state, so its switch
+    times are one running sum, cut at the first at or past duration."""
     start_on = bool(rng.random() < beta)
-    switches = []
-    t = 0.0
-    state_on = start_on
-    block = 256
+    use_on = (np.arange(256) % 2 == 0) == start_on
+    t, blocks = 0.0, []
     while t < duration:
-        draws_on = rng.exponential(mean_on, size=block)
-        draws_off = rng.exponential(mean_off, size=block)
-        for k in range(block):
-            t += draws_on[k] if state_on else draws_off[k]
-            switches.append(t)
-            state_on = not state_on
-            if t >= duration:
-                break
-    sw = np.asarray(switches)
-    idx = np.searchsorted(sw, times, side="right")
-    on = (idx % 2 == 0) == start_on
-    return on
+        draws_on = rng.exponential(tau_blink / (1.0 - beta), size=256)
+        draws_off = rng.exponential(tau_blink / beta, size=256)
+        sw = np.cumsum(np.concatenate(([t], np.where(use_on, draws_on, draws_off))))[1:]
+        blocks.append(sw[: np.searchsorted(sw, duration) + 1])
+        t = blocks[-1][-1]
+    sw = np.concatenate(blocks)
+    return (np.searchsorted(sw, times, side="right") % 2 == 0) == start_on
 
 
 def apply_detector(stream: TagStream, jitter_fwhm: float, rng: np.random.Generator) -> TagStream:
     """Add Gaussian timing jitter per tag, re-sort, and drop tags that
     leave the observation window."""
-    if jitter_fwhm < 0:
-        raise ValueError("jitter_fwhm must be >= 0")
+    if not 0.0 <= jitter_fwhm < math.inf:
+        raise ValueError("jitter_fwhm must be finite and >= 0")
     if jitter_fwhm == 0.0 or len(stream.times) == 0:
         return TagStream(stream.times.copy(), stream.channels.copy(), stream.duration)
     sigma = jitter_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
@@ -604,26 +599,26 @@ def correlate(stream: TagStream, bin_w: float, max_lag: float) -> CoincidenceHis
     """Cross-correlate channel 1 starts against channel 2 stops.
 
     Counts c(tau) in the whole bins of width bin_w from -max_lag that
-    end by max_lag: 2 max_lag / bin_w of them, rounded down after a
-    relative 1e-9 allowance, so that float noise in a whole ratio
-    (2 * 15 / 0.1) drops no bin, and a partial last bin, which would see
-    only some of its lags, is left out.  They are normalized by the
-    channel rate product and by the overlap T - |tau| over which a lag
-    tau can be seen, c * T^2 / (N1 * N2 * w * (T - |tau|)), so that
-    uncorrelated Poisson streams read one at every lag.
+    end by max_lag: the floor of `core.step_ratio`(2 max_lag, bin_w),
+    so that float noise in a whole ratio (2 * 15 / 0.1) drops no bin,
+    and a partial last bin, which would see only some of its lags, is
+    left out.  They are normalized by the channel rate product and by
+    the overlap T - |tau| over which a lag tau can be seen,
+    c * T^2 / (N1 * N2 * w * (T - |tau|)), so that uncorrelated Poisson
+    streams read one at every lag.
 
     Costs O(pairs) time and O(chunk + bins) memory, with chunk = 100k
     start tags, so dense wide windows need no pair array.
     """
-    if bin_w <= 0:
-        raise ValueError("bin_w must be positive")
+    if not (0.0 < bin_w < math.inf and 0.0 < max_lag < math.inf):
+        raise ValueError("bin_w and max_lag must be positive and finite")
     if max_lag > stream.duration / 10.0:
         raise NumericalGuardError("max_lag must not exceed a tenth of the stream duration")
     t1 = stream.channel_times(1)
     t2 = stream.channel_times(2)
     if len(t1) == 0 or len(t2) == 0:
         raise ValueError("both channels need at least one tag")
-    nb = math.floor(2.0 * max_lag / bin_w * (1.0 + 1e-9))
+    nb = math.floor(step_ratio(2.0 * max_lag, bin_w))
     if nb < 2:
         raise ValueError("fewer than two lag bins")
     counts = np.zeros(nb, dtype=np.int64)

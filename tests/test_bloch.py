@@ -300,7 +300,7 @@ class TestChaoticSteadyState:
 def _staged_exact(params, pulse, t_end, dt, initial=BlochState.ground()):
     """(n_steps + 1, 3) columns rho11, rho01_re, rho01_im of the exact
     step maps on the step grid and per-step drive of `bloch.integrate`."""
-    n_steps = bloch._n_steps(t_end, dt)
+    n_steps = math.ceil(core.step_ratio(t_end, dt))
     oms = bloch._amplitudes_per_step(pulse, n_steps, dt) * pulse.rabi
     it1, it2, det = 1.0 / params.t1, 1.0 / params.t2, pulse.detuning
     maps = {

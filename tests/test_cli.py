@@ -412,6 +412,14 @@ class TestG2Command:
         assert cha[np.argmin(np.abs([float(r["lag_ns"]) for r in rows]))] == 0.0
         assert np.all(np.isfinite(cha)) and cha[-1] == pytest.approx(1.0, abs=0.05)
 
+    def test_lag_grid_stops_at_max_lag(self, tmp_path):
+        # arange(0, max_lag + step / 2, step) ran to 15.01 here
+        out, cfg = tmp_path / "g2.csv", tmp_path / "c.json"
+        cfg.write_text(json.dumps({"max_lag_ns": 15.006, "mc": False}))
+        assert run(["g2", "--config", str(cfg), "--out", str(out)]) == 0
+        lag = np.array([float(r["lag_ns"]) for r in read_rows(out)])
+        assert np.abs(lag).max() <= 15.006
+
     def test_fig5_columns(self, tmp_path):
         out = tmp_path / "fig5.csv"
         cfg = tmp_path / "c.json"

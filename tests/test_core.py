@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlsrf import bloch, core, emission, lamp
+from tlsrf import bloch, core, emission, lamp, trajectory
 
 
 class TestSaturationParameter:
@@ -63,6 +63,24 @@ class TestPowerLinewidth:
     def test_monotone_in_omega(self, om, extra):
         qd = core.PAPER_QD.tls
         assert core.power_linewidth(om + extra, qd) > core.power_linewidth(om, qd)
+
+
+class TestStepRatio:
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 1_000_000), st.floats(1e-6, 1e6))
+    def test_whole_ratio_is_whole(self, k, step):
+        # a span of k steps, computed in floats: no step dropped by floor
+        # and none added by ceil, whatever the rounding of k * step
+        r = core.step_ratio(k * step, step)
+        assert math.floor(r) == math.ceil(r) == k
+
+    @pytest.mark.parametrize(
+        "span, step, fit, cover",
+        [(3 * 0.4509, 0.4509 / 20, 60, 60), (101.19600000000001, 0.8433, 120, 120), (2.5, 1.0, 2, 3), (1.0, 3.0, 0, 1)],
+    )
+    def test_floor_fits_and_ceil_covers(self, span, step, fit, cover):
+        r = core.step_ratio(span, step)
+        assert (math.floor(r), math.ceil(r)) == (fit, cover)
 
 
 class TestCheckedGrid:
@@ -148,6 +166,12 @@ _KERNELS = [
     (bloch, "BlochState"),
     (np, "convolve"),
     (lamp, "_gaussian_residual"),
+    (lamp, "_fast_len"),
+    (lamp, "_lag_sums"),
+    (trajectory, "_drive_segments"),
+    (trajectory, "_jump_times"),
+    (trajectory, "_telegraph_gate"),
+    (trajectory, "_corr_window"),
 ]
 
 
@@ -200,8 +224,12 @@ def test_malformed_grid_refused_before_work(entry, data):
 _PULSE = core.DrivePulse.square(5.0, 0.0, 1.0, statistics=core.Statistics.CHAOTIC)
 _LAGS = np.arange(0.0, 1.0, 0.01)
 _FREQS = np.linspace(-4.0, 4.0, 401)
-# every scalar drive, detuning, trace end and step of the Bloch and
-# emission entry points, as a function of the value put in its place
+_CHAOTIC_CW = core.DrivePulse.cw(5.0, statistics=core.Statistics.CHAOTIC)
+_TAGS = trajectory.TagStream(np.arange(1.0, 201.0), np.tile(np.array([1, 2], dtype=np.int8), 100), 2000.0)
+_TRACE = lamp.FieldTrace(1.0, np.ones(100, dtype=complex))
+# every scalar drive, detuning, trace end, step, duration, width and
+# lag of the Bloch, emission, trajectory and lamp entry points, as a
+# function of the value put in its place
 _SCALAR_ENTRIES = {
     "steady_state-omega": lambda x: bloch.steady_state(_QD, x),
     "chaotic_steady_state-mean_omega": lambda x: bloch.chaotic_steady_state(_QD, x),
@@ -220,6 +248,18 @@ _SCALAR_ENTRIES = {
     "qrt_g2-omega": lambda x: emission.qrt_g2(_QD, x, 0.0, _LAGS),
     "qrt_g2-detuning": lambda x: emission.qrt_g2(_QD, 7.2, x, _LAGS),
     "chaotic_g2-mean_omega": lambda x: emission.chaotic_g2(_QD, x, _LAGS),
+    "simulate_tags-duration": lambda x: trajectory.simulate_tags(_QD, _CHAOTIC_CW, x, 1.0, core.stream(1)),
+    "simulate_tags-efficiency": lambda x: trajectory.simulate_tags(_QD, _CHAOTIC_CW, 100.0, x, core.stream(1)),
+    "simulate_tags-tau_blink": lambda x: trajectory.simulate_tags(_QD, _CHAOTIC_CW, 100.0, 1.0, core.stream(1), (0.5, x)),
+    "simulate_tags-tau_corr": lambda x: trajectory.simulate_tags(_QD, _CHAOTIC_CW, 100.0, 1.0, core.stream(1), tau_corr=x),
+    "apply_detector-jitter_fwhm": lambda x: trajectory.apply_detector(_TAGS, x, core.stream(1)),
+    "correlate-bin_w": lambda x: trajectory.correlate(_TAGS, x, 10.0),
+    "correlate-max_lag": lambda x: trajectory.correlate(_TAGS, 1.0, x),
+    "synthesize_field-tau_corr": lambda x: lamp.synthesize_field(x, 0.01, 10_000, core.stream(1)),
+    "synthesize_field-dt": lambda x: lamp.synthesize_field(1.0, x, 10_000, core.stream(1)),
+    "FieldTrace-dt": lambda x: lamp.FieldTrace(x, np.ones(10, dtype=complex)),
+    "estimate_g1-max_lag": lambda x: lamp.estimate_g1(_TRACE, x),
+    "estimate_g2-max_lag": lambda x: lamp.estimate_g2(_TRACE, x),
 }
 
 

@@ -160,6 +160,15 @@ class TestEstimateG1:
             estimate(field, max_lag)
         assert not isinstance(err.value, NumericalGuardError)
 
+    @pytest.mark.parametrize("estimate", [lamp.estimate_g1, lamp.estimate_g2], ids=["g1", "g2"])
+    def test_whole_max_lag_is_the_last_lag(self, estimate):
+        # 3 tau / (tau / 20) is 59.99999999999999 at this tau; a plain
+        # floor dropped the lag at 3 tau
+        tau = 0.4509
+        curve = estimate(lamp.synthesize_field(tau, tau / 20.0, 4000, core.stream(3)), 3.0 * tau)
+        assert len(curve.lags) == 61
+        assert curve.lags[-1] == pytest.approx(3.0 * tau, rel=0.0, abs=1e-12)
+
 
 class TestEstimateG2:
     def test_constant_intensity(self):

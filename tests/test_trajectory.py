@@ -724,6 +724,51 @@ class TestDriveSegments:
             amp = next((amp for start, stop, amp in pulse.envelope if start <= mid < stop), 0.0)
             assert om == scale * amp
 
+    def test_whole_ratio_draws_no_extra_block(self, monkeypatch):
+        # duration / tau_corr is 120.00000000000001 here: a plain ceil
+        # drew a 121st intensity for 120 blocks
+        sizes = []
+        draw = bloch.sample_chaotic_intensity
+        monkeypatch.setattr(bloch, "sample_chaotic_intensity", lambda rng, m, size: sizes.append(size) or draw(rng, m, size))
+        pulse = DrivePulse.cw(7.2, statistics=Statistics.CHAOTIC)
+        segments = trajectory._drive_segments(pulse, 101.19600000000001, 0.8433, core.stream(1))
+        assert sizes == [120] and len(segments) == 120
+
+
+def loop_gate(times, duration, beta, tau_blink, rng):
+    """Test-side oracle of `_telegraph_gate`: the switches one at a
+    time, from the same draws in the same order."""
+    start_on = state_on = bool(rng.random() < beta)
+    switches, t = [], 0.0
+    while t < duration:
+        draws_on = rng.exponential(tau_blink / (1.0 - beta), size=256)
+        draws_off = rng.exponential(tau_blink / beta, size=256)
+        for k in range(256):
+            t += draws_on[k] if state_on else draws_off[k]
+            switches.append(t)
+            state_on = not state_on
+            if t >= duration:
+                break
+    return (np.searchsorted(switches, times, side="right") % 2 == 0) == start_on
+
+
+class TestTelegraphGate:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.floats(3.0, 6.3),
+        st.floats(0.05, 0.95),
+        st.floats(0.0, 3.3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_switch_loop(self, log_duration, beta, log_tau, seed):
+        # the same mask and the same stream state afterwards
+        duration = 10.0**log_duration
+        times = np.sort(core.stream(seed + 1).uniform(0.0, duration, 500))
+        rng, ref = core.stream(seed), core.stream(seed)
+        mask = trajectory._telegraph_gate(times, duration, beta, 10.0**log_tau, rng)
+        assert np.array_equal(mask, loop_gate(times, duration, beta, 10.0**log_tau, ref))
+        assert rng.random() == ref.random()
+
 
 class TestApplyDetector:
     def test_zero_jitter_identity(self, cw_tags):
