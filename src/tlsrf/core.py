@@ -220,7 +220,8 @@ def step_ratio(span: float, step: float) -> float:
     floor counts the steps that fit the span and its ceil those that
     cover it, so float noise (3 tau / (tau / 20) = 59.99999999999999)
     neither drops a step nor adds one."""
-    r, k = span / step, round(span / step)
+    r = span / step
+    k = round(r)
     return float(k) if abs(r - k) <= 1e-9 * abs(r) else r
 
 
